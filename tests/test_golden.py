@@ -1,0 +1,146 @@
+"""Golden snapshot: refactors must leave every output byte as it was.
+
+A small seeded `pubgen` corpus (the benchmark's generator, imported
+through sys.path) is ingested and run through `series`, `build`,
+`metrics` and `granger`; bridging in both modes, weighted efficiency and a
+shortened hole-closure run are computed in-process. Each output is hashed
+(sha256) and compared with tests/golden.json. Next to the hashes the
+snapshot keeps the values the paper's argument rests on (US `bc`/`bcw`
+and CN `bcw` in the first and last all-fields windows), so a broken hash
+also reports which named value moved and by how much.
+
+The CSVs and summary.json embed the config hash, which covers the corpus
+path, so the outputs are built from a fixed relative `corpus` directory.
+
+A change that is meant to move outputs regenerates the snapshot with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the moved values in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import logging
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+sys.path.insert(0, str(HERE.parent / "src"))
+
+import pubgen  # noqa: E402
+from collabnet import cli, synth  # noqa: E402
+from collabnet.graph import CollabNetwork  # noqa: E402
+from collabnet.paths import bridging_fraction  # noqa: E402
+from collabnet.pipeline import read_series_csv  # noqa: E402
+from collabnet.structure import global_efficiency  # noqa: E402
+
+GOLDEN = HERE / "golden.json"
+SEED, RECORDS, THRESHOLD = 5, 4000, "3"
+FIELDS = "all,Physics,Medicine"
+BRIDGES = (("CN", "US"), ("GB", "US"))
+SYNTH = synth.SynthConfig(
+    seed=3, n_final=500, m=3, fitness_law="entrant", eta=5.0, entrant_arrival=100,
+    checkpoint_stride=100, densify_closure=0.01, densify_random=0.005,
+)
+# (series file, label) pairs whose first and last values are named
+NAMED = (("bc_US__all.csv", "bc:US"), ("bcw_US__all.csv", "bcw:US"), ("bcw_CN__all.csv", "bcw:CN"))
+
+
+def _cli(*argv: str) -> None:
+    logging.disable(logging.WARNING)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(list(argv)) == 0, argv
+    finally:
+        logging.disable(logging.NOTSET)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def build_snapshot(workdir: Path) -> dict:
+    """Run every snapshotted output inside `workdir`; returns hashes and named values."""
+    prev = Path.cwd()
+    os.chdir(workdir)
+    try:
+        pubgen.write_corpus("pubs.jsonl", SEED, RECORDS)
+        _cli("ingest", "--pubs", "pubs.jsonl", "--out", "corpus", "--threshold", THRESHOLD)
+        bridge_args = [arg for src, via in BRIDGES for arg in ("--bridge", f"{src}:{via}")]
+        _cli("series", "--corpus", "corpus", "--out", "results", "--fields", FIELDS,
+             "--threshold", THRESHOLD, "--countries", "US,CN,GB", *bridge_args)
+        _cli("build", "--corpus", "corpus", "--year", "2024", "--threshold", THRESHOLD, "--out", "net.json")
+        _cli("metrics", "--net", "net.json", "--metric", "bc,bcw,centralization,efficiency,kcore_bc",
+             "--out", "metrics.csv")
+        _cli("granger", "--corpus", "corpus", "--iv", "CN", "--threshold", THRESHOLD, "--out", "granger.csv")
+
+        hashes = {f"series/{p.name}": _sha(p.read_bytes()) for p in sorted(Path("results/series").iterdir())}
+        for name in ("results/summary.json", "metrics.csv", "granger.csv"):
+            hashes[Path(name).name] = _sha(Path(name).read_bytes())
+
+        net = CollabNetwork.load("net.json")
+        bridging = "".join(
+            f"{src},{via},{mode},{bridging_fraction(net, src, via, mode).fraction!r}\n"
+            for src, via in BRIDGES for mode in ("any", "sigma")
+        )
+        hashes["bridging"] = _sha(bridging.encode())
+        hashes["efficiency_weighted"] = _sha(repr(global_efficiency(net, weighted=True)).encode())
+        hashes["synth_run"] = _sha(synth.hole_closure_experiment(SYNTH).to_json().encode())
+
+        values = {}
+        for fname, label in NAMED:
+            series = read_series_csv(Path("results/series") / fname)
+            years, vals = series.present()
+            for i in (0, -1):
+                values[f"{label}@{years[i]}"] = float(vals[i])
+    finally:
+        os.chdir(prev)
+    return {"hashes": hashes, "values": values}
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    return build_snapshot(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def _moved(golden: dict, snapshot: dict) -> str:
+    lines = []
+    for name, old in golden["values"].items():
+        new = snapshot["values"].get(name)
+        if new != old:
+            diff = "" if new is None else f" ({new - old:+.3e})"
+            lines.append(f"  {name}: {old!r} -> {new!r}{diff}")
+    return "\n".join(lines) or "  (no named value moved)"
+
+
+def test_named_values(golden, snapshot):
+    assert snapshot["values"] == golden["values"], "named values moved:\n" + _moved(golden, snapshot)
+
+
+def test_output_hashes(golden, snapshot):
+    old, new = golden["hashes"], snapshot["hashes"]
+    changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    assert not changed, f"outputs changed: {changed}\nnamed values:\n" + _moved(golden, snapshot)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = build_snapshot(Path(tmp))
+    GOLDEN.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} ({len(snap['hashes'])} hashes)")
