@@ -16,7 +16,7 @@ from .centrality import (
     normalize_bc,
 )
 from .errors import CollabnetError, ConvergenceError, DataError, NumericError
-from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window, to_distance
+from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
 from .ingest import (
     CountryYearStats,
     EdgeList,

@@ -6,15 +6,12 @@ hop counts; the weighted variant uses inverse-weight distances, counting
 all minimum-distance paths with a relative tie tolerance so float noise
 cannot split genuinely co-minimal routes.
 
-The topological kernel is a level-synchronous Brandes sweep over all
-sources at once, expressed as sparse-matrix products so large synthetic
-graphs stay fast; the weighted kernel is a per-source Dijkstra with
-pair-dependency accumulation.
+Both variants run Brandes' dependency accumulation over the kernels of
+the path layer (`paths.hop_levels` and `paths.dijkstra`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,8 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError
 from .graph import CollabNetwork
-
-TIE_TOLERANCE = 1e-12  # relative, on accumulated path distances
+from .paths import TIE_TOLERANCE, dijkstra, hop_levels
 
 
 @dataclass
@@ -49,85 +45,28 @@ class CentralityVector:
 
 
 def _betweenness_topological(network: CollabNetwork) -> np.ndarray:
-    """All-sources Brandes via frontier expansion; sigma[s, v] counts paths."""
+    """Brandes' backward pass over the all-sources hop sweep, arrays [target, source]."""
     n = network.n
     A = network.csr(weighted=False)
-    sigma = np.eye(n)
-    unvisited = ~np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    frontiers = [frontier]
-    while True:
-        contrib = (A @ (sigma * frontier).T).T  # == (sigma*frontier) @ A, A symmetric
-        new_frontier = (contrib > 0.0) & unvisited
-        if not new_frontier.any():
-            break
-        sigma = np.where(new_frontier, contrib, sigma)
-        unvisited &= ~new_frontier
-        frontier = new_frontier
-        frontiers.append(new_frontier)
-
+    sigma, frontiers = hop_levels(network)
     delta = np.zeros((n, n))
     safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
     for level in range(len(frontiers) - 1, 0, -1):
         coeff = np.where(frontiers[level], (1.0 + delta) / safe_sigma, 0.0)
-        spread = (A @ coeff.T).T
-        delta += np.where(frontiers[level - 1], spread * sigma, 0.0)
+        delta += np.where(frontiers[level - 1], (A @ coeff) * sigma, 0.0)
     # delta[s, s] is never credited to the source itself
-    totals = delta.sum(axis=0) - np.diag(delta)
+    totals = np.ascontiguousarray(delta.T).sum(axis=0) - np.diag(delta)
     return totals / 2.0
 
 
-def _weighted_adjacency_lists(network: CollabNetwork) -> list[list[tuple[int, float]]]:
-    idx = network.index
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(network.n)]
-    for (a, b), w in network.edges.items():
-        if w <= 0:
-            raise DataError(f"non-positive weight {w} on ({a}, {b})")
-        d = 1.0 / w
-        i, j = idx[a], idx[b]
-        nbrs[i].append((j, d))
-        nbrs[j].append((i, d))
-    for lst in nbrs:
-        lst.sort()
-    return nbrs
-
-
-def _betweenness_weighted(network: CollabNetwork, rel_tol: float = TIE_TOLERANCE) -> np.ndarray:
+def _betweenness_weighted(network: CollabNetwork) -> np.ndarray:
+    """Brandes' dependency accumulation over one Dijkstra per source."""
     n = network.n
-    nbrs = _weighted_adjacency_lists(network)
     bc = np.zeros(n)
-    inf = math.inf
     for s in range(n):
-        finalized: list[int] = []
-        done = [False] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0.0] * n
-        sigma[s] = 1.0
-        dist = [inf] * n
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d_u, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            finalized.append(u)
-            for v, d_uv in nbrs[u]:
-                if done[v]:
-                    continue
-                nd = d_u + d_uv
-                cur = dist[v]
-                tol = rel_tol * max(nd, cur if cur < inf else nd)
-                if nd < cur - tol:
-                    dist[v] = nd
-                    sigma[v] = sigma[u]
-                    preds[v] = [u]
-                    heapq.heappush(heap, (nd, v))
-                elif abs(nd - cur) <= tol:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
+        _, sigma, preds, order = dijkstra(network, s)
         delta = [0.0] * n
-        for w_node in reversed(finalized):
+        for w_node in reversed(order):
             coeff = (1.0 + delta[w_node]) / sigma[w_node]
             for v in preds[w_node]:
                 delta[v] += sigma[v] * coeff
@@ -219,6 +158,10 @@ def betweenness_centralization(network: CollabNetwork) -> float:
     """Freeman-style inequality of normalized betweenness: 1 on a star, 0 when uniform."""
     if network.n < 3:
         raise DataError(f"centralization needs at least 3 nodes, got {network.n}")
-    bc_norm = normalize_bc(betweenness(network, weighted=False), network.n)
+    return centralization(normalize_bc(betweenness(network, weighted=False), network.n))
+
+
+def centralization(bc_norm: CentralityVector) -> float:
+    """Summed gap to the maximum normalized betweenness, over n - 1."""
     vals = bc_norm.values()
-    return float((vals.max() - vals).sum() / (network.n - 1))
+    return float((vals.max() - vals).sum() / (len(vals) - 1))

@@ -53,13 +53,11 @@ def _years_range(text: str) -> tuple[int, int]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="collabnet", description=__doc__)
     parser.add_argument("--config", help="JSON file with defaults for pipeline options")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     # the same globals are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -275,7 +273,6 @@ def _pipeline_config(args) -> pl.PipelineConfig:
         countries=countries,
         bridges=tuple(bridges),
         seed=args.seed,
-        threads=args.threads,
     )
 
 

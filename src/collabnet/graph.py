@@ -1,9 +1,10 @@
 """The weighted undirected collaboration network and its transforms.
 
-Distances for every shortest-path metric are the inverse edge weights, so
-heavily collaborating country pairs are close. Treat a constructed
-CollabNetwork as immutable: metric code only reads it, and the adjacency
-caches assume the edge dict never changes after construction.
+Distances for every weighted shortest-path metric are the inverse edge
+weights (`CollabNetwork.distance_lists`), so heavily collaborating country
+pairs are close. Treat a constructed CollabNetwork as immutable: metric
+code only reads it, and the adjacency caches assume the edge dict never
+changes after construction.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class CollabNetwork:
                 raise DataError(f"self-loop on {a}")
             if a > b:
                 raise DataError(f"edge ({a}, {b}) not stored with ordered endpoints")
-            if w <= 0:
-                raise DataError(f"non-positive weight {w} on ({a}, {b})")
+            if not math.isfinite(w) or w <= 0:
+                raise DataError(f"weight {w} on ({a}, {b}) is not a positive finite number")
             if a not in node_set or b not in node_set:
                 raise DataError(f"edge ({a}, {b}) references unknown node")
 
@@ -79,6 +80,20 @@ class CollabNetwork:
             adj[b][a] = w
         return adj
 
+    @cached_property
+    def distance_lists(self) -> list[list[tuple[int, float]]]:
+        """Per node index, the sorted (neighbour index, 1/w) pairs that weighted paths walk."""
+        idx = self.index
+        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+        for (a, b), w in self.edges.items():
+            d = 1.0 / w
+            i, j = idx[a], idx[b]
+            nbrs[i].append((j, d))
+            nbrs[j].append((i, d))
+        for lst in nbrs:
+            lst.sort()
+        return nbrs
+
     def neighbors(self, node: str) -> dict[str, float]:
         if node not in self.index:
             raise DataError(f"unknown node {node}")
@@ -86,9 +101,6 @@ class CollabNetwork:
 
     def degree(self, node: str) -> int:
         return len(self.neighbors(node))
-
-    def weighted_degree(self, node: str) -> float:
-        return sum(self.neighbors(node).values())
 
     def csr(self, weighted: bool = False) -> sp.csr_array:
         """Symmetric adjacency in CSR form (binary unless weighted)."""
@@ -164,11 +176,6 @@ class CollabNetwork:
         return cls.from_json(path.read_text(encoding="utf-8"))
 
 
-def from_edge_list(edge_list: EdgeList, norm: str = "raw") -> CollabNetwork:
-    nodes = tuple(sorted(edge_list.countries()))
-    return CollabNetwork(nodes, dict(edge_list.edges), NetworkSlice(edge_list.year, edge_list.field, norm))
-
-
 def rolling_window(edge_lists: list[EdgeList]) -> CollabNetwork:
     """Sum 1-3 consecutive annual edge lists into one windowed network.
 
@@ -224,28 +231,3 @@ def normalize_weights(network: CollabNetwork, productivity: dict[str, float] | N
             new_edges[(a, b)] = w / denom
     return CollabNetwork(network.nodes, new_edges,
                          NetworkSlice(network.slice.year, network.slice.field, scheme))
-
-
-def to_distance(network: CollabNetwork) -> dict[tuple[str, str], float]:
-    """Inverse-weight distance for every edge; non-edges have no entry."""
-    out = {}
-    for pair, w in network.edges.items():
-        if w <= 0:
-            raise DataError(f"non-positive weight {w} on {pair}")
-        out[pair] = 1.0 / w
-    return out
-
-
-def distance_csr(network: CollabNetwork) -> sp.csr_array:
-    """CSR matrix of inverse-weight distances, for shortest-path kernels."""
-    idx = network.index
-    rows, cols, vals = [], [], []
-    for (a, b), w in network.edges.items():
-        if w <= 0:
-            raise DataError(f"non-positive weight {w} on ({a}, {b})")
-        i, j = idx[a], idx[b]
-        d = 1.0 / w
-        rows += [i, j]
-        cols += [j, i]
-        vals += [d, d]
-    return sp.csr_array((vals, (rows, cols)), shape=(network.n, network.n), dtype=np.float64)

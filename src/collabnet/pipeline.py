@@ -14,16 +14,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import structure
-from .centrality import betweenness, degree_centrality, eigenvector_centrality, normalize_bc
+from .centrality import betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
 from .graph import CollabNetwork, normalize_weights, rolling_window
 from .ingest import ALL_FIELDS, CorpusStore, field_slug
-from .paths import bridging_fraction
+from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
     Forecast,
     MetricSeries,
@@ -60,7 +59,6 @@ class PipelineConfig:
     countries: tuple[str, ...] = ()
     bridges: tuple[tuple[str, str], ...] = ()
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if not 1 <= self.window <= 3:
@@ -71,8 +69,8 @@ class PipelineConfig:
             raise DataError(f"empty year range {self.years}")
 
     def canonical(self) -> dict:
-        # the output directory and thread count are excluded: they do not
-        # affect computed content, and the hash asserts content identity
+        # the output directory is excluded: it does not affect computed
+        # content, and the hash asserts content identity
         return {
             "corpus": str(self.corpus),
             "years": list(self.years) if self.years else None,
@@ -194,7 +192,7 @@ def _slice_metrics(net: CollabNetwork, config: PipelineConfig) -> dict[str, floa
         out["modularity"] = part.q
     if "betw_centralization" in want:
         out["betw_centralization"] = (
-            structure_centralization(bc_norm) if bc_norm is not None else None
+            centralization(bc_norm) if bc_norm is not None else None
         )
     if "avg_bc" in want:
         out["avg_bc"] = bc_norm.mean() if bc_norm is not None else None
@@ -222,12 +220,6 @@ def _slice_metrics(net: CollabNetwork, config: PipelineConfig) -> dict[str, floa
     return out
 
 
-def structure_centralization(bc_norm) -> float:
-    vals = bc_norm.values()
-    n = len(vals)
-    return float((vals.max() - vals).sum() / (n - 1)) if n > 1 else 0.0
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Compute every requested metric series per field and persist them.
 
@@ -248,7 +240,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "metric_notes": {
             "avg_bc": "mean normalized topological betweenness over all nodes",
             "log_base": "natural",
-            "tie_tolerance": 1e-12,
+            "tie_tolerance": TIE_TOLERANCE,
             "efficiency": "hop-based (unweighted topology)",
             "communities": "weighted greedy modularity",
         },
@@ -257,29 +249,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "series_files": [],
     }
 
-    def one_slice(args):
-        year, fld = args
-        try:
-            net, used = _load_window_network(store, year, fld, config.window, config.threshold, config.normalize)
-        except DataError:
-            return year, fld, None, 0
-        return year, fld, _slice_metrics(net, config), used
-
-    tasks = [(year, fld) for fld in config.fields for year in year_range]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_slice, tasks))
-    else:
-        results = [one_slice(t) for t in tasks]
-
     by_field: dict[str, dict[int, dict[str, float | None]]] = {}
-    for year, fld, metrics, used in results:
-        if metrics is None:
-            summary["missing"].append(f"{year}/{fld}")
-            continue
-        if 0 < used < config.window:
-            summary["truncated_windows"].append(f"{year}/{fld}:{used}")
-        by_field.setdefault(fld, {})[year] = metrics
+    for fld in config.fields:
+        for year in year_range:
+            try:
+                net, used = _load_window_network(store, year, fld, config.window, config.threshold, config.normalize)
+            except DataError:
+                summary["missing"].append(f"{year}/{fld}")
+                continue
+            if 0 < used < config.window:
+                summary["truncated_windows"].append(f"{year}/{fld}:{used}")
+            by_field.setdefault(fld, {})[year] = _slice_metrics(net, config)
 
     for fld in sorted(by_field):
         per_year = by_field[fld]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CollabNetwork
-from .paths import shortest_path_info
+from .paths import dijkstra, hop_levels
 
 DQ_TIE_TOLERANCE = 1e-12
 
@@ -87,22 +87,6 @@ def clustering(network: CollabNetwork) -> ClusteringResult:
     return ClusteringResult(per_node, sum(per_node.values()) / network.n)
 
 
-def hop_distances(network: CollabNetwork) -> np.ndarray:
-    """All-pairs hop counts by simultaneous frontier expansion (inf if unreachable)."""
-    n = network.n
-    A = network.csr(weighted=False)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    frontier = np.eye(n, dtype=bool)
-    level = 0
-    while frontier.any():
-        level += 1
-        reached = (A @ frontier.T.astype(np.float64)).T > 0.0
-        frontier = reached & np.isinf(dist)
-        dist[frontier] = level
-    return dist
-
-
 def global_efficiency(network: CollabNetwork, weighted: bool = False) -> float:
     """Mean inverse shortest-path distance over unordered pairs, 0 when disconnected.
 
@@ -114,16 +98,17 @@ def global_efficiency(network: CollabNetwork, weighted: bool = False) -> float:
         raise DataError(f"global efficiency needs at least 2 nodes, got {n}")
     if weighted:
         total = 0.0
-        for i, source in enumerate(network.nodes):
-            dist, _ = shortest_path_info(network, source)
-            for target in network.nodes[i + 1 :]:
-                d = dist[target]
+        for i in range(n):
+            dist = dijkstra(network, i)[0]
+            for d in dist[i + 1 :]:
                 if math.isfinite(d) and d > 0:
                     total += 1.0 / d
     else:
-        dist = hop_distances(network)
-        iu = np.triu_indices(n, k=1)
-        vals = dist[iu]
+        _, frontiers = hop_levels(network)
+        dist = np.full((n, n), np.inf)
+        for level, frontier in enumerate(frontiers):
+            dist[frontier] = level
+        vals = dist[np.triu_indices(n, k=1)]
         finite = np.isfinite(vals) & (vals > 0)
         total = float((1.0 / vals[finite]).sum())
     return total / (n * (n - 1) / 2.0)

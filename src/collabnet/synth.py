@@ -79,9 +79,6 @@ class SynthTrajectory:
     events: list[tuple[int, int, int]] = field(default_factory=list)
     entrant: int | None = None
 
-    def node_count(self) -> int:
-        return self.config.n_final
-
     def graph_at(self, count: int) -> CollabNetwork:
         if not (self.config.m + 1 <= count <= self.config.n_final):
             raise DataError(f"count {count} outside trajectory range")

@@ -118,7 +118,6 @@ class LagFit:
     dof: tuple[int, int]
     f_stat: float
     p_value: float
-    coef_pvalues: tuple[float, ...] | None  # per-coefficient t-tests on the added lags
 
 
 def fit_restricted_unrestricted(y, x, lag: int) -> LagFit:
@@ -148,7 +147,7 @@ def fit_restricted_unrestricted(y, x, lag: int) -> LagFit:
         raise NumericError(f"rank-deficient restricted design at lag {lag}")
 
     _, rss_r = _ols_rss(design_r, target)
-    beta_u, rss_u = _ols_rss(design_u, target)
+    _, rss_u = _ols_rss(design_u, target)
     rss_u = min(rss_u, rss_r)  # adding regressors cannot raise the RSS
 
     k = 2 * lag + 1
@@ -161,16 +160,7 @@ def fit_restricted_unrestricted(y, x, lag: int) -> LagFit:
         f_stat = max(0.0, (rss_r - rss_u) / lag / (rss_u / dof[1]))
     p_value = float(stats.f.sf(f_stat, *dof)) if math.isfinite(f_stat) else 0.0
 
-    coef_p = None
-    if np.linalg.matrix_rank(design_u) == design_u.shape[1] and rss_u > 0.0 and dof[1] > 0:
-        sigma2 = rss_u / dof[1]
-        cov = sigma2 * np.linalg.inv(design_u.T @ design_u)
-        se = np.sqrt(np.diag(cov))
-        tvals = beta_u / se
-        pvals = 2.0 * stats.t.sf(np.abs(tvals), dof[1])
-        coef_p = tuple(float(p) for p in pvals[1 + lag :])  # the added x-lag slopes
-
-    return LagFit(lag, rss_r, rss_u, aic, dof, f_stat, p_value, coef_p)
+    return LagFit(lag, rss_r, rss_u, aic, dof, f_stat, p_value)
 
 
 @dataclass
@@ -182,7 +172,6 @@ class GrangerTest:
     fstats: dict[int, float]
     optimal_lag: int
     skipped: tuple[int, ...]
-    coef_pvalues: dict[int, tuple[float, ...] | None]
     n_obs: int
 
 
@@ -210,7 +199,6 @@ def granger_test(x, y, max_lag: int = 6, difference: bool = True) -> GrangerTest
     pvalues: dict[int, float] = {}
     aics: dict[int, float] = {}
     fstats: dict[int, float] = {}
-    coef_p: dict[int, tuple[float, ...] | None] = {}
     skipped: list[int] = []
     for lag in range(1, max_lag + 1):
         try:
@@ -221,11 +209,10 @@ def granger_test(x, y, max_lag: int = 6, difference: bool = True) -> GrangerTest
         pvalues[lag] = fit.p_value
         aics[lag] = fit.aic
         fstats[lag] = fit.f_stat
-        coef_p[lag] = fit.coef_pvalues
     if not pvalues:
         raise DataError(f"no usable lag up to {max_lag} for series of length {len(yv)}")
     optimal = min(aics, key=lambda lag: (aics[lag], lag))
-    return GrangerTest(pvalues, aics, fstats, optimal, tuple(skipped), coef_p, len(yv))
+    return GrangerTest(pvalues, aics, fstats, optimal, tuple(skipped), len(yv))
 
 
 def bh_fdr(pvalues) -> np.ndarray:
@@ -241,7 +228,8 @@ def bh_fdr(pvalues) -> np.ndarray:
     adjusted_sorted = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
     adjusted = np.empty(m, dtype=float)
     adjusted[order] = adjusted_sorted
-    return adjusted
+    # p * m / rank can round one ulp below p when rank == m
+    return np.maximum(adjusted, p)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collabnet.errors import DataError
-from collabnet.graph import CollabNetwork, normalize_weights, rolling_window, to_distance
+from collabnet.graph import CollabNetwork, normalize_weights, rolling_window
 from collabnet.ingest import EdgeList
 from conftest import make_net
 
@@ -24,6 +24,11 @@ class TestCollabNetwork:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DataError):
             CollabNetwork(("A", "B"), {("A", "B"): 0.0})
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(DataError):
+            CollabNetwork(("A", "B"), {("A", "B"): w})
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(DataError):
@@ -130,17 +135,26 @@ class TestNormalizeWeights:
 
 
 class TestToDistance:
+    """The inverse-weight distance transform, built once in CollabNetwork.distance_lists."""
+
+    @staticmethod
+    def distance(net, a, b):
+        i, j = net.index[a], net.index[b]
+        return dict(net.distance_lists[i]).get(j)
+
     @pytest.mark.parametrize("w,d", [(100, 0.01), (1, 1.0), (2, 0.5)])
     def test_inverse_weight(self, w, d):
         net = make_net([("A", "B", w)])
-        assert to_distance(net)[("A", "B")] == pytest.approx(d, abs=1e-15)
+        assert self.distance(net, "A", "B") == pytest.approx(d, abs=1e-15)
+        assert self.distance(net, "B", "A") == self.distance(net, "A", "B")
 
     def test_strictly_antitone(self):
         weights = [1, 2, 5, 10, 100, 10_000]
         nets = [make_net([("A", "B", w)]) for w in weights]
-        dists = [to_distance(n)[("A", "B")] for n in nets]
+        dists = [self.distance(n, "A", "B") for n in nets]
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
     def test_non_edges_have_no_entry(self):
         net = make_net([("A", "B", 1)], nodes=["A", "B", "C"])
-        assert ("A", "C") not in to_distance(net)
+        assert self.distance(net, "A", "C") is None
+        assert net.distance_lists[net.index["C"]] == []

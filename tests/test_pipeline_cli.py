@@ -202,6 +202,11 @@ class TestCli:
         assert self.run("build", "--corpus", str(tmp_path / "nope"), "--year", "2001",
                         "--out", str(tmp_path / "x.json")) == 2
 
+    def test_nan_weight_network_exit_2(self, tmp_path):
+        net = tmp_path / "nan.json"
+        net.write_text(json.dumps({"nodes": ["A", "B", "C"], "edges": [["A", "B", float("nan")], ["B", "C", 1.0]]}))
+        assert self.run("metrics", "--net", str(net), "--metric", "bc", "--out", str(tmp_path / "m.csv")) == 2
+
     def test_full_flow(self, corpus, tmp_path, capsys):
         out = tmp_path / "flow"
         net_path = out / "net.json"

@@ -156,6 +156,12 @@ class TestBhFdr:
     def test_single_p_identity(self):
         assert bh_fdr([0.3]) == pytest.approx([0.3])
 
+    def test_largest_p_not_rounded_below_raw(self):
+        # 0.986598936225114 * 3 / 3 rounds one ulp down, to 0.9865989362251139
+        p = [0.01, 0.02, 0.986598936225114]
+        assert p[2] * 3 / 3 < p[2]
+        assert bh_fdr(p)[2] == p[2]
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DataError):
             bh_fdr([0.5, 1.5])
@@ -166,7 +172,7 @@ class TestBhFdr:
     @settings(max_examples=200)
     def test_adjusted_at_least_raw_and_order_preserving(self, pvals):
         adj = bh_fdr(pvals)
-        assert np.all(adj >= np.asarray(pvals) - 1e-15)
+        assert np.all(adj >= np.asarray(pvals))
         assert np.all(adj <= 1.0)
         order = np.argsort(pvals, kind="stable")
         sorted_adj = adj[order]
