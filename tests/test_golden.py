@@ -4,7 +4,10 @@ A small seeded `pubgen` corpus (the benchmark's generator, imported
 through sys.path) is ingested and run through `series`, `build`,
 `metrics` and `granger`; bridging in both modes, weighted efficiency and a
 shortened hole-closure run are computed in-process. Each output is hashed
-(sha256) and compared with tests/golden.json. Next to the hashes the
+(sha256) and compared with tests/golden.json. Three corpus layouts are
+hashed as whole trees (every file's relative name and bytes): the
+ingested JSONL corpus, an edge-CSV ingest, and `synth.export_corpus` for
+24 years and for 1 year. Next to the hashes the
 snapshot keeps the values the paper's argument rests on (US `bc`/`bcw`
 and CN `bcw` in the first and last all-fields windows), so a broken hash
 also reports which named value moved and by how much.
@@ -51,6 +54,19 @@ SYNTH = synth.SynthConfig(
     seed=3, n_final=500, m=3, fitness_law="entrant", eta=5.0, entrant_arrival=100,
     checkpoint_stride=100, densify_closure=0.01, densify_random=0.005,
 )
+# pre-aggregated input: lowercase codes, an empty field cell, a fractional
+# weight; at EDGE_THRESHOLD, IN (weight 2.5 -> stats 2) drops out of 2001
+EDGE_CSV = """year,field,country_a,country_b,weight
+2001,Physics,us,cn,5
+2001,Physics,us,in,2.5
+2001,,gb,us,4
+2002,Medicine,cn,gb,3
+2002,Physics,US,CN,7
+2003,,fr,de,6
+2003,Medicine,us,fr,1.25
+"""
+EDGE_THRESHOLD = "3"
+EXPORT = synth.SynthConfig(seed=5, n_final=150, m=2)
 # (series file, label) pairs whose first and last values are named
 NAMED = (("bc_US__all.csv", "bc:US"), ("bcw_US__all.csv", "bcw:US"), ("bcw_CN__all.csv", "bcw:CN"))
 
@@ -66,6 +82,16 @@ def _cli(*argv: str) -> None:
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _tree_sha(root: Path) -> str:
+    """sha256 over the relative name and bytes of every file under root."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def build_snapshot(workdir: Path) -> dict:
@@ -95,6 +121,15 @@ def build_snapshot(workdir: Path) -> dict:
         hashes["bridging"] = _sha(bridging.encode())
         hashes["efficiency_weighted"] = _sha(repr(global_efficiency(net, weighted=True)).encode())
         hashes["synth_run"] = _sha(synth.hole_closure_experiment(SYNTH).to_json().encode())
+
+        hashes["tree/corpus"] = _tree_sha(Path("corpus"))
+        Path("edges.csv").write_text(EDGE_CSV, encoding="utf-8")
+        _cli("ingest", "--pubs", "edges.csv", "--out", "edge_corpus", "--threshold", EDGE_THRESHOLD)
+        hashes["tree/edge_corpus"] = _tree_sha(Path("edge_corpus"))
+        traj = synth.generate_pa(EXPORT)
+        for years in (24, 1):
+            synth.export_corpus(traj, f"export_{years}", years=years)
+            hashes[f"tree/export_{years}"] = _tree_sha(Path(f"export_{years}"))
 
         values = {}
         for fname, label in NAMED:
