@@ -260,6 +260,25 @@ class CorpusStore:
                 writer.writerow([year, fld, c, s.intl_pubs, s.total_pubs])
         return path
 
+    def write(self, slices, threshold: int, manifest: dict) -> dict:
+        """Write every (edges, stats) slice, edges thresholded and stats
+        unfiltered, then the manifest with its `years`, `field_slugs`,
+        `threshold` and `edge_counts` filled in; returns the manifest."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        years, edge_counts = set(), {}
+        for edges, stats in slices:
+            years.add(edges.year)
+            filtered = filter_countries(edges, stats, threshold)
+            self.write_edges(filtered)
+            self.write_stats(edges.year, edges.field, stats)
+            edge_counts[f"{edges.year}/{edges.field}"] = len(filtered.edges)
+        manifest.update(years=sorted(years), field_slugs={f: field_slug(f) for f in manifest["fields"]},
+                        threshold=threshold, edge_counts=edge_counts)
+        with self._manifest_path().open("w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return manifest
+
     def read_edges(self, year: int, fld: str) -> EdgeList:
         path = self.edge_path(year, fld)
         if not path.exists():
@@ -298,12 +317,18 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
     re-derive participation series and normalization productivities.
     """
     pubs_path = Path(pubs_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    store = CorpusStore(out)
+    store = CorpusStore(out_dir)
 
     if pubs_path.suffix.lower() == ".csv":
-        return _ingest_edge_csv(pubs_path, store, threshold)
+        slices = _edge_csv_slices(pubs_path)
+        fields = sorted({el.field for el, _ in slices})
+        manifest = {
+            "fields": fields,
+            "records": None,
+            "skipped": 0,
+            "stats_source": "edge-weight approximation (pre-aggregated input)",
+        }
+        return store.write(slices, threshold, manifest)
 
     parsed = parse_publications_file(pubs_path)
     records = parsed.records
@@ -311,40 +336,36 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
         raise DataError(f"no usable records in {pubs_path} ({parsed.skipped} skipped)")
 
     years = sorted({r.year for r in records})
-    fields = sorted({r.field for r in records})
-    slices = [(y, f) for y in years for f in [ALL_FIELDS] + [f for f in fields if f != ALL_FIELDS]]
-
-    edge_counts = {}
-    slice_counts = {}
-    for year, fld in slices:
-        stats = country_year_stats(records, year, fld)
-        edges = build_annual_edges(records, year, fld)
-        filtered = filter_countries(edges, stats, threshold)
-        store.write_edges(filtered)
-        store.write_stats(year, fld, stats)
-        edge_counts[f"{year}/{fld}"] = len(filtered.edges)
-        n_pubs = sum(1 for r in records if _matches(r, year, fld))
-        n_intl = sum(1 for r in records if _matches(r, year, fld) and r.international)
-        slice_counts[f"{year}/{fld}"] = {"pubs": n_pubs, "intl": n_intl}
-
+    fields = [ALL_FIELDS] + sorted({r.field for r in records} - {ALL_FIELDS})
+    slice_counts: dict[str, dict[str, int]] = {}
     manifest = {
-        "years": years,
-        "fields": [ALL_FIELDS] + [f for f in fields if f != ALL_FIELDS],
-        "field_slugs": {f: field_slug(f) for f in fields + [ALL_FIELDS]},
-        "threshold": threshold,
+        "fields": fields,
         "records": len(records),
         "skipped": parsed.skipped,
-        "edge_counts": edge_counts,
         "slice_counts": slice_counts,
     }
-    with store._manifest_path().open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+    return store.write(_record_slices(records, years, fields, slice_counts), threshold, manifest)
 
 
-def _ingest_edge_csv(path: Path, store: CorpusStore, threshold: int) -> dict:
-    """Ingest a pre-aggregated edge CSV (year,field,country_a,country_b,weight).
+def _record_slices(records, years: list[int], fields: list[str], slice_counts: dict):
+    """Yield every year x field slice, empty ones included, from one pass that
+    buckets the records by (year, "all") and (year, field); fills `slice_counts`.
+    Lazy, so that only one slice's edges and stats are alive at a time."""
+    buckets = defaultdict(list)
+    for rec in records:
+        buckets[rec.year, ALL_FIELDS].append(rec)
+        if rec.field != ALL_FIELDS:
+            buckets[rec.year, rec.field].append(rec)
+    for year in years:
+        for fld in fields:
+            bucket = buckets[year, fld]
+            slice_counts[f"{year}/{fld}"] = {"pubs": len(bucket), "intl": sum(r.international for r in bucket)}
+            yield build_annual_edges(bucket, year, fld), country_year_stats(bucket, year, fld)
+
+
+def _edge_csv_slices(path: Path) -> list[tuple[EdgeList, dict[str, CountryYearStats]]]:
+    """Read a pre-aggregated edge CSV (year,field,country_a,country_b,weight)
+    into the slices it names, in (year, field) order.
 
     No publication-level statistics exist in this form, so intl_pubs and
     total_pubs are both approximated by the country's total edge weight in
@@ -356,8 +377,7 @@ def _ingest_edge_csv(path: Path, store: CorpusStore, threshold: int) -> dict:
             for row in csv.DictReader(fh):
                 year = int(row["year"])
                 fld = row.get("field") or ALL_FIELDS
-                key = (year, fld)
-                by_slice.setdefault(key, EdgeList(year, fld)).add(
+                by_slice.setdefault((year, fld), EdgeList(year, fld)).add(
                     row["country_a"].strip().upper(), row["country_b"].strip().upper(), float(row["weight"])
                 )
     except (OSError, KeyError, ValueError) as exc:
@@ -365,7 +385,7 @@ def _ingest_edge_csv(path: Path, store: CorpusStore, threshold: int) -> dict:
     if not by_slice:
         raise DataError(f"no edges in {path}")
 
-    edge_counts = {}
+    slices = []
     for (year, fld), edges in sorted(by_slice.items()):
         strength: defaultdict[str, float] = defaultdict(float)
         for (a, b), w in edges.edges.items():
@@ -375,24 +395,5 @@ def _ingest_edge_csv(path: Path, store: CorpusStore, threshold: int) -> dict:
             c: CountryYearStats(c, year, fld, int(strength[c]), int(strength[c]))
             for c in sorted(strength)
         }
-        filtered = filter_countries(edges, stats, threshold)
-        store.write_edges(filtered)
-        store.write_stats(year, fld, stats)
-        edge_counts[f"{year}/{fld}"] = len(filtered.edges)
-
-    years = sorted({y for y, _ in by_slice})
-    fields = sorted({f for _, f in by_slice})
-    manifest = {
-        "years": years,
-        "fields": fields,
-        "field_slugs": {f: field_slug(f) for f in fields},
-        "threshold": threshold,
-        "records": None,
-        "skipped": 0,
-        "stats_source": "edge-weight approximation (pre-aggregated input)",
-        "edge_counts": edge_counts,
-    }
-    with store._manifest_path().open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+        slices.append((edges, stats))
+    return slices

@@ -317,9 +317,6 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, start_year: int = 
     edge snapshot per year, with degree-based stand-in statistics."""
     if years < 1:
         raise DataError("need at least one year")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    store = CorpusStore(out)
     lo = traj.config.m + 2
     hi = traj.config.n_final
     if years == 1:
@@ -327,30 +324,16 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, start_year: int = 
     else:
         counts = [int(round(lo + (hi - lo) * k / (years - 1))) for k in range(years)]
 
-    edge_counts = {}
-    for k, count in enumerate(counts):
-        year = start_year + k
+    def year_slice(year: int, count: int) -> tuple[EdgeList, dict[str, CountryYearStats]]:
         g = traj.graph_at(count)
-        el = EdgeList(year, ALL_FIELDS)
-        for (a, b), w in g.edges.items():
-            el.edges[(a, b)] = w
-        store.write_edges(el)
-        deg = {v: g.degree(v) for v in g.nodes}
-        stats = {v: CountryYearStats(v, year, ALL_FIELDS, deg[v], deg[v]) for v in g.nodes}
-        store.write_stats(year, ALL_FIELDS, stats)
-        edge_counts[f"{year}/{ALL_FIELDS}"] = len(el.edges)
+        stats = {v: CountryYearStats(v, year, ALL_FIELDS, g.degree(v), g.degree(v)) for v in g.nodes}
+        return EdgeList(year, ALL_FIELDS, dict(g.edges)), stats
 
     manifest = {
-        "years": [start_year + k for k in range(years)],
         "fields": [ALL_FIELDS],
-        "field_slugs": {ALL_FIELDS: ALL_FIELDS},
-        "threshold": 0,
         "records": None,
         "skipped": 0,
         "stats_source": "synthetic degree approximation",
-        "edge_counts": edge_counts,
     }
-    with (out / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+    slices = (year_slice(start_year + k, count) for k, count in enumerate(counts))
+    return CorpusStore(out_dir).write(slices, 0, manifest)
