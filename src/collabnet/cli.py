@@ -60,6 +60,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
@@ -145,9 +146,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(parser: _Parser, args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
+    """Re-parse with the file's values as defaults; command-line flags still win."""
     if not args.config:
-        return
+        return args
     path = Path(args.config)
     if not path.exists():
         raise DataError(f"config file {path} does not exist")
@@ -155,10 +157,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         defaults = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"bad config JSON in {path}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise DataError(f"config file {path} must hold a JSON object")
+    command = parser.commands[args.command]
     for key, value in defaults.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, "", []):
-            setattr(args, attr, value)
+        if hasattr(args, attr) and attr != "command":
+            # globals such as --seed are SUPPRESSed on the subparser, so that a
+            # value parsed before the subcommand is not clobbered
+            target = parser if command.get_default(attr) is argparse.SUPPRESS else command
+            target.set_defaults(**{attr: value})
+    return parser.parse_args(argv)
 
 
 def _require_corpus(args) -> str:
@@ -403,8 +412,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args)
+        args = _apply_config_file(parser, parser.parse_args(argv), argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -50,6 +51,8 @@ class EdgeList:
     def add(self, a: str, b: str, w: float = 1.0) -> None:
         if a == b:
             raise DataError(f"self-pair {a!r} in edge list {self.year}/{self.field}")
+        if not math.isfinite(w) or w <= 0:
+            raise DataError(f"weight {w!r} of {a}-{b} in edge list {self.year}/{self.field} must be finite and positive")
         key = (a, b) if a < b else (b, a)
         self.edges[key] = self.edges.get(key, 0.0) + w
 
@@ -358,7 +361,7 @@ def _record_slices(records, years: list[int], fields: list[str], slice_counts: d
             buckets[rec.year, rec.field].append(rec)
     for year in years:
         for fld in fields:
-            bucket = buckets[year, fld]
+            bucket = buckets.pop((year, fld), [])
             slice_counts[f"{year}/{fld}"] = {"pubs": len(bucket), "intl": sum(r.international for r in bucket)}
             yield build_annual_edges(bucket, year, fld), country_year_stats(bucket, year, fld)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,6 @@ GLOBAL_METRICS = (
     "betw_centralization",
     "avg_bc",
 )
-COUNTRY_METRICS = ("bc", "bcw", "ev", "deg", "ego_q")
 
 
 @dataclass
@@ -67,6 +67,9 @@ class PipelineConfig:
             raise DataError(f"threshold must be >= 0, got {self.threshold}")
         if self.years is not None and self.years[0] > self.years[1]:
             raise DataError(f"empty year range {self.years}")
+        unknown = [m for m in self.metrics if m not in GLOBAL_METRICS]
+        if unknown:
+            raise DataError(f"unknown metric(s) {', '.join(unknown)}; known: {', '.join(GLOBAL_METRICS)}")
 
     def canonical(self) -> dict:
         # the output directory is excluded: it does not affect computed
@@ -126,6 +129,8 @@ def read_series_csv(path: str | Path) -> MetricSeries:
                 pairs.append((int(row["year"]), value))
             except (KeyError, ValueError) as exc:
                 raise DataError(f"bad series row in {path}: {row}") from exc
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"non-finite value in series row of {path}: {row}")
     if not pairs:
         raise DataError(f"series file {path} has no rows")
     return MetricSeries.from_pairs(name, pairs, unit)
@@ -350,7 +355,7 @@ def granger_panel(
     annual = PipelineConfig(
         corpus=config.corpus, out=config.out, years=years_cfg, fields=fields,
         window=1, normalize="raw", threshold=config.threshold,
-        metrics=tuple(m for m in metrics if m in GLOBAL_METRICS), countries=(),
+        metrics=metrics, countries=(),  # rejects names outside GLOBAL_METRICS
     )
 
     for fld in fields:

@@ -172,10 +172,9 @@ class GrangerTest:
     fstats: dict[int, float]
     optimal_lag: int
     skipped: tuple[int, ...]
-    n_obs: int
 
 
-def granger_test(x, y, max_lag: int = 6, difference: bool = True) -> GrangerTest:
+def granger_test(x, y, max_lag: int = 6) -> GrangerTest:
     """Does the past of x improve one-step predictions of y?
 
     Both series are first-differenced (the descriptive rolling window is
@@ -188,11 +187,10 @@ def granger_test(x, y, max_lag: int = 6, difference: bool = True) -> GrangerTest
         xv, yv = _as_array(x), _as_array(y)
         if xv.shape != yv.shape:
             raise DataError("x and y must cover the same years")
-    if difference:
-        if len(xv) < 2:
-            raise DataError("series too short to difference")
-        xv = np.diff(xv)
-        yv = np.diff(yv)
+    if len(xv) < 2:
+        raise DataError("series too short to difference")
+    xv = np.diff(xv)
+    yv = np.diff(yv)
     if np.ptp(yv) == 0.0:
         raise DataError("target series has no variation after differencing")
 
@@ -212,7 +210,7 @@ def granger_test(x, y, max_lag: int = 6, difference: bool = True) -> GrangerTest
     if not pvalues:
         raise DataError(f"no usable lag up to {max_lag} for series of length {len(yv)}")
     optimal = min(aics, key=lambda lag: (aics[lag], lag))
-    return GrangerTest(pvalues, aics, fstats, optimal, tuple(skipped), len(yv))
+    return GrangerTest(pvalues, aics, fstats, optimal, tuple(skipped))
 
 
 def bh_fdr(pvalues) -> np.ndarray:

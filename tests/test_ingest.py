@@ -226,6 +226,13 @@ class TestCorpusStore:
         with pytest.raises(DataError):
             CountryYearStats("US", 2001, "all", intl_pubs=5, total_pubs=3)
 
+    def test_unusable_input_leaves_no_directory(self, tmp_path):
+        pubs = tmp_path / "pubs.jsonl"
+        pubs.write_text("garbage line\n" + rec_line(2001, []))
+        with pytest.raises(DataError, match="no usable records"):
+            ingest_publications(pubs, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(DataError):
             ingest_publications(tmp_path / "nope.jsonl", tmp_path / "corpus")

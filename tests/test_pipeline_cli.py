@@ -273,6 +273,47 @@ class TestCli:
         assert self.run("--config", str(cfg), "series", "--out", str(out), "--threshold", "5") == 0
         assert (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("before, after, expect", [
+        ((), (), {"threshold": 6, "window": 1, "seed": 3}),
+        ((), ("--threshold", "5", "--seed", "9"), {"threshold": 5, "window": 1, "seed": 9}),
+        (("--seed", "7"), (), {"threshold": 6, "window": 1, "seed": 7}),
+    ])
+    def test_config_file_replaces_defaults(self, corpus, tmp_path, before, after, expect):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus), "threshold": 6, "window": 1, "seed": 3,
+                                   "years": "2001:2003", "metrics": "clustering"}))
+        out = tmp_path / "cfgout"
+        assert self.run("--config", str(cfg), *before, "series", "--out", str(out), *after) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert {k: config[k] for k in expect} == expect
+        assert config["years"] == [2001, 2003]
+
+    def test_config_file_not_an_object_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert self.run("--config", str(cfg), "forecast", "--series", "s.csv", "--out", str(tmp_path / "fc.csv")) == 2
+
+    def test_unknown_metric_exit_2(self, corpus, tmp_path):
+        out = tmp_path / "bad"
+        assert self.run("series", "--corpus", str(corpus), "--out", str(out), "--threshold", "5",
+                        "--metrics", "clustering,not_a_metric") == 2
+        assert not out.exists()
+        assert self.run("granger", "--corpus", str(corpus), "--iv", "CN", "--threshold", "5",
+                        "--metrics", "clustering,bogus", "--out", str(out / "granger.csv")) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weight", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_edge_weight_exit_2(self, tmp_path, weight):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"year,field,country_a,country_b,weight\n2001,all,US,CN,{weight}\n2001,all,US,GB,2\n")
+        assert self.run("ingest", "--pubs", str(edges), "--out", str(tmp_path / "corpus"), "--threshold", "0") == 2
+
+    def test_nan_series_cell_forecast_exit_2(self, tmp_path):
+        series = tmp_path / "s.csv"
+        series.write_text("# name=s\nyear,value\n" + "".join(
+            f"{2001 + i},{'nan' if i == 5 else float(i)}\n" for i in range(12)))
+        assert self.run("forecast", "--series", str(series), "--out", str(tmp_path / "fc.csv")) == 2
+
     def test_env_var_corpus_default(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("COLLABNET_CORPUS", str(corpus))
         parser_out = tmp_path / "envout"
