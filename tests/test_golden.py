@@ -2,8 +2,9 @@
 
 A small seeded `pubgen` corpus (the benchmark's generator, imported
 through sys.path) is ingested and run through `series`, `build`,
-`metrics` and `granger`; bridging in both modes, weighted efficiency and a
-shortened hole-closure run are computed in-process. Each output is hashed
+`metrics` and `granger` (the last two also once with every metric they
+know); bridging in both modes, weighted efficiency and a shortened
+hole-closure run are computed in-process. Each output is hashed
 (sha256) and compared with tests/golden.json. Three corpus layouts are
 hashed as whole trees (every file's relative name and bytes): the
 ingested JSONL corpus, an edge-CSV ingest, and `synth.export_corpus` for
@@ -67,6 +68,9 @@ EDGE_CSV = """year,field,country_a,country_b,weight
 """
 EDGE_THRESHOLD = "3"
 EXPORT = synth.SynthConfig(seed=5, n_final=150, m=2)
+ALL_NET_METRICS = "bc,bcw,ev,deg,centralization,kcore,kcore_bc,clustering,efficiency,communities,ego:US"
+ALL_GLOBAL_METRICS = ("kcore_max,kcore_nodes,kcore_ratio,clustering,efficiency,num_communities,modularity,"
+                      "betw_centralization,avg_bc")
 # (series file, label) pairs whose first and last values are named
 NAMED = (("bc_US__all.csv", "bc:US"), ("bcw_US__all.csv", "bcw:US"), ("bcw_CN__all.csv", "bcw:CN"))
 
@@ -108,9 +112,13 @@ def build_snapshot(workdir: Path) -> dict:
         _cli("metrics", "--net", "net.json", "--metric", "bc,bcw,centralization,efficiency,kcore_bc",
              "--out", "metrics.csv")
         _cli("granger", "--corpus", "corpus", "--iv", "CN", "--threshold", THRESHOLD, "--out", "granger.csv")
+        # every metric at once; the metrics tree holds the CSV and its .communities.json
+        _cli("metrics", "--net", "net.json", "--metric", ALL_NET_METRICS, "--out", "metrics_all/metrics.csv")
+        _cli("granger", "--corpus", "corpus", "--iv", "CN", "--threshold", THRESHOLD, "--fields", "all,Physics",
+             "--metrics", ALL_GLOBAL_METRICS, "--out", "granger_all.csv")
 
         hashes = {f"series/{p.name}": _sha(p.read_bytes()) for p in sorted(Path("results/series").iterdir())}
-        for name in ("results/summary.json", "metrics.csv", "granger.csv"):
+        for name in ("results/summary.json", "metrics.csv", "granger.csv", "granger_all.csv"):
             hashes[Path(name).name] = _sha(Path(name).read_bytes())
 
         net = CollabNetwork.load("net.json")
@@ -122,6 +130,7 @@ def build_snapshot(workdir: Path) -> dict:
         hashes["efficiency_weighted"] = _sha(repr(global_efficiency(net, weighted=True)).encode())
         hashes["synth_run"] = _sha(synth.hole_closure_experiment(SYNTH).to_json().encode())
 
+        hashes["tree/metrics_all"] = _tree_sha(Path("metrics_all"))
         hashes["tree/corpus"] = _tree_sha(Path("corpus"))
         Path("edges.csv").write_text(EDGE_CSV, encoding="utf-8")
         _cli("ingest", "--pubs", "edges.csv", "--out", "edge_corpus", "--threshold", EDGE_THRESHOLD)

@@ -11,6 +11,7 @@ from collabnet.graph import CollabNetwork
 from collabnet.ingest import ingest_publications
 from collabnet.pipeline import (
     PipelineConfig,
+    _slice_metrics,
     granger_panel,
     read_forecast_csv,
     read_series_csv,
@@ -110,6 +111,33 @@ class TestRunPipeline:
         summary = run_pipeline(config)
         series = read_series_csv(tmp_path / "o1" / "series" / "kcore_max__all.csv")
         assert len(series) == 1
+
+
+class TestSliceMetrics:
+    """Keys and missing values of one slice on networks too small for some metrics."""
+
+    CONFIG = PipelineConfig(corpus=".", out=".", countries=("US", "ZZ"), bridges=(("US", "CN"), ("CN", "ZZ")))
+    GLOBAL = {"kcore_max", "kcore_nodes", "kcore_ratio", "clustering", "efficiency", "num_communities",
+              "modularity", "betw_centralization", "avg_bc"}
+    PER_COUNTRY = {f"{m}:{c}" for m in ("bc", "bcw", "ev", "deg", "ego_q") for c in ("US", "ZZ")}
+    BRIDGES = {"bridge:US->CN", "bridge:CN->ZZ"}
+    ABSENT = {"bc:ZZ", "bcw:ZZ", "ev:ZZ", "deg:ZZ", "ego_q:ZZ", "bridge:CN->ZZ"}
+
+    def check(self, net, none_keys):
+        out = _slice_metrics(net, self.CONFIG)
+        assert set(out) == (self.GLOBAL | self.PER_COUNTRY | self.BRIDGES if net.n else self.GLOBAL)
+        assert {k for k, v in out.items() if v is None} == none_keys
+
+    def test_empty_network_has_only_global_keys(self):
+        self.check(CollabNetwork((), {}), self.GLOBAL)
+
+    def test_two_nodes_have_no_betweenness_or_bridging(self):
+        net = CollabNetwork(("US", "CN"), {("CN", "US"): 2.0})
+        self.check(net, self.ABSENT | {"betw_centralization", "avg_bc", "bc:US", "bcw:US", "bridge:US->CN"})
+
+    def test_three_nodes_miss_only_the_absent_country(self):
+        net = CollabNetwork(("US", "CN", "GB"), {("CN", "US"): 2.0, ("CN", "GB"): 1.0})
+        self.check(net, self.ABSENT)
 
 
 class TestSeriesCsv:
