@@ -7,7 +7,7 @@ all minimum-distance paths with a relative tie tolerance so float noise
 cannot split genuinely co-minimal routes.
 
 Both variants run Brandes' dependency accumulation over the kernels of
-the path layer (`paths.hop_levels` and `paths.dijkstra`).
+the path layer (`CollabNetwork.hop_sweep` and `paths.dijkstra`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError
 from .graph import CollabNetwork
-from .paths import TIE_TOLERANCE, dijkstra, hop_levels
+from .paths import TIE_TOLERANCE, dijkstra
 
 
 @dataclass
@@ -48,7 +48,7 @@ def _betweenness_topological(network: CollabNetwork) -> np.ndarray:
     """Brandes' backward pass over the all-sources hop sweep, arrays [target, source]."""
     n = network.n
     A = network.csr(weighted=False)
-    sigma, frontiers = hop_levels(network)
+    sigma, frontiers = network.hop_sweep
     delta = np.zeros((n, n))
     safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
     for level in range(len(frontiers) - 1, 0, -1):

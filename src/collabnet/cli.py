@@ -16,13 +16,7 @@ from pathlib import Path
 from . import chart as chart_mod
 from . import pipeline as pl
 from . import structure, synth
-from .centrality import (
-    betweenness,
-    betweenness_centralization,
-    degree_centrality,
-    eigenvector_centrality,
-    normalize_bc,
-)
+from .centrality import centralization
 from .errors import DataError, NumericError
 from .graph import CollabNetwork
 from .ingest import ALL_FIELDS, ingest_publications
@@ -202,36 +196,26 @@ def _cmd_build(args) -> int:
 
 def _cmd_metrics(args) -> int:
     net = CollabNetwork.load(args.net)
+    analysis = pl.SliceAnalysis(net)
     wanted = [m.strip() for m in args.metric.split(",") if m.strip()]
     rows: list[tuple[str, str, float]] = []
     communities_out = None
     for metric in wanted:
-        if metric == "bc":
-            vec = normalize_bc(betweenness(net, weighted=False), net.n)
-            rows += [(metric, node, v) for node, v in sorted(vec.items())]
-        elif metric == "bcw":
-            vec = normalize_bc(betweenness(net, weighted=True), net.n)
-            rows += [(metric, node, v) for node, v in sorted(vec.items())]
-        elif metric == "ev":
-            vec = eigenvector_centrality(net)
-            rows += [(metric, node, v) for node, v in sorted(vec.items())]
-        elif metric == "deg":
-            vec = degree_centrality(net)
-            rows += [(metric, node, v) for node, v in sorted(vec.items())]
+        if metric in ("bc", "bcw", "ev", "deg"):
+            rows += [(metric, node, v) for node, v in sorted(getattr(analysis, metric).items())]
         elif metric == "centralization":
-            rows.append((metric, "", betweenness_centralization(net)))
+            rows.append((metric, "", centralization(analysis.bc)))
         elif metric == "kcore":
-            part = structure.k_core(net)
+            part = analysis.cores
             rows += [("kcore", node, float(v)) for node, v in sorted(part.core_number.items())]
             rows.append(("kcore_max", "", float(part.max_k)))
             rows.append(("kcore_nodes", "", float(part.kcore_nodes)))
             rows.append(("kcore_ratio", "", part.kcore_ratio))
         elif metric == "kcore_bc":
             # betweenness recomputed inside the maximum k-core subnetwork
-            sub = structure.max_core_subgraph(net)
+            sub = net.subgraph(analysis.cores.max_core)
             if sub.n >= 3:
-                vec = normalize_bc(betweenness(sub, weighted=False), sub.n)
-                rows += [("kcore_bc", node, v) for node, v in sorted(vec.items())]
+                rows += [("kcore_bc", node, v) for node, v in sorted(pl.SliceAnalysis(sub).bc.items())]
         elif metric == "clustering":
             res = structure.clustering(net)
             rows += [("clustering", node, v) for node, v in sorted(res.per_node.items())]
@@ -239,7 +223,7 @@ def _cmd_metrics(args) -> int:
         elif metric == "efficiency":
             rows.append((metric, "", structure.global_efficiency(net)))
         elif metric == "communities":
-            part = structure.communities(net)
+            part = analysis.partition
             communities_out = {"blocks": [list(b) for b in part.blocks], "Q": part.q}
             rows.append(("modularity", "", part.q))
             rows.append(("num_communities", "", float(len(part))))

@@ -94,6 +94,13 @@ class CollabNetwork:
             lst.sort()
         return nbrs
 
+    @cached_property
+    def hop_sweep(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """`paths.hop_levels` of this network, run once and shared by every hop metric."""
+        from . import paths  # paths imports this module
+
+        return paths.hop_levels(self)
+
     def neighbors(self, node: str) -> dict[str, float]:
         if node not in self.index:
             raise DataError(f"unknown node {node}")

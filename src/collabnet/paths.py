@@ -4,8 +4,9 @@ Every path metric reads one of two kernels:
 
 - `hop_levels` runs a level-synchronous breadth-first search from every
   source at once, as sparse-matrix products, and returns the path counts
-  sigma and the frontier of each level. Topological betweenness and hop
-  efficiency read it.
+  sigma and the frontier of each level. It runs once per network, cached
+  as `CollabNetwork.hop_sweep`; topological betweenness and hop
+  efficiency both read that one result.
 - `dijkstra` runs one source over the inverse-weight distances of
   `CollabNetwork.distance_lists` and returns distances, co-minimal path
   counts, predecessors and the order in which nodes were finalized.

@@ -16,10 +16,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import structure
-from .centrality import betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
+from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
 from .graph import CollabNetwork, normalize_weights, rolling_window
 from .ingest import ALL_FIELDS, CorpusStore, field_slug
@@ -33,17 +34,67 @@ from .timeseries import (
     trend_diagnostic,
 )
 
-GLOBAL_METRICS = (
-    "kcore_max",
-    "kcore_nodes",
-    "kcore_ratio",
-    "clustering",
-    "efficiency",
-    "num_communities",
-    "modularity",
-    "betw_centralization",
-    "avg_bc",
-)
+
+class SliceAnalysis:
+    """The metrics of one network; each shared intermediate is computed at most once, on first use."""
+
+    def __init__(self, net: CollabNetwork):
+        self.net = net
+
+    @cached_property
+    def bc(self) -> CentralityVector:
+        return normalize_bc(betweenness(self.net, weighted=False), self.net.n)
+
+    @cached_property
+    def bcw(self) -> CentralityVector:
+        return normalize_bc(betweenness(self.net, weighted=True), self.net.n)
+
+    @cached_property
+    def ev(self) -> CentralityVector:
+        return eigenvector_centrality(self.net)
+
+    @cached_property
+    def deg(self) -> CentralityVector:
+        return degree_centrality(self.net)
+
+    @cached_property
+    def cores(self) -> structure.CorePartition:
+        return structure.k_core(self.net)
+
+    @cached_property
+    def partition(self) -> structure.CommunityPartition:
+        return structure.communities(self.net)
+
+    def global_value(self, name: str) -> float | None:
+        fewest, value = GLOBAL_METRICS[name]
+        return value(self) if self.net.n >= fewest else None
+
+
+# name -> (fewest nodes, value); smaller networks report the metric as missing
+GLOBAL_METRICS = {
+    "kcore_max": (1, lambda a: float(a.cores.max_k)),
+    "kcore_nodes": (1, lambda a: float(a.cores.kcore_nodes)),
+    "kcore_ratio": (1, lambda a: a.cores.kcore_ratio),
+    "clustering": (1, lambda a: structure.clustering(a.net).average),
+    "efficiency": (2, lambda a: structure.global_efficiency(a.net)),
+    "num_communities": (1, lambda a: float(len(a.partition))),
+    "modularity": (1, lambda a: a.partition.q),
+    "betw_centralization": (3, lambda a: centralization(a.bc)),
+    "avg_bc": (3, lambda a: a.bc.mean()),
+}
+COUNTRY_METRICS = {
+    "bc": (3, lambda a, c: a.bc[c]),
+    "bcw": (3, lambda a, c: a.bcw[c]),
+    "ev": (1, lambda a, c: a.ev[c]),
+    "deg": (2, lambda a, c: a.deg[c]),
+    "ego_q": (1, lambda a, c: structure.ego_modularity(a.net, c)),
+}
+
+
+def _check_metrics(names) -> None:
+    unknown = [m for m in names if m not in GLOBAL_METRICS]
+    if unknown:
+        raise DataError(f"unknown metric(s) {', '.join(unknown)}; known: {', '.join(GLOBAL_METRICS)}")
 
 
 @dataclass
@@ -55,7 +106,7 @@ class PipelineConfig:
     window: int = 3
     normalize: str = "raw"
     threshold: int = 10
-    metrics: tuple[str, ...] = GLOBAL_METRICS
+    metrics: tuple[str, ...] = tuple(GLOBAL_METRICS)
     countries: tuple[str, ...] = ()
     bridges: tuple[tuple[str, str], ...] = ()
     seed: int = 0
@@ -67,9 +118,7 @@ class PipelineConfig:
             raise DataError(f"threshold must be >= 0, got {self.threshold}")
         if self.years is not None and self.years[0] > self.years[1]:
             raise DataError(f"empty year range {self.years}")
-        unknown = [m for m in self.metrics if m not in GLOBAL_METRICS]
-        if unknown:
-            raise DataError(f"unknown metric(s) {', '.join(unknown)}; known: {', '.join(GLOBAL_METRICS)}")
+        _check_metrics(self.metrics)
 
     def canonical(self) -> dict:
         # the output directory is excluded: it does not affect computed
@@ -171,54 +220,17 @@ def network_for_year(config: PipelineConfig, year: int, fld: str = ALL_FIELDS) -
 
 def _slice_metrics(net: CollabNetwork, config: PipelineConfig) -> dict[str, float | None]:
     """All requested global and per-country values for one windowed network."""
-    out: dict[str, float | None] = {}
-    want = set(config.metrics)
-    n = net.n
-    if n == 0:
-        return {m: None for m in want}
-
-    need_bc = bool(want & {"betw_centralization", "avg_bc"}) or bool(config.countries)
-    bc_norm = None
-    if n >= 3 and need_bc:
-        bc_norm = normalize_bc(betweenness(net, weighted=False), n)
-
-    if "kcore_max" in want or "kcore_nodes" in want or "kcore_ratio" in want:
-        cores = structure.k_core(net)
-        out["kcore_max"] = float(cores.max_k)
-        out["kcore_nodes"] = float(cores.kcore_nodes)
-        out["kcore_ratio"] = cores.kcore_ratio
-    if "clustering" in want:
-        out["clustering"] = structure.clustering(net).average
-    if "efficiency" in want:
-        out["efficiency"] = structure.global_efficiency(net) if n >= 2 else None
-    if "num_communities" in want or "modularity" in want:
-        part = structure.communities(net)
-        out["num_communities"] = float(len(part))
-        out["modularity"] = part.q
-    if "betw_centralization" in want:
-        out["betw_centralization"] = (
-            centralization(bc_norm) if bc_norm is not None else None
-        )
-    if "avg_bc" in want:
-        out["avg_bc"] = bc_norm.mean() if bc_norm is not None else None
-
-    if config.countries:
-        bcw_norm = None
-        if n >= 3:
-            bcw_norm = normalize_bc(betweenness(net, weighted=True), n)
-        ev = eigenvector_centrality(net) if n >= 1 else None
-        deg = degree_centrality(net) if n >= 2 else None
-        for c in config.countries:
-            present = net.has_node(c)
-            out[f"bc:{c}"] = bc_norm.scores[c] if present and bc_norm else None
-            out[f"bcw:{c}"] = bcw_norm.scores[c] if present and bcw_norm else None
-            out[f"ev:{c}"] = ev.scores[c] if present and ev else None
-            out[f"deg:{c}"] = deg.scores[c] if present and deg else None
-            out[f"ego_q:{c}"] = structure.ego_modularity(net, c) if present else None
-
+    analysis = SliceAnalysis(net)
+    out = {m: analysis.global_value(m) for m in config.metrics}
+    if net.n == 0:
+        return out
+    for c in config.countries:
+        present = net.has_node(c)
+        for name, (fewest, value) in COUNTRY_METRICS.items():
+            out[f"{name}:{c}"] = value(analysis, c) if present and net.n >= fewest else None
     for source, via in config.bridges:
         key = f"bridge:{source}->{via}"
-        if net.has_node(source) and net.has_node(via) and n >= 3:
+        if net.has_node(source) and net.has_node(via) and net.n >= 3:
             out[key] = bridging_fraction(net, source, via).fraction
         else:
             out[key] = None
@@ -342,6 +354,7 @@ def granger_panel(
 ) -> tuple[list[GrangerResult], dict]:
     """Granger tests of the IV country's participation against each global
     metric, per field, with joint BH-FDR over the whole grid."""
+    _check_metrics(metrics)
     store = CorpusStore(config.corpus)
     manifest = store.manifest()
     years_cfg = config.years or (min(manifest["years"]), max(manifest["years"]))
@@ -352,12 +365,6 @@ def granger_panel(
     flagged_trend = 0
     total_series = 0
 
-    annual = PipelineConfig(
-        corpus=config.corpus, out=config.out, years=years_cfg, fields=fields,
-        window=1, normalize="raw", threshold=config.threshold,
-        metrics=metrics, countries=(),  # rejects names outside GLOBAL_METRICS
-    )
-
     for fld in fields:
         per_year: dict[int, dict[str, float | None]] = {}
         for year in years:
@@ -365,7 +372,8 @@ def granger_panel(
                 net, _ = _load_window_network(store, year, fld, 1, config.threshold, "raw")
             except DataError:
                 continue
-            per_year[year] = _slice_metrics(net, annual)
+            analysis = SliceAnalysis(net)
+            per_year[year] = {m: analysis.global_value(m) for m in metrics}
         if not per_year:
             diagnostics["skipped_cells"].append(f"{fld}:*")
             continue

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CollabNetwork
-from .paths import dijkstra, hop_levels
+from .paths import dijkstra
 
 DQ_TIE_TOLERANCE = 1e-12
 
@@ -31,6 +31,10 @@ class CorePartition:
     max_k: int
     kcore_nodes: int
     kcore_ratio: float
+
+    @property
+    def max_core(self) -> set[str]:
+        return {v for v, c in self.core_number.items() if c == self.max_k}
 
 
 def k_core(network: CollabNetwork) -> CorePartition:
@@ -59,9 +63,7 @@ def k_core(network: CollabNetwork) -> CorePartition:
 
 def max_core_subgraph(network: CollabNetwork) -> CollabNetwork:
     """Induced subgraph on the maximum k-core (used for within-core betweenness)."""
-    part = k_core(network)
-    keep = {v for v, c in part.core_number.items() if c == part.max_k}
-    return network.subgraph(keep)
+    return network.subgraph(k_core(network).max_core)
 
 
 @dataclass
@@ -104,7 +106,7 @@ def global_efficiency(network: CollabNetwork, weighted: bool = False) -> float:
                 if math.isfinite(d) and d > 0:
                     total += 1.0 / d
     else:
-        _, frontiers = hop_levels(network)
+        _, frontiers = network.hop_sweep
         dist = np.full((n, n), np.inf)
         for level, frontier in enumerate(frontiers):
             dist[frontier] = level
@@ -126,12 +128,6 @@ class CommunityPartition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, node: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if node in b:
-                return i
-        raise DataError(f"node {node} not covered by partition")
 
 
 def modularity_score(network: CollabNetwork, partition, weighted: bool = True) -> float:

@@ -279,14 +279,15 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
     checkpoints = []
     for count in checkpoint_counts(config):
         g = traj.graph_at(count)
-        bc = normalize_bc(betweenness(g, weighted=False), g.n)
+        # CNM first: BC and efficiency share the hop sweep cached on g, which
+        # should not be alive at CNM's memory peak (arguments run in this order)
         cp = Checkpoint(
             node_count=count,
-            hub_bc_norm=bc[hub],
-            avg_clustering=structure.clustering(g).average,
-            global_efficiency=structure.global_efficiency(g),
-            max_k=structure.k_core(g).max_k,
             communities=len(structure.communities(g)),
+            hub_bc_norm=normalize_bc(betweenness(g, weighted=False), g.n)[hub],
+            global_efficiency=structure.global_efficiency(g),
+            avg_clustering=structure.clustering(g).average,
+            max_k=structure.k_core(g).max_k,
         )
         checkpoints.append(cp)
     return SynthRun(config, hub, checkpoints)

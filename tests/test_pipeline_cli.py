@@ -1,14 +1,16 @@
 import json
 import random
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from collabnet import cli
+from collabnet import cli, paths
 from collabnet.chart import emit_chart
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork
 from collabnet.ingest import ingest_publications
+from collabnet.synth import SynthConfig, hole_closure_experiment
 from collabnet.pipeline import (
     PipelineConfig,
     _slice_metrics,
@@ -138,6 +140,43 @@ class TestSliceMetrics:
     def test_three_nodes_miss_only_the_absent_country(self):
         net = CollabNetwork(("US", "CN", "GB"), {("CN", "US"): 2.0, ("CN", "GB"): 1.0})
         self.check(net, self.ABSENT)
+
+
+class TestOneHopSweep:
+    """Topological betweenness and hop efficiency share one all-sources sweep per network."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        hop_levels = paths.hop_levels
+
+        def counting(network):
+            calls.append(network.n)
+            return hop_levels(network)
+
+        # also where a module imported the kernel by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("collabnet") and getattr(module, "hop_levels", None) is hop_levels:
+                monkeypatch.setattr(module, "hop_levels", counting)
+        return calls
+
+    def test_series_sweeps_once_per_slice(self, corpus, tmp_path, sweeps):
+        summary = run_pipeline(base_config(corpus, tmp_path / "out"))
+        assert not summary["missing"]
+        assert len(sweeps) == 14
+
+    def test_hole_closure_sweeps_once_per_checkpoint(self, sweeps):
+        config = SynthConfig(seed=1, n_final=120, m=2, fitness_law="entrant", eta=3.0,
+                             entrant_arrival=40, checkpoint_stride=40, densify_closure=0.01)
+        run = hole_closure_experiment(config)
+        assert len(sweeps) == len(run.checkpoints) == 3
+
+    def test_metrics_sweeps_once(self, tmp_path, sweeps):
+        net = tmp_path / "net.json"
+        CollabNetwork(("A", "B", "C", "D"), {("A", "B"): 1.0, ("B", "C"): 2.0, ("B", "D"): 1.0}).save(net)
+        assert cli.main(["metrics", "--net", str(net), "--metric", "bc,centralization,efficiency",
+                         "--out", str(tmp_path / "m.csv")]) == 0
+        assert len(sweeps) == 1
 
 
 class TestSeriesCsv:
@@ -293,6 +332,14 @@ class TestCli:
                         "--seed", "2", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert [c["node_count"] for c in payload["checkpoints"]] == [40, 80, 120]
+
+    def test_series_writes_exactly_the_requested_metrics(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert self.run("series", "--corpus", str(corpus), "--out", str(out), "--threshold", "5",
+                        "--metrics", "kcore_nodes,modularity") == 0
+        expected = ["series/kcore_nodes__all.csv", "series/modularity__all.csv"]
+        assert json.loads((out / "summary.json").read_text())["series_files"] == expected
+        assert sorted(f"series/{p.name}" for p in (out / "series").iterdir()) == expected
 
     def test_config_file_supplies_defaults(self, corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
