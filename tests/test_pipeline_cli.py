@@ -10,7 +10,6 @@ from collabnet.chart import emit_chart
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork
 from collabnet.ingest import ingest_publications
-from collabnet.synth import SynthConfig, hole_closure_experiment
 from collabnet.pipeline import (
     PipelineConfig,
     _slice_metrics,
@@ -20,6 +19,7 @@ from collabnet.pipeline import (
     run_pipeline,
     write_series_csv,
 )
+from collabnet.synth import SynthConfig, hole_closure_experiment
 from collabnet.timeseries import MetricSeries
 
 
