@@ -2,7 +2,8 @@
 
 Everything here works from first principles on tiny graphs: exhaustive
 path enumeration with exact rational arithmetic, Floyd-Warshall, k-cores
-by repeated deletion, and modularity maximization over all set partitions.
+by repeated deletion, modularity maximization over all set partitions, and
+a naive greedy merge that recomputes every gain at every step.
 None of it shares code with the package implementations.
 """
 
@@ -170,3 +171,38 @@ def best_partition_oracle(nodes, edges, weighted: bool = True):
         if best_q is None or q > best_q:
             best_q, best = q, [sorted(b) for b in part]
     return best, best_q
+
+
+def greedy_modularity_oracle(nodes, edges, weighted: bool = True):
+    """Greedy modularity merging in exact arithmetic (integer weights assumed).
+
+    Starts from singletons. Every step recomputes the gain of every pair of
+    communities, e_ab / m - d_a * d_b / (2 m^2), merges the pair with the
+    largest gain (exact ties go to the smallest sorted union of members) and
+    stops once the best gain is <= 0. Returns the blocks as sorted tuples,
+    ordered by their smallest member.
+    """
+    def w_of(w):
+        return Fraction(int(w)) if weighted else Fraction(1)
+
+    m = sum((w_of(w) for w in edges.values()), Fraction(0))
+    blocks = [(v,) for v in sorted(nodes)]
+    while m > 0 and len(blocks) > 1:
+        member = {v: i for i, blk in enumerate(blocks) for v in blk}
+        deg = [Fraction(0)] * len(blocks)
+        between = {}
+        for (a, b), w in edges.items():
+            i, j = sorted((member[a], member[b]))
+            deg[i] += w_of(w)
+            deg[j] += w_of(w)
+            if i != j:
+                between[i, j] = between.get((i, j), Fraction(0)) + w_of(w)
+        gain, union, i, j = min(
+            (-(between.get((i, j), Fraction(0)) / m - deg[i] * deg[j] / (2 * m * m)),
+             tuple(sorted(blocks[i] + blocks[j])), i, j)
+            for i, j in combinations(range(len(blocks)), 2)
+        )
+        if -gain <= 0:
+            break
+        blocks = sorted([blk for k, blk in enumerate(blocks) if k not in (i, j)] + [union])
+    return blocks

@@ -3,8 +3,9 @@
 A small seeded `pubgen` corpus (the benchmark's generator, imported
 through sys.path) is ingested and run through `series`, `build`,
 `metrics` and `granger` (the last two also once with every metric they
-know); bridging in both modes, weighted efficiency and a shortened
-hole-closure run are computed in-process. Each output is hashed
+know); bridging in both modes, weighted efficiency, a shortened
+hole-closure run and the standard 1,000-node run of seed 1 (whose CNM
+merges meet many tied gains) are computed in-process. Each output is hashed
 (sha256) and compared with tests/golden.json. Three corpus layouts are
 hashed as whole trees (every file's relative name and bytes): the
 ingested JSONL corpus, an edge-CSV ingest, and `synth.export_corpus` for
@@ -129,6 +130,8 @@ def build_snapshot(workdir: Path) -> dict:
         hashes["bridging"] = _sha(bridging.encode())
         hashes["efficiency_weighted"] = _sha(repr(global_efficiency(net, weighted=True)).encode())
         hashes["synth_run"] = _sha(synth.hole_closure_experiment(SYNTH).to_json().encode())
+        standard = synth.hole_closure_experiment(synth.standard_run_config(1))
+        hashes["synth_run_standard_1"] = _sha(standard.to_json().encode())
 
         hashes["tree/metrics_all"] = _tree_sha(Path("metrics_all"))
         hashes["tree/corpus"] = _tree_sha(Path("corpus"))

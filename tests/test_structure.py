@@ -17,6 +17,7 @@ from oracles import (
     best_partition_oracle,
     core_numbers_oracle,
     efficiency_oracle,
+    greedy_modularity_oracle,
     modularity_oracle,
     random_connected_graph,
 )
@@ -190,6 +191,25 @@ class TestCommunities:
         p1 = communities(net)
         p2 = communities(net)
         assert p1.blocks == p2.blocks and p1.q == p2.q
+
+    def test_matches_exact_greedy_oracle(self):
+        # random graphs (isolated nodes allowed) with unit weights, small
+        # integer weights, and integer weights read with weighted=False
+        rng = random.Random(73)
+        for trial in range(300):
+            n = rng.randint(3, 14)
+            density = rng.uniform(0.2, 0.6)
+            nodes = [f"v{i}" for i in range(n)]
+            edges = {
+                (a, b): 1 if trial % 3 == 0 else rng.randint(1, 4)
+                for i, a in enumerate(nodes) for b in nodes[i + 1:] if rng.random() < density
+            }
+            weighted = trial % 3 != 2
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            expected = greedy_modularity_oracle(nodes, edges, weighted)
+            part = communities(net, weighted=weighted)
+            assert part.blocks == expected, (trial, n, weighted, edges)
+            assert part.q == pytest.approx(float(modularity_oracle(nodes, edges, expected, weighted)), abs=1e-12)
 
     def test_unweighted_flag(self):
         net = make_net([("A", "B", 100), ("C", "D", 1)])
