@@ -373,6 +373,11 @@ def _edge_csv_slices(path: Path) -> list[tuple[EdgeList, dict[str, CountryYearSt
     No publication-level statistics exist in this form, so intl_pubs and
     total_pubs are both approximated by the country's total edge weight in
     the slice; the manifest records that approximation.
+
+    The `all` slice of a year is built only from rows whose field cell is
+    empty. Field rows are not summed into it, because pre-aggregated
+    per-field rows may share publications; a year with field rows only has
+    no `all` slice.
     """
     by_slice: dict[tuple[int, str], EdgeList] = {}
     try:

@@ -170,7 +170,12 @@ def communities(network: CollabNetwork, weighted: bool = True) -> CommunityParti
     Starts from singletons, repeatedly merges the community pair with the
     largest positive modularity gain, and returns the resulting partition
     with its Q. Gains within DQ_TIE_TOLERANCE of the best are tied and the
-    smallest combined label wins.
+    smallest combined label (the sorted union of both member lists) wins.
+
+    Heap entries hold only the gain, the two community ids and their merge
+    stamps; an entry whose stamps are out of date is stale and skipped. The
+    sorted-union tie key is built only when two or more valid candidates
+    fall inside the tie window.
     """
     if network.n < 1:
         raise DataError("community detection needs at least 1 node")
@@ -199,11 +204,10 @@ def communities(network: CollabNetwork, weighted: bool = True) -> CommunityParti
     def gain(a: int, b: int) -> float:
         return between[a][b] / m - degree[a] * degree[b] / (2.0 * m * m)
 
-    heap: list[tuple[float, tuple[str, ...], int, int, int, int]] = []
+    heap: list[tuple[float, int, int, int, int]] = []
 
     def push(a: int, b: int) -> None:
-        key = tuple(sorted(members[a] + members[b]))
-        heapq.heappush(heap, (-gain(a, b), key, a, b, stamp[a], stamp[b]))
+        heapq.heappush(heap, (-gain(a, b), a, b, stamp[a], stamp[b]))
 
     for a in between:
         for b in between[a]:
@@ -212,9 +216,9 @@ def communities(network: CollabNetwork, weighted: bool = True) -> CommunityParti
 
     def pop_valid():
         while heap:
-            neg_dq, key, a, b, sa, sb = heapq.heappop(heap)
+            neg_dq, a, b, sa, sb = heapq.heappop(heap)
             if a in members and b in members and stamp[a] == sa and stamp[b] == sb:
-                return -neg_dq, key, a, b
+                return -neg_dq, a, b
         return None
 
     while True:
@@ -232,11 +236,13 @@ def communities(network: CollabNetwork, weighted: bool = True) -> CommunityParti
             if cand[0] < best_dq - DQ_TIE_TOLERANCE:
                 break
         in_window = [c for c in candidates if c[0] >= best_dq - DQ_TIE_TOLERANCE]
-        winner = min(in_window, key=lambda c: c[1])
+        winner = in_window[0]
+        if len(in_window) > 1:
+            winner = min(in_window, key=lambda c: tuple(sorted(members[c[1]] + members[c[2]])))
         for cand in candidates:
             if cand is not winner:
-                heapq.heappush(heap, (-cand[0], cand[1], cand[2], cand[3], stamp[cand[2]], stamp[cand[3]]))
-        _, _, a, b = winner
+                heapq.heappush(heap, (-cand[0], cand[1], cand[2], stamp[cand[1]], stamp[cand[2]]))
+        _, a, b = winner
 
         # merge b into a
         members[a] = tuple(sorted(members[a] + members[b]))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from collabnet.structure import (
     max_core_subgraph,
     modularity_score,
 )
+from collabnet.synth import generate_fitness, standard_run_config
 from conftest import make_net
 from oracles import (
     best_partition_oracle,
@@ -210,6 +212,17 @@ class TestCommunities:
             part = communities(net, weighted=weighted)
             assert part.blocks == expected, (trial, n, weighted, edges)
             assert part.q == pytest.approx(float(modularity_oracle(nodes, edges, expected, weighted)), abs=1e-12)
+
+    def test_memory_on_standard_final_graph(self):
+        # 1,000 nodes, ~10.8k edges: heap entries must not carry member lists
+        net = generate_fitness(standard_run_config(1)).final_graph()
+        tracemalloc.start()
+        try:
+            communities(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_unweighted_flag(self):
         net = make_net([("A", "B", 100), ("C", "D", 1)])
