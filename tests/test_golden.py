@@ -3,7 +3,8 @@
 A small seeded `pubgen` corpus (the benchmark's generator, imported
 through sys.path) is ingested and run through `series`, `build`,
 `metrics` and `granger` (the last two also once with every metric they
-know); bridging in both modes, weighted efficiency, a shortened
+know), and through `bridge` twice and `build` and `series` once more with
+other windows, years and normalizations; bridging in both modes, weighted efficiency, a shortened
 hole-closure run and the standard 1,000-node run of seed 1 (whose CNM
 merges meet many tied gains) are computed in-process. Each output is hashed
 (sha256) and compared with tests/golden.json. Three corpus layouts are
@@ -117,9 +118,17 @@ def build_snapshot(workdir: Path) -> dict:
         _cli("metrics", "--net", "net.json", "--metric", ALL_NET_METRICS, "--out", "metrics_all/metrics.csv")
         _cli("granger", "--corpus", "corpus", "--iv", "CN", "--threshold", THRESHOLD, "--fields", "all,Physics",
              "--metrics", ALL_GLOBAL_METRICS, "--out", "granger_all.csv")
+        # the window-loading commands at their defaults and at non-default windows, years and normalizations
+        _cli("bridge", "--corpus", "corpus", "--source", "CN", "--via", "US", "--out", "bridge.csv")
+        _cli("bridge", "--corpus", "corpus", "--source", "GB", "--via", "US", "--mode", "sigma", "--window", "2",
+             "--years", "2005:2020", "--field", "Physics", "--out", "bridge_sigma.csv")
+        _cli("build", "--corpus", "corpus", "--year", "2003", "--normalize", "salton", "--out", "net_salton.json")
+        _cli("series", "--corpus", "corpus", "--out", "results_jaccard", "--fields", "Physics", "--window", "2",
+             "--normalize", "jaccard", "--countries", "US")
 
         hashes = {f"series/{p.name}": _sha(p.read_bytes()) for p in sorted(Path("results/series").iterdir())}
-        for name in ("results/summary.json", "metrics.csv", "granger.csv", "granger_all.csv"):
+        for name in ("results/summary.json", "metrics.csv", "granger.csv", "granger_all.csv", "bridge.csv",
+                     "bridge_sigma.csv", "net_salton.json"):
             hashes[Path(name).name] = _sha(Path(name).read_bytes())
 
         net = CollabNetwork.load("net.json")
@@ -134,6 +143,7 @@ def build_snapshot(workdir: Path) -> dict:
         hashes["synth_run_standard_1"] = _sha(standard.to_json().encode())
 
         hashes["tree/metrics_all"] = _tree_sha(Path("metrics_all"))
+        hashes["tree/results_jaccard"] = _tree_sha(Path("results_jaccard"))
         hashes["tree/corpus"] = _tree_sha(Path("corpus"))
         Path("edges.csv").write_text(EDGE_CSV, encoding="utf-8")
         _cli("ingest", "--pubs", "edges.csv", "--out", "edge_corpus", "--threshold", EDGE_THRESHOLD)
