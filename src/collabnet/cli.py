@@ -312,12 +312,12 @@ def _cmd_bridge(args) -> int:
 def _cmd_granger(args) -> int:
     config = pl.PipelineConfig(
         corpus=_require_corpus(args), out=".", years=getattr(args, "years", None),
-        window=1, threshold=args.threshold,
+        fields=_parse_fields(args.fields), window=1, threshold=args.threshold,
+        metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
     )
-    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    fields = _parse_fields(args.fields)
-    results, diagnostics = pl.granger_panel(config, args.iv.upper(), metrics, fields, args.max_lag)
-    pl.write_granger_csv(results, args.out, config.hash())
+    iv = args.iv.upper()
+    results, diagnostics = pl.granger_panel(config, iv, args.max_lag)
+    pl.write_granger_csv(results, args.out, config.hash(iv=iv, max_lag=args.max_lag))
     share = diagnostics.get("nonstationary_share")
     extra = f", residual trend flagged in {share:.1%} of series" if share is not None else ""
     print(f"wrote {args.out} ({len(results)} cells{extra})")

@@ -91,12 +91,6 @@ COUNTRY_METRICS = {
 }
 
 
-def _check_metrics(names) -> None:
-    unknown = [m for m in names if m not in GLOBAL_METRICS]
-    if unknown:
-        raise DataError(f"unknown metric(s) {', '.join(unknown)}; known: {', '.join(GLOBAL_METRICS)}")
-
-
 @dataclass
 class PipelineConfig:
     corpus: str
@@ -118,7 +112,9 @@ class PipelineConfig:
             raise DataError(f"threshold must be >= 0, got {self.threshold}")
         if self.years is not None and self.years[0] > self.years[1]:
             raise DataError(f"empty year range {self.years}")
-        _check_metrics(self.metrics)
+        unknown = [m for m in self.metrics if m not in GLOBAL_METRICS]
+        if unknown:
+            raise DataError(f"unknown metric(s) {', '.join(unknown)}; known: {', '.join(GLOBAL_METRICS)}")
 
     def canonical(self) -> dict:
         # the output directory is excluded: it does not affect computed
@@ -136,8 +132,9 @@ class PipelineConfig:
             "seed": self.seed,
         }
 
-    def hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode("utf-8")
+    def hash(self, **extra) -> str:
+        """Hash of the canonical config plus any options a command adds to it (such as Granger's IV)."""
+        blob = json.dumps({**self.canonical(), **extra}, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -345,16 +342,11 @@ class GrangerResult:
 
 
 def granger_panel(
-    config: PipelineConfig,
-    iv_country: str,
-    metrics: tuple[str, ...],
-    fields: tuple[str, ...],
-    max_lag: int = 6,
-    alpha: float = 0.05,
+    config: PipelineConfig, iv_country: str, max_lag: int = 6, alpha: float = 0.05
 ) -> tuple[list[GrangerResult], dict]:
-    """Granger tests of the IV country's participation against each global
-    metric, per field, with joint BH-FDR over the whole grid."""
-    _check_metrics(metrics)
+    """Granger tests of the IV country's participation against each of the
+    config's global metrics, per config field, with joint BH-FDR over the
+    whole grid."""
     store = CorpusStore(config.corpus)
     manifest = store.manifest()
     years_cfg = config.years or (min(manifest["years"]), max(manifest["years"]))
@@ -365,7 +357,7 @@ def granger_panel(
     flagged_trend = 0
     total_series = 0
 
-    for fld in fields:
+    for fld in config.fields:
         per_year: dict[int, dict[str, float | None]] = {}
         for year in years:
             try:
@@ -373,12 +365,12 @@ def granger_panel(
             except DataError:
                 continue
             analysis = SliceAnalysis(net)
-            per_year[year] = {m: analysis.global_value(m) for m in metrics}
+            per_year[year] = {m: analysis.global_value(m) for m in config.metrics}
         if not per_year:
             diagnostics["skipped_cells"].append(f"{fld}:*")
             continue
         iv = participation_from_store(store, iv_country, fld, years)
-        for metric in metrics:
+        for metric in config.metrics:
             pairs = [(y, per_year[y].get(metric)) for y in sorted(per_year)]
             target = MetricSeries.from_pairs(f"{metric}__{fld}", pairs)
             total_series += 1

@@ -193,10 +193,9 @@ class TestSeriesCsv:
 
 class TestGrangerPanel:
     def test_panel_produces_joint_fdr(self, corpus, tmp_path):
-        config = PipelineConfig(corpus=str(corpus), out=str(tmp_path), window=1, threshold=5)
-        results, diagnostics = granger_panel(
-            config, "CN", ("clustering", "efficiency", "avg_bc"), ("all",), max_lag=3
-        )
+        config = PipelineConfig(corpus=str(corpus), out=str(tmp_path), window=1, threshold=5,
+                                metrics=("clustering", "efficiency", "avg_bc"), fields=("all",))
+        results, diagnostics = granger_panel(config, "CN", max_lag=3)
         assert results
         for res in results:
             for lag, p in res.pvalues.items():
@@ -205,9 +204,10 @@ class TestGrangerPanel:
         assert diagnostics["nonstationary_share"] is not None
 
     def test_unknown_metric_cells_skipped(self, corpus, tmp_path):
-        config = PipelineConfig(corpus=str(corpus), out=str(tmp_path), window=1, threshold=5)
         with pytest.raises(DataError):
-            granger_panel(config, "CN", ("definitely_not_a_metric",), ("all",))
+            config = PipelineConfig(corpus=str(corpus), out=str(tmp_path), window=1, threshold=5,
+                                    metrics=("definitely_not_a_metric",), fields=("all",))
+            granger_panel(config, "CN")
 
 
 class TestChart:
@@ -340,6 +340,23 @@ class TestCli:
         expected = ["series/kcore_nodes__all.csv", "series/modularity__all.csv"]
         assert json.loads((out / "summary.json").read_text())["series_files"] == expected
         assert sorted(f"series/{p.name}" for p in (out / "series").iterdir()) == expected
+
+    def test_granger_config_hash_covers_panel_options(self, corpus, tmp_path):
+        def config_line(name, *options):
+            out = tmp_path / f"{name}.csv"
+            assert self.run("granger", "--corpus", str(corpus), "--threshold", "5", "--out", str(out),
+                            "--metrics", "clustering,efficiency", *options) == 0
+            return out.read_text().splitlines()[0]
+
+        lines = [
+            config_line("base", "--iv", "CN", "--max-lag", "3"),
+            config_line("iv", "--iv", "US", "--max-lag", "3"),
+            config_line("lag", "--iv", "CN", "--max-lag", "2"),
+            config_line("metrics", "--iv", "CN", "--max-lag", "3", "--metrics", "clustering"),
+            config_line("fields", "--iv", "CN", "--max-lag", "3", "--fields", "Physics"),
+        ]
+        assert all(line.startswith("# config=") for line in lines)
+        assert len(set(lines)) == len(lines)
 
     def test_config_file_supplies_defaults(self, corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
