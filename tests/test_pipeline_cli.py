@@ -1,7 +1,10 @@
+import hashlib
 import json
 import random
+import shutil
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +50,29 @@ def corpus(tmp_path_factory):
     out = tmp / "corpus"
     ingest_publications(pubs, out, threshold=5)
     return out
+
+
+# sha256 prefixes of the outputs of TestWindowLoading.run_all on the partial store
+PARTIAL_STORE_DIGESTS = {
+    "bc_US__all.csv": "aea0251fa7e9ccb6",
+    "bc_US__physics.csv": "e318ee14ec9b0211",
+    "bcw_US__all.csv": "99f58a9107040569",
+    "bcw_US__physics.csv": "62e60c66eb85a52f",
+    "bridge_CN_US__all.csv": "d9e938df323075ce",
+    "bridge_CN_US__physics.csv": "1c1367f3791b6f4b",
+    "clustering__all.csv": "16e8a54befe79c5f",
+    "clustering__physics.csv": "5c5e35518020fa27",
+    "deg_US__all.csv": "70792e386a65b11f",
+    "deg_US__physics.csv": "7324171b093e06c8",
+    "ego_q_US__all.csv": "bf8527477fb85dba",
+    "ego_q_US__physics.csv": "c70b9ca60a73b591",
+    "ev_US__all.csv": "af46066af08e1f46",
+    "ev_US__physics.csv": "7a5d3f3c55f15df0",
+    "modularity__all.csv": "3ef6dcfc23726f3f",
+    "modularity__physics.csv": "e8738475d129e773",
+    "granger.csv": "810172cedea6bb0e",
+    "bridge.csv": "dbc2431ff0be47a3",
+}
 
 
 def base_config(corpus, out, **kw):
@@ -177,6 +203,48 @@ class TestOneHopSweep:
         assert cli.main(["metrics", "--net", str(net), "--metric", "bc,centralization,efficiency",
                          "--out", str(tmp_path / "m.csv")]) == 0
         assert len(sweeps) == 1
+
+
+def _digest(paths) -> dict[str, str]:
+    """sha256 of each file's bytes, keyed by name; Granger's `# config=` line is left out."""
+    out = {}
+    for path in paths:
+        lines = path.read_bytes().splitlines(keepends=True)
+        if lines[0].startswith(b"# config=") and path.name == "granger.csv":
+            lines = lines[1:]
+        out[path.name] = hashlib.sha256(b"".join(lines)).hexdigest()[:16]
+    return out
+
+
+class TestWindowLoading:
+    """`series`, `granger` and `bridge` on stores with absent, present and malformed slices."""
+
+    def run_all(self, corpus):
+        """Run the three window-loading commands on `corpus` in the working directory; returns their outputs."""
+        assert cli.main(["series", "--corpus", corpus, "--out", "results", "--threshold", "5",
+                         "--fields", "all,Physics", "--metrics", "clustering,modularity",
+                         "--countries", "US", "--bridge", "CN:US"]) == 0
+        assert cli.main(["granger", "--corpus", corpus, "--iv", "CN", "--threshold", "5", "--fields", "all,Physics",
+                         "--metrics", "clustering,efficiency", "--max-lag", "2", "--out", "granger.csv"]) == 0
+        assert cli.main(["bridge", "--corpus", corpus, "--source", "CN", "--via", "US", "--threshold", "5",
+                         "--out", "bridge.csv"]) == 0
+        summary = json.loads(Path("results/summary.json").read_text())
+        files = sorted(Path("results/series").iterdir()) + [Path("granger.csv"), Path("bridge.csv")]
+        return summary, _digest(files)
+
+    def test_partial_store(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(corpus, "corpus")
+        Path("corpus/edges_2005_all.csv").unlink()
+        Path("corpus/stats_2009_all.csv").unlink()
+        summary, digests = self.run_all("corpus")
+        # a window with an absent slice is truncated, one that would span the gap is missing
+        assert summary["missing"] == ["2006/all", "2010/all"]
+        assert summary["truncated_windows"] == [
+            "2001/Physics:1", "2001/all:1", "2002/Physics:2", "2002/all:2",
+            "2005/all:2", "2007/all:2", "2009/all:2", "2011/all:2",
+        ]
+        assert digests == PARTIAL_STORE_DIGESTS
 
 
 class TestSeriesCsv:
