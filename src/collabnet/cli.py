@@ -188,7 +188,9 @@ def _cmd_build(args) -> int:
         fields=(args.field,), window=args.window, normalize=args.normalize,
         threshold=args.threshold,
     )
-    net = pl.network_for_year(config, args.year, args.field)
+    [(_, net, _, _)] = pl.read_windows(config, args.field)
+    if net is None:
+        raise DataError(f"no edge lists for window ending {args.year}/{args.field}")
     net.save(args.out)
     print(f"wrote {args.out}: {net.n} nodes, {net.m} edges")
     return 0
@@ -259,7 +261,7 @@ def _pipeline_config(args) -> pl.PipelineConfig:
         out=args.out,
         years=getattr(args, "years", None),
         fields=_parse_fields(getattr(args, "fields", ALL_FIELDS)),
-        window=args.window,
+        window=getattr(args, "window", 1),  # granger has no --window: its panel is annual
         normalize=getattr(args, "normalize", "raw"),
         threshold=args.threshold,
         metrics=tuple(m.strip() for m in getattr(args, "metrics", ",".join(pl.GLOBAL_METRICS)).split(",") if m.strip()),
@@ -277,24 +279,13 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
-    from .ingest import CorpusStore
-
-    corpus = _require_corpus(args)
-    store = CorpusStore(corpus)
-    manifest = store.manifest()
-    years_cfg = args.years or (min(manifest["years"]), max(manifest["years"]))
     config = pl.PipelineConfig(
-        corpus=corpus, out=".", years=years_cfg, fields=(args.field,),
+        corpus=_require_corpus(args), out=".", years=args.years, fields=(args.field,),
         window=args.window, threshold=args.threshold,
     )
-    networks = {}
-    for year in range(years_cfg[0], years_cfg[1] + 1):
-        try:
-            networks[year] = pl.network_for_year(config, year, args.field)
-        except DataError:
-            continue
+    networks = {year: net for year, net, _, _ in pl.read_windows(config, args.field) if net is not None}
     if not networks:
-        raise DataError(f"no networks buildable in {years_cfg}")
+        raise DataError(f"no networks buildable for {args.field}")
     series = bridging_series(networks, args.source.upper(), args.via.upper(), args.mode)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -310,11 +301,7 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_granger(args) -> int:
-    config = pl.PipelineConfig(
-        corpus=_require_corpus(args), out=".", years=getattr(args, "years", None),
-        fields=_parse_fields(args.fields), window=1, threshold=args.threshold,
-        metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
-    )
+    config = _pipeline_config(args)
     iv = args.iv.upper()
     results, diagnostics = pl.granger_panel(config, iv, args.max_lag)
     pl.write_granger_csv(results, args.out, config.hash(iv=iv, max_lag=args.max_lag))

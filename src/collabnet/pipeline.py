@@ -15,14 +15,15 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 from . import structure
 from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
-from .graph import CollabNetwork, normalize_weights, rolling_window
+from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
 from .ingest import ALL_FIELDS, CorpusStore, field_slug
 from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
@@ -183,36 +184,50 @@ def read_series_csv(path: str | Path) -> MetricSeries:
 
 
 def _load_window_network(
-    store: CorpusStore, year: int, fld: str, window: int, threshold: int, normalize: str
+    store: CorpusStore, slices: dict, year: int, fld: str, window: int, threshold: int, normalize: str
 ) -> tuple[CollabNetwork, int]:
-    """Build the rolling-window network ending at `year`; returns (net, years used)."""
+    """Build the rolling-window network ending at `year`; returns (net, years used).
+
+    `slices` maps each year of the previous window to its (thresholded edges,
+    stats) pair, None for an absent file: only the years new to this window
+    are read, and years that left it are dropped. A window with no slice, or
+    whose slices are not consecutive, is missing: (empty net, 0).
+    """
     from .ingest import filter_countries  # local import keeps module load cheap
 
-    lists = []
-    productivity: dict[str, float] = {}
+    for y in [y for y in slices if y <= year - window]:
+        del slices[y]
     for y in range(year - window + 1, year + 1):
-        try:
-            el = store.read_edges(y, fld)
-            stats = store.read_stats(y, fld)
-        except DataError:
-            continue
-        if threshold > 0:
-            el = filter_countries(el, stats, threshold)
-        lists.append(el)
-        for c, s in stats.items():
-            productivity[c] = productivity.get(c, 0.0) + s.total_pubs
-    if not lists:
-        raise DataError(f"no edge lists for window ending {year}/{fld}")
-    net = rolling_window(lists)
+        if y not in slices:
+            el = store.read_edges(y, fld) if store.edge_path(y, fld).exists() else None
+            stats = store.read_stats(y, fld) if store.stats_path(y, fld).exists() else None
+            if el is not None and stats is not None and threshold > 0:
+                el = filter_countries(el, stats, threshold)
+            slices[y] = el, stats
+    present = [slices[y] for y in range(year - window + 1, year + 1) if None not in slices[y]]
+    if not present or present[-1][0].year - present[0][0].year != len(present) - 1:
+        return CollabNetwork((), {}, NetworkSlice(year, fld, normalize)), 0
+    net = rolling_window([el for el, _ in present])
     if normalize != "raw":
+        productivity: dict[str, float] = {}
+        for _, stats in present:
+            for c, s in stats.items():
+                productivity[c] = productivity.get(c, 0.0) + s.total_pubs
         net = normalize_weights(net, productivity, normalize)
-    return net, len(lists)
+    return net, len(present)
 
 
-def network_for_year(config: PipelineConfig, year: int, fld: str = ALL_FIELDS) -> CollabNetwork:
+def read_windows(config: PipelineConfig, fld: str) -> Iterator[tuple[int, CollabNetwork | None, int, dict | None]]:
+    """Yield (year, window network or None if missing, years used, the year's
+    stats or None) for each year of the config's range (the corpus's by
+    default) in one field. Each annual slice is read once and at most
+    `config.window` of them are kept."""
     store = CorpusStore(config.corpus)
-    net, _ = _load_window_network(store, year, fld, config.window, config.threshold, config.normalize)
-    return net
+    years = config.years or store.manifest()["years"]
+    slices: dict = {}
+    for year in range(min(years), max(years) + 1):
+        net, used = _load_window_network(store, slices, year, fld, config.window, config.threshold, config.normalize)
+        yield year, net if used else None, used, slices[year][1]
 
 
 def _slice_metrics(net: CollabNetwork, config: PipelineConfig) -> dict[str, float | None]:
@@ -239,10 +254,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     Returns the summary that is also written to out/summary.json.
     """
-    store = CorpusStore(config.corpus)
-    manifest = store.manifest()
-    years = config.years or (min(manifest["years"]), max(manifest["years"]))
-    year_range = list(range(years[0], years[1] + 1))
     cfg_hash = config.hash()
 
     out_dir = Path(config.out)
@@ -265,13 +276,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     by_field: dict[str, dict[int, dict[str, float | None]]] = {}
     for fld in config.fields:
-        for year in year_range:
-            try:
-                net, used = _load_window_network(store, year, fld, config.window, config.threshold, config.normalize)
-            except DataError:
+        for year, net, used, _ in read_windows(config, fld):
+            if net is None:
                 summary["missing"].append(f"{year}/{fld}")
                 continue
-            if 0 < used < config.window:
+            if used < config.window:
                 summary["truncated_windows"].append(f"{year}/{fld}:{used}")
             by_field.setdefault(fld, {})[year] = _slice_metrics(net, config)
 
@@ -298,35 +307,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
 # Granger panel
 
 
-def participation_from_store(store: CorpusStore, country: str, fld: str, years: list[int]) -> MetricSeries:
-    """IV series: share of the year's output that is international and involves the country.
-
-    Uses manifest slice counts when the corpus was ingested from publication
-    records; falls back to the country's share of total international
-    activity for pre-aggregated corpora.
-    """
-    manifest = store.manifest()
-    slice_counts = manifest.get("slice_counts") or {}
-    pairs: list[tuple[int, float | None]] = []
-    for year in years:
-        try:
-            stats = store.read_stats(year, fld)
-        except DataError:
-            pairs.append((year, None))
-            continue
-        counts = slice_counts.get(f"{year}/{fld}")
-        if counts and counts.get("pubs"):
-            denom = counts["pubs"]
-        else:
-            denom = sum(s.intl_pubs for s in stats.values())
-        if denom <= 0:
-            pairs.append((year, None))
-            continue
-        numer = stats[country].intl_pubs if country in stats else 0
-        pairs.append((year, numer / denom))
-    return MetricSeries.from_pairs(f"participation:{country}", pairs, unit="share")
-
-
 @dataclass
 class GrangerResult:
     """One (field, metric) cell of the Granger panel."""
@@ -345,12 +325,16 @@ def granger_panel(
     config: PipelineConfig, iv_country: str, max_lag: int = 6, alpha: float = 0.05
 ) -> tuple[list[GrangerResult], dict]:
     """Granger tests of the IV country's participation against each of the
-    config's global metrics, per config field, with joint BH-FDR over the
-    whole grid."""
-    store = CorpusStore(config.corpus)
-    manifest = store.manifest()
-    years_cfg = config.years or (min(manifest["years"]), max(manifest["years"]))
-    years = list(range(years_cfg[0], years_cfg[1] + 1))
+    config's global metrics, per config field, on plain annual networks,
+    with joint BH-FDR over the whole grid.
+
+    Participation is the share of the year's output that is international
+    and involves the country: out of the manifest's slice pub count when the
+    corpus was ingested from publication records, else out of the total
+    international activity in the year's stats.
+    """
+    annual = replace(config, window=1, normalize="raw")
+    slice_counts = CorpusStore(config.corpus).manifest().get("slice_counts") or {}
 
     results: list[GrangerResult] = []
     diagnostics = {"nonstationary_share": None, "skipped_cells": []}
@@ -359,17 +343,22 @@ def granger_panel(
 
     for fld in config.fields:
         per_year: dict[int, dict[str, float | None]] = {}
-        for year in years:
-            try:
-                net, _ = _load_window_network(store, year, fld, 1, config.threshold, "raw")
-            except DataError:
-                continue
-            analysis = SliceAnalysis(net)
-            per_year[year] = {m: analysis.global_value(m) for m in config.metrics}
+        participation: list[tuple[int, float | None]] = []
+        for year, net, _, stats in read_windows(annual, fld):
+            if net is not None:
+                analysis = SliceAnalysis(net)
+                per_year[year] = {m: analysis.global_value(m) for m in config.metrics}
+            share = None
+            if stats is not None:
+                denom = (slice_counts.get(f"{year}/{fld}") or {}).get("pubs") or sum(
+                    s.intl_pubs for s in stats.values())
+                if denom > 0:
+                    share = (stats[iv_country].intl_pubs if iv_country in stats else 0) / denom
+            participation.append((year, share))
         if not per_year:
             diagnostics["skipped_cells"].append(f"{fld}:*")
             continue
-        iv = participation_from_store(store, iv_country, fld, years)
+        iv = MetricSeries.from_pairs(f"participation:{iv_country}", participation, unit="share")
         for metric in config.metrics:
             pairs = [(y, per_year[y].get(metric)) for y in sorted(per_year)]
             target = MetricSeries.from_pairs(f"{metric}__{fld}", pairs)

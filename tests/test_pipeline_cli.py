@@ -4,6 +4,7 @@ import random
 import shutil
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from collabnet import cli, paths
 from collabnet.chart import emit_chart
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork
-from collabnet.ingest import ingest_publications
+from collabnet.ingest import CorpusStore, ingest_publications
 from collabnet.pipeline import (
     PipelineConfig,
     _slice_metrics,
@@ -219,25 +220,33 @@ def _digest(paths) -> dict[str, str]:
 class TestWindowLoading:
     """`series`, `granger` and `bridge` on stores with absent, present and malformed slices."""
 
-    def run_all(self, corpus):
-        """Run the three window-loading commands on `corpus` in the working directory; returns their outputs."""
-        assert cli.main(["series", "--corpus", corpus, "--out", "results", "--threshold", "5",
-                         "--fields", "all,Physics", "--metrics", "clustering,modularity",
-                         "--countries", "US", "--bridge", "CN:US"]) == 0
-        assert cli.main(["granger", "--corpus", corpus, "--iv", "CN", "--threshold", "5", "--fields", "all,Physics",
-                         "--metrics", "clustering,efficiency", "--max-lag", "2", "--out", "granger.csv"]) == 0
-        assert cli.main(["bridge", "--corpus", corpus, "--source", "CN", "--via", "US", "--threshold", "5",
-                         "--out", "bridge.csv"]) == 0
+    COMMANDS = (
+        ["series", "--corpus", "corpus", "--out", "results", "--threshold", "5", "--fields", "all,Physics",
+         "--metrics", "clustering,modularity", "--countries", "US", "--bridge", "CN:US"],
+        ["granger", "--corpus", "corpus", "--iv", "CN", "--threshold", "5", "--fields", "all,Physics",
+         "--metrics", "clustering,efficiency", "--max-lag", "2", "--out", "granger.csv"],
+        ["bridge", "--corpus", "corpus", "--source", "CN", "--via", "US", "--threshold", "5", "--out", "bridge.csv"],
+    )
+
+    @pytest.fixture
+    def store(self, corpus, tmp_path, monkeypatch):
+        """A copy of the corpus at ./corpus, so that the config hashes do not depend on tmp_path."""
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(corpus, "corpus")
+        return Path("corpus")
+
+    def run_all(self):
+        """Run the three window-loading commands on ./corpus; returns the summary and output digests."""
+        for argv in self.COMMANDS:
+            assert cli.main(argv) == 0, argv
         summary = json.loads(Path("results/summary.json").read_text())
         files = sorted(Path("results/series").iterdir()) + [Path("granger.csv"), Path("bridge.csv")]
         return summary, _digest(files)
 
-    def test_partial_store(self, corpus, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        shutil.copytree(corpus, "corpus")
-        Path("corpus/edges_2005_all.csv").unlink()
-        Path("corpus/stats_2009_all.csv").unlink()
-        summary, digests = self.run_all("corpus")
+    def test_partial_store(self, store):
+        (store / "edges_2005_all.csv").unlink()
+        (store / "stats_2009_all.csv").unlink()
+        summary, digests = self.run_all()
         # a window with an absent slice is truncated, one that would span the gap is missing
         assert summary["missing"] == ["2006/all", "2010/all"]
         assert summary["truncated_windows"] == [
@@ -245,6 +254,27 @@ class TestWindowLoading:
             "2005/all:2", "2007/all:2", "2009/all:2", "2011/all:2",
         ]
         assert digests == PARTIAL_STORE_DIGESTS
+
+    def test_each_slice_read_once(self, store, monkeypatch):
+        reads = Counter()
+        for name in ("read_edges", "read_stats"):
+            def counting(self, year, fld, _read=getattr(CorpusStore, name), _name=name):
+                reads[_name, year, fld] += 1
+                return _read(self, year, fld)
+            monkeypatch.setattr(CorpusStore, name, counting)
+        for argv in self.COMMANDS:
+            reads.clear()
+            assert cli.main(argv) == 0, argv
+            assert reads and max(reads.values()) == 1, (argv[0], reads.most_common(3))
+
+    @pytest.mark.parametrize("command", [0, 1, 2], ids=["series", "granger", "bridge"])
+    def test_malformed_stored_row_is_a_data_error(self, store, command, capsys):
+        path = store / "edges_2010_all.csv"
+        header, first, *rest = path.read_text().splitlines()
+        first = first.rsplit(",", 1)[0] + ",notanumber"
+        path.write_text("\n".join([header, first, *rest]) + "\n")
+        assert cli.main(self.COMMANDS[command]) == 2
+        assert "bad edge row" in capsys.readouterr().err
 
 
 class TestSeriesCsv:
