@@ -23,7 +23,7 @@ from pathlib import Path
 from . import structure
 from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
-from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
+from .graph import CollabNetwork, normalize_weights, rolling_window
 from .ingest import ALL_FIELDS, CorpusStore, field_slug
 from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
@@ -191,7 +191,9 @@ def _load_window_network(
     `slices` maps each year of the previous window to its (thresholded edges,
     stats) pair, None for an absent file: only the years new to this window
     are read, and years that left it are dropped. A window with no slice, or
-    whose slices are not consecutive, is missing: (empty net, 0).
+    whose slices are not consecutive, is missing: it returns (empty net, 0)
+    rather than raising, so that no caller catches a read error as a missing
+    year.
     """
     from .ingest import filter_countries  # local import keeps module load cheap
 
@@ -206,7 +208,7 @@ def _load_window_network(
             slices[y] = el, stats
     present = [slices[y] for y in range(year - window + 1, year + 1) if None not in slices[y]]
     if not present or present[-1][0].year - present[0][0].year != len(present) - 1:
-        return CollabNetwork((), {}, NetworkSlice(year, fld, normalize)), 0
+        return CollabNetwork((), {}), 0
     net = rolling_window([el for el, _ in present])
     if normalize != "raw":
         productivity: dict[str, float] = {}
