@@ -10,7 +10,6 @@ hole-closure experiments.
 from .centrality import (
     CentralityVector,
     betweenness,
-    betweenness_centralization,
     degree_centrality,
     eigenvector_centrality,
     normalize_bc,
@@ -24,9 +23,9 @@ from .ingest import (
     build_annual_edges,
     filter_countries,
     parse_publications,
-    participation_series,
+    participation,
 )
-from .paths import BridgingReport, bridging_fraction, bridging_series
+from .paths import BridgingReport, bridging_fraction
 from .structure import (
     CommunityPartition,
     CorePartition,
@@ -35,7 +34,6 @@ from .structure import (
     ego_modularity,
     global_efficiency,
     k_core,
-    max_core_subgraph,
     modularity_score,
 )
 from .synth import SynthConfig, SynthRun, generate_fitness, generate_pa, hole_closure_experiment

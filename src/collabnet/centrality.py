@@ -154,13 +154,6 @@ def eigenvector_centrality(
     return CentralityVector("ev", scores, {"eigenvalue": lam, "tolerance": tolerance})
 
 
-def betweenness_centralization(network: CollabNetwork) -> float:
-    """Freeman-style inequality of normalized betweenness: 1 on a star, 0 when uniform."""
-    if network.n < 3:
-        raise DataError(f"centralization needs at least 3 nodes, got {network.n}")
-    return centralization(normalize_bc(betweenness(network, weighted=False), network.n))
-
-
 def centralization(bc_norm: CentralityVector) -> float:
     """Summed gap to the maximum normalized betweenness, over n - 1."""
     vals = bc_norm.values()

@@ -20,7 +20,6 @@ from .centrality import centralization
 from .errors import DataError, NumericError
 from .graph import CollabNetwork
 from .ingest import ALL_FIELDS, ingest_publications
-from .paths import bridging_series
 from .timeseries import forecast as fit_forecast
 
 
@@ -283,20 +282,22 @@ def _cmd_bridge(args) -> int:
         corpus=_require_corpus(args), out=".", years=args.years, fields=(args.field,),
         window=args.window, threshold=args.threshold,
     )
-    networks = {year: net for year, net, _, _ in pl.read_windows(config, args.field) if net is not None}
-    if not networks:
+    source, via = args.source.upper(), args.via.upper()
+    rows, found = [], False
+    for year, net, _, _ in pl.read_windows(config, args.field):
+        # a missing window keeps its row, with an empty fraction and no targets
+        value = None if net is None else pl.bridge_value(net, source, via, args.mode)
+        targets = 0 if net is None else max(net.n - 2, 0)
+        rows.append(f"{year},{source},{via},{'' if value is None else repr(value)},{targets}\n")
+        found = found or net is not None
+    if not found:
         raise DataError(f"no networks buildable for {args.field}")
-    series = bridging_series(networks, args.source.upper(), args.via.upper(), args.mode)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8", newline="") as fh:
         fh.write("year,source,via,fraction,targets\n")
-        for year, value in zip(series.years, series.values):
-            net = networks.get(year)
-            targets = max(net.n - 2, 0) if net is not None else 0
-            frac = "" if value is None else repr(value)
-            fh.write(f"{year},{args.source.upper()},{args.via.upper()},{frac},{targets}\n")
-    print(f"wrote {out} ({len(series)} years)")
+        fh.writelines(rows)
+    print(f"wrote {out} ({len(rows)} years)")
     return 0
 
 
@@ -342,12 +343,12 @@ def _cmd_synth(args) -> int:
         print(f"wrote {out} ({len(run.checkpoints)} checkpoints, hub {run.hub})")
         traj = None
     else:
-        traj = synth.generate_pa(config) if config.fitness_law == "constant" else synth.generate_fitness(config)
+        traj = synth.generate_fitness(config)
         graph = traj.final_graph()
         graph.save(out)
         print(f"wrote {out} ({graph.n} nodes, {graph.m} edges)")
     if args.export_corpus:
-        traj = traj or synth._grow(config)
+        traj = traj or synth.generate_fitness(config)
         synth.export_corpus(traj, args.export_corpus)
         print(f"exported corpus to {args.export_corpus}")
     return 0

@@ -19,7 +19,6 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import DataError
-from .timeseries import MetricSeries
 
 log = logging.getLogger(__name__)
 
@@ -172,6 +171,17 @@ def country_year_stats(records, year: int, fld: str = ALL_FIELDS) -> dict[str, C
     }
 
 
+def participation(stats: dict[str, CountryYearStats], country: str, pubs: int | None = None) -> float | None:
+    """The country's international publications over the slice's publication
+    count `pubs`; without `pubs` (edge-CSV corpora, which have no publication
+    count) over the summed `intl_pubs` of the slice. None when the
+    denominator is 0."""
+    denom = sum(s.intl_pubs for s in stats.values()) if pubs is None else pubs
+    if denom == 0:
+        return None
+    return (stats[country].intl_pubs if country in stats else 0) / denom
+
+
 def filter_countries(edge_list: EdgeList, stats: dict[str, CountryYearStats], threshold: int = 10) -> EdgeList:
     """Drop every edge touching a country below the international-output threshold."""
     if threshold < 0:
@@ -185,29 +195,6 @@ def filter_countries(edge_list: EdgeList, stats: dict[str, CountryYearStats], th
         if a in keep and b in keep:
             out.edges[(a, b)] = w
     return out
-
-
-def participation_series(records, country: str, denominator: str = "all") -> MetricSeries:
-    """Share of a year's publications that are international and involve the country.
-
-    The denominator is all global publications by default; pass
-    denominator="international" for the international-only variant. Years
-    with an empty denominator are omitted.
-    """
-    if denominator not in ("all", "international"):
-        raise DataError(f"unknown denominator {denominator!r}")
-    country = country.upper()
-    num: Counter[int] = Counter()
-    den: Counter[int] = Counter()
-    for rec in records:
-        if denominator == "all" or rec.international:
-            den[rec.year] += 1
-        if rec.international and country in rec.countries:
-            num[rec.year] += 1
-    pairs = [(yr, num.get(yr, 0) / den[yr]) for yr in sorted(den) if den[yr] > 0]
-    if not pairs:
-        raise DataError("no publications with a non-empty denominator year")
-    return MetricSeries.from_pairs(f"participation:{country}", pairs, unit="share")
 
 
 # ---------------------------------------------------------------------------

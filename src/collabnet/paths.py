@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CollabNetwork
-from .timeseries import MetricSeries
 
 TIE_TOLERANCE = 1e-12  # relative, on accumulated path distances
 
@@ -151,22 +150,3 @@ def bridging_fraction(network: CollabNetwork, source: str, intermediary: str, mo
             else:
                 total += (sigma_s[v] * sigma_v[t]) / sigma_s[t]
     return BridgingReport(source, intermediary, network.slice.year, total / len(targets), len(targets), mode)
-
-
-def bridging_series(
-    networks_by_year: dict[int, CollabNetwork],
-    source: str,
-    intermediary: str,
-    mode: str = "any",
-) -> MetricSeries:
-    """One bridging fraction per year; absent countries produce missing markers."""
-    if not networks_by_year:
-        raise DataError("no networks supplied")
-    pairs: list[tuple[int, float | None]] = []
-    for year in sorted(networks_by_year):
-        net = networks_by_year[year]
-        if not (net.has_node(source) and net.has_node(intermediary)) or net.n < 3:
-            pairs.append((year, None))
-            continue
-        pairs.append((year, bridging_fraction(net, source, intermediary, mode).fraction))
-    return MetricSeries.from_pairs(f"bridge:{source}->{intermediary}", pairs, unit="share")

@@ -24,7 +24,7 @@ from . import structure
 from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
 from .graph import CollabNetwork, normalize_weights, rolling_window
-from .ingest import ALL_FIELDS, CorpusStore, field_slug
+from .ingest import ALL_FIELDS, CorpusStore, field_slug, participation
 from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
     Forecast,
@@ -243,12 +243,15 @@ def _slice_metrics(net: CollabNetwork, config: PipelineConfig) -> dict[str, floa
         for name, (fewest, value) in COUNTRY_METRICS.items():
             out[f"{name}:{c}"] = value(analysis, c) if present and net.n >= fewest else None
     for source, via in config.bridges:
-        key = f"bridge:{source}->{via}"
-        if net.has_node(source) and net.has_node(via) and net.n >= 3:
-            out[key] = bridging_fraction(net, source, via).fraction
-        else:
-            out[key] = None
+        out[f"bridge:{source}->{via}"] = bridge_value(net, source, via)
     return out
+
+
+def bridge_value(net: CollabNetwork, source: str, via: str, mode: str = "any") -> float | None:
+    """The bridging fraction of one window; None unless both countries are in a network of 3 or more nodes."""
+    if net.n < 3 or not (net.has_node(source) and net.has_node(via)):
+        return None
+    return bridging_fraction(net, source, via, mode).fraction
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -278,13 +281,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     by_field: dict[str, dict[int, dict[str, float | None]]] = {}
     for fld in config.fields:
+        per_year = by_field.setdefault(fld, {})
         for year, net, used, _ in read_windows(config, fld):
             if net is None:
                 summary["missing"].append(f"{year}/{fld}")
-                continue
-            if used < config.window:
+            elif used < config.window:
                 summary["truncated_windows"].append(f"{year}/{fld}:{used}")
-            by_field.setdefault(fld, {})[year] = _slice_metrics(net, config)
+            # a missing year keeps its row, with every value empty
+            per_year[year] = {} if net is None else _slice_metrics(net, config)
 
     for fld in sorted(by_field):
         per_year = by_field[fld]
@@ -330,10 +334,9 @@ def granger_panel(
     config's global metrics, per config field, on plain annual networks,
     with joint BH-FDR over the whole grid.
 
-    Participation is the share of the year's output that is international
-    and involves the country: out of the manifest's slice pub count when the
-    corpus was ingested from publication records, else out of the total
-    international activity in the year's stats.
+    Participation is `ingest.participation` of the year's stats, over the
+    manifest's slice pub count when the corpus was ingested from publication
+    records.
     """
     annual = replace(config, window=1, normalize="raw")
     slice_counts = CorpusStore(config.corpus).manifest().get("slice_counts") or {}
@@ -345,22 +348,17 @@ def granger_panel(
 
     for fld in config.fields:
         per_year: dict[int, dict[str, float | None]] = {}
-        participation: list[tuple[int, float | None]] = []
+        shares: list[tuple[int, float | None]] = []
         for year, net, _, stats in read_windows(annual, fld):
             if net is not None:
                 analysis = SliceAnalysis(net)
                 per_year[year] = {m: analysis.global_value(m) for m in config.metrics}
-            share = None
-            if stats is not None:
-                denom = (slice_counts.get(f"{year}/{fld}") or {}).get("pubs") or sum(
-                    s.intl_pubs for s in stats.values())
-                if denom > 0:
-                    share = (stats[iv_country].intl_pubs if iv_country in stats else 0) / denom
-            participation.append((year, share))
+            pubs = slice_counts.get(f"{year}/{fld}", {}).get("pubs")
+            shares.append((year, None if stats is None else participation(stats, iv_country, pubs)))
         if not per_year:
             diagnostics["skipped_cells"].append(f"{fld}:*")
             continue
-        iv = MetricSeries.from_pairs(f"participation:{iv_country}", participation, unit="share")
+        iv = MetricSeries.from_pairs(f"participation:{iv_country}", shares, unit="share")
         for metric in config.metrics:
             pairs = [(y, per_year[y].get(metric)) for y in sorted(per_year)]
             target = MetricSeries.from_pairs(f"{metric}__{fld}", pairs)

@@ -61,11 +61,6 @@ def k_core(network: CollabNetwork) -> CorePartition:
     return CorePartition(core, max_k, members, members / network.n)
 
 
-def max_core_subgraph(network: CollabNetwork) -> CollabNetwork:
-    """Induced subgraph on the maximum k-core (used for within-core betweenness)."""
-    return network.subgraph(k_core(network).max_core)
-
-
 @dataclass
 class ClusteringResult:
     per_node: dict[str, float]

@@ -286,6 +286,8 @@ def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecas
     values = [v for v in series.values if v is not None]
     if len(values) != len(series.values):
         raise DataError(f"series {series.name!r} has missing values; fill or trim before forecasting")
+    if series.years and series.years[-1] - series.years[0] != len(series) - 1:
+        raise DataError(f"series {series.name!r} skips a year; its years must be consecutive to forecast")
     v = np.asarray(values, dtype=float)
     if len(v) < 10:
         raise DataError(f"series {series.name!r} too short to forecast (length {len(v)}, need 10)")

@@ -2,8 +2,9 @@
 
 Everything here works from first principles on tiny graphs: exhaustive
 path enumeration with exact rational arithmetic, Floyd-Warshall, k-cores
-by repeated deletion, modularity maximization over all set partitions, and
-a naive greedy merge that recomputes every gain at every step.
+by repeated deletion, modularity maximization over all set partitions, a
+naive greedy merge that recomputes every gain at every step, and
+participation shares counted from the publication records.
 None of it shares code with the package implementations.
 """
 
@@ -206,3 +207,15 @@ def greedy_modularity_oracle(nodes, edges, weighted: bool = True):
             break
         blocks = sorted([blk for k, blk in enumerate(blocks) if k not in (i, j)] + [union])
     return blocks
+
+
+def participation_series(records, country: str) -> dict[int, float]:
+    """Per year, the share of all publications that are international and
+    involve the country, counted record by record."""
+    pubs: dict[int, int] = {}
+    involved: dict[int, int] = {}
+    for rec in records:
+        pubs[rec.year] = pubs.get(rec.year, 0) + 1
+        if len(rec.countries) >= 2 and country in rec.countries:
+            involved[rec.year] = involved.get(rec.year, 0) + 1
+    return {year: involved.get(year, 0) / pubs[year] for year in sorted(pubs)}

@@ -6,12 +6,13 @@ import pytest
 
 from collabnet.centrality import (
     betweenness,
-    betweenness_centralization,
+    centralization,
     degree_centrality,
     eigenvector_centrality,
     normalize_bc,
 )
 from collabnet.errors import DataError
+from collabnet.pipeline import SliceAnalysis
 from conftest import make_net
 from oracles import enum_betweenness, random_connected_graph
 
@@ -186,6 +187,11 @@ class TestDegreeCentrality:
     def test_complete_graph_saturates(self):
         net = make_net([(a, b, 1) for a in "ABCDEF" for b in "ABCDEF" if a < b])
         assert all(v == 1.0 for v in degree_centrality(net).scores.values())
+
+
+def betweenness_centralization(net):
+    """The `betw_centralization` metric and `metrics --metric centralization`."""
+    return centralization(SliceAnalysis(net).bc)
 
 
 class TestCentralization:

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +14,12 @@ from collabnet.ingest import (
     filter_countries,
     ingest_publications,
     parse_publications,
-    participation_series,
+    participation,
 )
+from oracles import participation_series
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import pubgen  # noqa: E402
 
 
 def rec_line(year, countries, field="all", rid="w1"):
@@ -142,6 +148,8 @@ class TestFilterCountries:
 
 
 class TestParticipationSeries:
+    """`participation` on an ingested JSONL store equals the record-count oracle exactly."""
+
     def fixture(self):
         lines = []
         # 2010: 10 pubs, 3 international ones involve CN
@@ -152,25 +160,55 @@ class TestParticipationSeries:
         for i in range(3):
             lines.append(rec_line(2010, ["DE", "FR"], rid=f"o{i}"))
         lines.append(rec_line(2011, ["CN", "US"], rid="x"))
-        return parse_publications(lines).records
+        return lines
 
-    def test_value_is_share_of_global(self):
-        series = participation_series(self.fixture(), "CN")
-        assert series.value_at(2010) == pytest.approx(0.3)
-        assert series.value_at(2011) == pytest.approx(1.0)
+    def shares(self, tmp_path, lines, country, threshold=0):
+        """Per year, `participation` of the stored all-fields slice over its pub count; checked against the oracle."""
+        tmp_path.mkdir(exist_ok=True)
+        pubs = tmp_path / "pubs.jsonl"
+        pubs.write_text("\n".join(lines) + "\n")
+        manifest = ingest_publications(pubs, tmp_path / "corpus", threshold=threshold)
+        store = CorpusStore(tmp_path / "corpus")
+        out = {
+            year: participation(store.read_stats(year, ALL_FIELDS), country,
+                                manifest["slice_counts"][f"{year}/{ALL_FIELDS}"]["pubs"])
+            for year in manifest["years"]
+        }
+        assert out == participation_series(parse_publications(lines).records, country)
+        return out
 
-    def test_absent_country_all_zero(self):
-        series = participation_series(self.fixture(), "JP")
-        assert all(v == 0.0 for v in series.values)
+    def test_value_is_share_of_global(self, tmp_path):
+        assert self.shares(tmp_path, self.fixture(), "CN") == {2010: 0.3, 2011: 1.0}
 
-    def test_international_denominator_variant(self):
-        series = participation_series(self.fixture(), "CN", denominator="international")
-        assert series.value_at(2010) == pytest.approx(3 / 6)
+    def test_absent_country_all_zero(self, tmp_path):
+        assert set(self.shares(tmp_path, self.fixture(), "JP").values()) == {0.0}
 
-    def test_values_within_unit_interval(self):
+    def test_values_within_unit_interval(self, tmp_path):
         for country in ("CN", "US", "DE", "JP"):
-            for v in participation_series(self.fixture(), country).values:
+            for v in self.shares(tmp_path / country, self.fixture(), country).values():
                 assert 0.0 <= v <= 1.0
+
+    def test_generated_corpus(self, tmp_path):
+        path = tmp_path / "gen.jsonl"
+        pubgen.write_corpus(path, 5, 4000)
+        lines = path.read_text().splitlines()
+        for country in ("CN", "US", "GB", "ZZ"):
+            shares = self.shares(tmp_path / country, lines, country, threshold=3)
+            assert len(shares) == 24 and all(0.0 <= v <= 1.0 for v in shares.values())
+
+    def test_edge_csv_denominator_is_summed_intl_pubs(self, tmp_path):
+        # no publication count in this form: stats are each country's edge weight
+        csv_path = tmp_path / "edges.csv"
+        csv_path.write_text("year,field,country_a,country_b,weight\n2001,all,US,CN,5\n2001,all,US,GB,2\n")
+        manifest = ingest_publications(csv_path, tmp_path / "corpus", threshold=0)
+        assert "slice_counts" not in manifest
+        stats = CorpusStore(tmp_path / "corpus").read_stats(2001, ALL_FIELDS)
+        # US 7, CN 5, GB 2: 14 in all
+        assert participation(stats, "US") == 0.5
+        assert participation(stats, "CN") == 5 / 14
+        assert participation(stats, "JP") == 0.0
+        assert participation({}, "US") is None
+        assert participation(stats, "US", pubs=0) is None
 
 
 class TestCorpusStore:

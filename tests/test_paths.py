@@ -4,7 +4,8 @@ import random
 import pytest
 
 from collabnet.errors import DataError
-from collabnet.paths import bridging_fraction, bridging_series, shortest_path_info
+from collabnet.paths import bridging_fraction, shortest_path_info
+from collabnet.pipeline import bridge_value
 from conftest import make_net
 from oracles import random_connected_graph
 
@@ -126,25 +127,22 @@ class TestBridgingFraction:
 
 
 class TestBridgingSeries:
+    """`bridge_value`, the one bridge cell of `series --bridge` and `bridge`, year by year."""
+
     def test_missing_country_year_marked_missing(self):
-        nets = {
-            2001: make_net([("A", "B", 1), ("B", "C", 1)]),
-            2002: make_net([("A", "C", 1), ("C", "D", 1)]),  # B absent
-        }
-        series = bridging_series(nets, "A", "B")
-        assert series.value_at(2001) == 1.0
-        assert series.value_at(2002) is None
+        y1 = make_net([("A", "B", 1), ("B", "C", 1)])
+        y2 = make_net([("A", "C", 1), ("C", "D", 1)])  # B absent
+        assert bridge_value(y1, "A", "B") == 1.0
+        assert bridge_value(y2, "A", "B") is None
+        assert bridge_value(make_net([("A", "B", 1)]), "A", "B") is None  # fewer than 3 nodes
 
     def test_static_network_constant_series(self):
         net = make_net([("A", "B", 1), ("B", "C", 1)])
-        nets = {y: net for y in (2001, 2002, 2003)}
-        series = bridging_series(nets, "A", "B")
-        assert series.values == (1.0, 1.0, 1.0)
+        assert [bridge_value(net, "A", "B") for _ in (2001, 2002, 2003)] == [1.0, 1.0, 1.0]
 
     def test_new_direct_edge_decreases_fraction(self):
         # year 1: all of A's routes pass through H; year 2: direct A-C appears
         y1 = make_net([("A", "H", 10), ("H", "B", 10), ("H", "C", 10), ("B", "C", 10), ("C", "D", 10), ("B", "D", 10)])
         y2_edges = [("A", "H", 10), ("H", "B", 10), ("H", "C", 10), ("B", "C", 10), ("C", "D", 10), ("B", "D", 10), ("A", "C", 40)]
         y2 = make_net(y2_edges)
-        series = bridging_series({2001: y1, 2002: y2}, "A", "H")
-        assert series.value_at(2002) < series.value_at(2001)
+        assert bridge_value(y2, "A", "H") < bridge_value(y1, "A", "H")

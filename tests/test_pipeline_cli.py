@@ -55,24 +55,24 @@ def corpus(tmp_path_factory):
 
 # sha256 prefixes of the outputs of TestWindowLoading.run_all on the partial store
 PARTIAL_STORE_DIGESTS = {
-    "bc_US__all.csv": "aea0251fa7e9ccb6",
+    "bc_US__all.csv": "5dc3f7ad1d780706",
     "bc_US__physics.csv": "e318ee14ec9b0211",
-    "bcw_US__all.csv": "99f58a9107040569",
+    "bcw_US__all.csv": "08beb0d2f0b561e6",
     "bcw_US__physics.csv": "62e60c66eb85a52f",
-    "bridge_CN_US__all.csv": "d9e938df323075ce",
+    "bridge_CN_US__all.csv": "555af9daa6e74a53",
     "bridge_CN_US__physics.csv": "1c1367f3791b6f4b",
-    "clustering__all.csv": "16e8a54befe79c5f",
+    "clustering__all.csv": "d3354229e2fc2d59",
     "clustering__physics.csv": "5c5e35518020fa27",
-    "deg_US__all.csv": "70792e386a65b11f",
+    "deg_US__all.csv": "b0df1582cdb52b57",
     "deg_US__physics.csv": "7324171b093e06c8",
-    "ego_q_US__all.csv": "bf8527477fb85dba",
+    "ego_q_US__all.csv": "4e7aa730665b8b6c",
     "ego_q_US__physics.csv": "c70b9ca60a73b591",
-    "ev_US__all.csv": "af46066af08e1f46",
+    "ev_US__all.csv": "1d9bff04fe4ddc9c",
     "ev_US__physics.csv": "7a5d3f3c55f15df0",
-    "modularity__all.csv": "3ef6dcfc23726f3f",
+    "modularity__all.csv": "dfb0fba303f88c8f",
     "modularity__physics.csv": "e8738475d129e773",
     "granger.csv": "810172cedea6bb0e",
-    "bridge.csv": "dbc2431ff0be47a3",
+    "bridge.csv": "782e58a402ed15ff",
 }
 
 
@@ -254,6 +254,13 @@ class TestWindowLoading:
             "2005/all:2", "2007/all:2", "2009/all:2", "2011/all:2",
         ]
         assert digests == PARTIAL_STORE_DIGESTS
+        # a missing year keeps its row, with the value empty
+        clustering = Path("results/series/clustering__all.csv").read_text().splitlines()
+        bridge = Path("bridge.csv").read_text().splitlines()
+        for year in (2006, 2010):
+            assert f"{year}," in clustering
+            assert f"{year},CN,US,,0" in bridge
+        assert len(clustering) == 4 + 14 and len(bridge) == 1 + 14
 
     def test_each_slice_read_once(self, store, monkeypatch):
         reads = Counter()
@@ -395,6 +402,10 @@ class TestCli:
         bridge_lines = (out / "bridge.csv").read_text().splitlines()
         assert bridge_lines[0] == "year,source,via,fraction,targets"
         assert len(bridge_lines) == 15
+        # `bridge` and `series --bridge` read one bridge cell
+        fractions = {int(row.split(",")[0]): row.split(",")[3] for row in bridge_lines[1:]}
+        series = read_series_csv(out / "series_out" / "series" / "bridge_CN_US__all.csv")
+        assert fractions == {y: "" if v is None else repr(v) for y, v in zip(series.years, series.values)}
 
         assert self.run("granger", "--corpus", str(corpus), "--iv", "CN",
                         "--metrics", "clustering,efficiency", "--threshold", "5",
@@ -503,6 +514,14 @@ class TestCli:
         series.write_text("# name=s\nyear,value\n" + "".join(
             f"{2001 + i},{'nan' if i == 5 else float(i)}\n" for i in range(12)))
         assert self.run("forecast", "--series", str(series), "--out", str(tmp_path / "fc.csv")) == 2
+
+    def test_forecast_of_non_consecutive_years_exit_2(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("# name=s\nyear,value\n" + "".join(
+            f"{year},{float(i)}\n" for i, year in enumerate(y for y in range(2001, 2014) if y != 2006)))
+        assert self.run("forecast", "--series", str(series), "--out", str(tmp_path / "fc.csv")) == 2
+        assert "consecutive" in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
 
     def test_env_var_corpus_default(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("COLLABNET_CORPUS", str(corpus))

@@ -10,7 +10,6 @@ from collabnet.structure import (
     ego_modularity,
     global_efficiency,
     k_core,
-    max_core_subgraph,
     modularity_score,
 )
 from collabnet.synth import generate_fitness, standard_run_config
@@ -92,7 +91,7 @@ class TestKCore:
 
     def test_max_core_subgraph(self):
         net = make_net([("A", "B", 1), ("B", "C", 1), ("A", "C", 1), ("C", "D", 1)])
-        sub = max_core_subgraph(net)
+        sub = net.subgraph(k_core(net).max_core)  # as `metrics --metric kcore_bc` builds it
         assert set(sub.nodes) == {"A", "B", "C"}
         assert len(sub.edges) == 3
 
