@@ -266,7 +266,6 @@ def _pipeline_config(args) -> pl.PipelineConfig:
         metrics=tuple(m.strip() for m in getattr(args, "metrics", ",".join(pl.GLOBAL_METRICS)).split(",") if m.strip()),
         countries=countries,
         bridges=tuple(bridges),
-        seed=args.seed,
     )
 
 

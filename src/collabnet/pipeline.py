@@ -104,7 +104,6 @@ class PipelineConfig:
     metrics: tuple[str, ...] = tuple(GLOBAL_METRICS)
     countries: tuple[str, ...] = ()
     bridges: tuple[tuple[str, str], ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.window <= 3:
@@ -130,7 +129,6 @@ class PipelineConfig:
             "metrics": list(self.metrics),
             "countries": list(self.countries),
             "bridges": [list(b) for b in self.bridges],
-            "seed": self.seed,
         }
 
     def hash(self, **extra) -> str:

@@ -55,22 +55,22 @@ def corpus(tmp_path_factory):
 
 # sha256 prefixes of the outputs of TestWindowLoading.run_all on the partial store
 PARTIAL_STORE_DIGESTS = {
-    "bc_US__all.csv": "5dc3f7ad1d780706",
-    "bc_US__physics.csv": "e318ee14ec9b0211",
-    "bcw_US__all.csv": "08beb0d2f0b561e6",
-    "bcw_US__physics.csv": "62e60c66eb85a52f",
-    "bridge_CN_US__all.csv": "555af9daa6e74a53",
-    "bridge_CN_US__physics.csv": "1c1367f3791b6f4b",
-    "clustering__all.csv": "d3354229e2fc2d59",
-    "clustering__physics.csv": "5c5e35518020fa27",
-    "deg_US__all.csv": "b0df1582cdb52b57",
-    "deg_US__physics.csv": "7324171b093e06c8",
-    "ego_q_US__all.csv": "4e7aa730665b8b6c",
-    "ego_q_US__physics.csv": "c70b9ca60a73b591",
-    "ev_US__all.csv": "1d9bff04fe4ddc9c",
-    "ev_US__physics.csv": "7a5d3f3c55f15df0",
-    "modularity__all.csv": "dfb0fba303f88c8f",
-    "modularity__physics.csv": "e8738475d129e773",
+    "bc_US__all.csv": "628c443a3b724a5d",
+    "bc_US__physics.csv": "997a625101dc536c",
+    "bcw_US__all.csv": "f1beb5c5c2b347a7",
+    "bcw_US__physics.csv": "7bf5ca679771f47c",
+    "bridge_CN_US__all.csv": "b5a6a64630533ab5",
+    "bridge_CN_US__physics.csv": "b1c00dc3ab807725",
+    "clustering__all.csv": "702686bec428ceeb",
+    "clustering__physics.csv": "9ab90249c70a6612",
+    "deg_US__all.csv": "e83efcfc6f18a757",
+    "deg_US__physics.csv": "de9b3240e67ed46a",
+    "ego_q_US__all.csv": "746fab4894dec05c",
+    "ego_q_US__physics.csv": "84f5d91775b6cdbf",
+    "ev_US__all.csv": "9c465d010899e828",
+    "ev_US__physics.csv": "0505a3e3be09aed0",
+    "modularity__all.csv": "5b06981f6bf96e0c",
+    "modularity__physics.csv": "c98d92a606f3cf36",
     "granger.csv": "810172cedea6bb0e",
     "bridge.csv": "782e58a402ed15ff",
 }
@@ -475,19 +475,23 @@ class TestCli:
         assert (out / "summary.json").exists()
 
     @pytest.mark.parametrize("before, after, expect", [
-        ((), (), {"threshold": 6, "window": 1, "seed": 3}),
-        ((), ("--threshold", "5", "--seed", "9"), {"threshold": 5, "window": 1, "seed": 9}),
-        (("--seed", "7"), (), {"threshold": 6, "window": 1, "seed": 7}),
+        ((), (), {"m": 2, "seed": 3}),
+        ((), ("--m", "3", "--seed", "9"), {"m": 3, "seed": 9}),
+        (("--seed", "7"), (), {"m": 2, "seed": 7}),
     ])
     def test_config_file_replaces_defaults(self, corpus, tmp_path, before, after, expect):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"corpus": str(corpus), "threshold": 6, "window": 1, "seed": 3,
-                                   "years": "2001:2003", "metrics": "clustering"}))
+        cfg.write_text(json.dumps({"corpus": str(corpus), "threshold": 6, "window": 1, "years": "2001:2003",
+                                   "metrics": "clustering", "n": 30, "m": 2, "seed": 3}))
         out = tmp_path / "cfgout"
-        assert self.run("--config", str(cfg), *before, "series", "--out", str(out), *after) == 0
+        assert self.run("--config", str(cfg), *before, "series", "--out", str(out)) == 0
         config = json.loads((out / "summary.json").read_text())["config"]
-        assert {k: config[k] for k in expect} == expect
-        assert config["years"] == [2001, 2003]
+        assert (config["threshold"], config["window"], config["years"]) == (6, 1, [2001, 2003])
+        # the global --seed (read by synth only) and synth's --m: a flag before or after the subcommand beats the file
+        assert self.run("--config", str(cfg), *before, "synth", "--out", str(tmp_path / "g.json"), *after) == 0
+        assert self.run("synth", "--n", "30", "--m", str(expect["m"]), "--seed", str(expect["seed"]),
+                        "--out", str(tmp_path / "direct.json")) == 0
+        assert (tmp_path / "g.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
     def test_config_file_not_an_object_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
