@@ -194,6 +194,24 @@ def test_output_hashes(golden, snapshot):
     assert not changed, f"outputs changed: {changed}\nnamed values:\n" + _moved(golden, snapshot)
 
 
+def _first_last(values: dict, label: str) -> tuple[float, float]:
+    """The named value of `label` in its first and last present year."""
+    by_year = sorted((int(key.split("@")[1]), v) for key, v in values.items() if key.split("@")[0] == label)
+    return by_year[0][1], by_year[-1][1]
+
+
+def test_brokerage_asymmetry_direction(snapshot):
+    """The paper's asymmetry: US topological BC falls by a larger share than its weighted BC changes."""
+    bc_first, bc_last = _first_last(snapshot["values"], "bc:US")
+    bcw_first, bcw_last = _first_last(snapshot["values"], "bcw:US")
+    bc_change = (bc_last - bc_first) / bc_first
+    bcw_change = (bcw_last - bcw_first) / bcw_first
+    assert bc_change < 0, f"US bc did not fall: {bc_first!r} -> {bc_last!r}"
+    assert bc_change < bcw_change, f"US bc changed by {bc_change:+.1%}, bcw by {bcw_change:+.1%}"
+    cn_first, cn_last = _first_last(snapshot["values"], "bcw:CN")
+    assert cn_last > cn_first, f"CN bcw did not rise: {cn_first!r} -> {cn_last!r}"
+
+
 if __name__ == "__main__":
     import tempfile
 
