@@ -7,7 +7,8 @@ all minimum-distance paths with a relative tie tolerance so float noise
 cannot split genuinely co-minimal routes.
 
 Both variants run Brandes' dependency accumulation over the kernels of
-the path layer (`CollabNetwork.hop_sweep` and `paths.dijkstra`).
+the path layer (`CollabNetwork.hop_sweep` and `paths.weighted_paths`); the
+weighted one takes its sources in blocks of SOURCE_BLOCK.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError
 from .graph import CollabNetwork
-from .paths import TIE_TOLERANCE, dijkstra
+from .paths import TIE_TOLERANCE, weighted_paths
+
+SOURCE_BLOCK = 16  # sources per weighted_paths call; its temporaries are block x n x n
 
 
 @dataclass
@@ -60,18 +63,21 @@ def _betweenness_topological(network: CollabNetwork) -> np.ndarray:
 
 
 def _betweenness_weighted(network: CollabNetwork) -> np.ndarray:
-    """Brandes' dependency accumulation over one Dijkstra per source."""
+    """Brandes' dependency accumulation over `weighted_paths`, one block of sources at a time."""
     n = network.n
     bc = np.zeros(n)
-    for s in range(n):
-        _, sigma, preds, order = dijkstra(network, s)
-        delta = [0.0] * n
-        for w_node in reversed(order):
-            coeff = (1.0 + delta[w_node]) / sigma[w_node]
-            for v in preds[w_node]:
-                delta[v] += sigma[v] * coeff
-            if w_node != s:
-                bc[w_node] += delta[w_node]
+    for start in range(0, n, SOURCE_BLOCK):
+        sources = np.arange(start, min(start + SOURCE_BLOCK, n))
+        rows = np.arange(len(sources))
+        _, sigma, preds, order = weighted_paths(network, sources)
+        safe_sigma = np.where(sigma == 0.0, 1.0, sigma)  # unreachable nodes credit no predecessor
+        delta = np.zeros_like(sigma)
+        for w in order.T[:0:-1]:
+            coeff = (1.0 + delta[rows, w]) / safe_sigma[rows, w]
+            delta += np.where(preds[rows, w], sigma * coeff[:, None], 0.0)
+        delta[rows, sources] = 0.0  # a source is never credited for its own paths
+        for row in delta:  # one source at a time, so bc sums in source order
+            bc += row
     return bc / 2.0
 
 

@@ -1,7 +1,7 @@
 """The weighted undirected collaboration network and its transforms.
 
 Distances for every weighted shortest-path metric are the inverse edge
-weights (`CollabNetwork.distance_lists`), so heavily collaborating country
+weights (`CollabNetwork.distance_matrix`), so heavily collaborating country
 pairs are close. Treat a constructed CollabNetwork as immutable: metric
 code only reads it, and the adjacency caches assume the edge dict never
 changes after construction.
@@ -81,18 +81,13 @@ class CollabNetwork:
         return adj
 
     @cached_property
-    def distance_lists(self) -> list[list[tuple[int, float]]]:
-        """Per node index, the sorted (neighbour index, 1/w) pairs that weighted paths walk."""
-        idx = self.index
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+    def distance_matrix(self) -> np.ndarray:
+        """Inverse edge weights [u, v] that weighted paths walk; inf where there is no edge."""
+        dist = np.full((self.n, self.n), math.inf)
         for (a, b), w in self.edges.items():
-            d = 1.0 / w
-            i, j = idx[a], idx[b]
-            nbrs[i].append((j, d))
-            nbrs[j].append((i, d))
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
+            i, j = self.index[a], self.index[b]
+            dist[i, j] = dist[j, i] = 1.0 / w
+        return dist
 
     @cached_property
     def hop_sweep(self) -> tuple[np.ndarray, list[np.ndarray]]:

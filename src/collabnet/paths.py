@@ -1,4 +1,4 @@
-"""The shortest-path layer: one hop sweep, one Dijkstra, and bridging on top.
+"""The shortest-path layer: one hop sweep, one weighted kernel, and bridging on top.
 
 Every path metric reads one of two kernels:
 
@@ -7,12 +7,14 @@ Every path metric reads one of two kernels:
   sigma and the frontier of each level. It runs once per network, cached
   as `CollabNetwork.hop_sweep`; topological betweenness and hop
   efficiency both read that one result.
-- `dijkstra` runs one source over the inverse-weight distances of
-  `CollabNetwork.distance_lists` and returns distances, co-minimal path
-  counts, predecessors and the order in which nodes were finalized.
-  Weighted betweenness, weighted efficiency and bridging read it. Paths
-  whose lengths agree within TIE_TOLERANCE (relative) count as co-minimal,
-  so float noise cannot split genuinely tied routes.
+- `weighted_paths` runs scipy's Dijkstra from a block of sources over the
+  inverse-weight distances of `CollabNetwork.distance_matrix`, then
+  derives the co-minimal predecessors, the path counts and the order in
+  which Dijkstra finalizes the nodes, as arrays. Weighted betweenness and
+  bridging read it; weighted efficiency reads only its distances
+  (`weighted_distances`). Each caller asks for the rows it reads. Paths
+  whose lengths agree within TIE_TOLERANCE (relative) count as
+  co-minimal, so float noise cannot split genuinely tied routes.
 
 Bridging: a target counts as bridged when the intermediary is an interior
 vertex of at least one minimum-distance path from the source, detected
@@ -23,11 +25,11 @@ by the share of co-minimal paths through the intermediary.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import DataError
 from .graph import CollabNetwork
@@ -57,44 +59,34 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, list[np.ndarray]]:
         frontiers.append(frontier)
 
 
-def dijkstra(network: CollabNetwork, s: int) -> tuple[list[float], list[float], list[list[int]], list[int]]:
-    """Single-source inverse-weight distances from node index s.
+def weighted_distances(network: CollabNetwork, sources=None) -> np.ndarray:
+    """Inverse-weight distances [source, node] from each source index (every node by default); inf when unreachable."""
+    return csgraph.dijkstra(network.distance_matrix, indices=sources)
 
-    Returns (dist, sigma, preds, order) per node index: distance (inf when
-    unreachable), number of co-minimal paths, predecessors on those paths,
-    and the reachable nodes in the order they were finalized.
+
+def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Co-minimal inverse-weight paths from a block of source indices.
+
+    Returns (dist, sigma, preds, order), one row per source: dist[b, v] is
+    the distance (inf when unreachable), sigma[b, v] the number of
+    co-minimal paths, preds[b, v, u] marks u as the last step before v on
+    one of them, and order[b] lists the nodes by distance, ties by index,
+    which is the order Dijkstra finalizes them in. order has as many
+    columns as the farthest-reaching row reaches nodes; a row that reaches
+    fewer ends in unreachable nodes, which have sigma 0 and no predecessors.
     """
-    n = network.n
-    nbrs = network.distance_lists
-    inf = math.inf
-    dist = [inf] * n
-    sigma = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    done = [False] * n
-    order: list[int] = []
-    dist[s] = 0.0
-    sigma[s] = 1.0
-    heap = [(0.0, s)]
-    while heap:
-        d_u, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        order.append(u)
-        for v, d_uv in nbrs[u]:
-            if done[v]:
-                continue
-            nd = d_u + d_uv
-            cur = dist[v]
-            tol = TIE_TOLERANCE * max(nd, cur if cur < inf else nd)
-            if nd < cur - tol:
-                dist[v] = nd
-                sigma[v] = sigma[u]
-                preds[v] = [u]
-                heapq.heappush(heap, (nd, v))
-            elif abs(nd - cur) <= tol:
-                sigma[v] += sigma[u]
-                preds[v].append(u)
+    sources = np.asarray(sources)
+    rows = np.arange(len(sources))
+    dist = weighted_distances(network, sources)
+    through = dist[:, None, :] + network.distance_matrix  # [b, v, u]: dist(s, u) + d(u, v)
+    # inf <= inf would make every unreachable pair a tie
+    preds = np.isfinite(through) & (through <= dist[:, :, None] + TIE_TOLERANCE * through)
+    reach = int(np.isfinite(dist).sum(axis=1).max())
+    order = np.argsort(dist, axis=1, kind="stable")[:, :reach]
+    sigma = np.zeros_like(dist)
+    sigma[rows, sources] = 1.0
+    for v in order.T[1:]:
+        sigma[rows, v] = np.where(preds[rows, v], sigma, 0.0).sum(axis=1)
     return dist, sigma, preds, order
 
 
@@ -112,8 +104,8 @@ def shortest_path_info(network: CollabNetwork, source: str):
     """Single-source inverse-weight distances and co-minimal path counts, keyed by name."""
     if not network.has_node(source):
         raise DataError(f"unknown country {source}")
-    dist, sigma, _, _ = dijkstra(network, network.index[source])
-    return dict(zip(network.nodes, dist)), dict(zip(network.nodes, sigma))
+    dist, sigma, _, _ = weighted_paths(network, [network.index[source]])
+    return dict(zip(network.nodes, dist[0].tolist())), dict(zip(network.nodes, sigma[0].tolist()))
 
 
 def bridging_fraction(network: CollabNetwork, source: str, intermediary: str, mode: str = "any") -> BridgingReport:
@@ -134,8 +126,8 @@ def bridging_fraction(network: CollabNetwork, source: str, intermediary: str, mo
     if not targets:
         raise DataError("network has no targets besides source and intermediary")
 
-    dist_s, sigma_s, _, _ = dijkstra(network, s)
-    dist_v, sigma_v, _, _ = dijkstra(network, v)
+    dist, sigma, _, _ = weighted_paths(network, [s, v])
+    (dist_s, dist_v), (sigma_s, sigma_v) = dist.tolist(), sigma.tolist()
     d_sv = dist_s[v]
 
     total = 0.0

@@ -11,14 +11,13 @@ which pins the partition across runs and platforms.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .graph import CollabNetwork
-from .paths import dijkstra
+from .paths import weighted_distances
 
 DQ_TIE_TOLERANCE = 1e-12
 
@@ -94,20 +93,16 @@ def global_efficiency(network: CollabNetwork, weighted: bool = False) -> float:
     if n < 2:
         raise DataError(f"global efficiency needs at least 2 nodes, got {n}")
     if weighted:
-        total = 0.0
-        for i in range(n):
-            dist = dijkstra(network, i)[0]
-            for d in dist[i + 1 :]:
-                if math.isfinite(d) and d > 0:
-                    total += 1.0 / d
+        dist = weighted_distances(network)
     else:
         _, frontiers = network.hop_sweep
         dist = np.full((n, n), np.inf)
         for level, frontier in enumerate(frontiers):
             dist[frontier] = level
-        vals = dist[np.triu_indices(n, k=1)]
-        finite = np.isfinite(vals) & (vals > 0)
-        total = float((1.0 / vals[finite]).sum())
+    vals = dist[np.triu_indices(n, k=1)]
+    inv = 1.0 / vals[np.isfinite(vals)]
+    # weighted pairs add up one by one in row order (a running sum), hop pairs pairwise
+    total = float(np.cumsum(inv)[-1] if weighted and inv.size else inv.sum())
     return total / (n * (n - 1) / 2.0)
 
 

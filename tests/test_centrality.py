@@ -76,10 +76,22 @@ class TestBetweenness:
             for node in nodes:
                 assert w[node] == pytest.approx(u[node], abs=1e-9)
 
+    @staticmethod
+    def two_component_graph(rng):
+        """Two random connected graphs side by side, so some pairs are unreachable."""
+        nodes, edges = random_connected_graph(rng, rng.randint(2, 5))
+        more_nodes, more_edges = random_connected_graph(rng, rng.randint(2, 4))
+        rename = {v: "w" + v[1:] for v in more_nodes}
+        edges.update({tuple(sorted((rename[a], rename[b]))): w for (a, b), w in more_edges.items()})
+        return nodes + [rename[v] for v in more_nodes], edges
+
     def test_matches_enumeration_oracle(self):
         rng = random.Random(99)
-        for trial in range(25):
-            nodes, edges = random_connected_graph(rng, rng.randint(3, 7))
+        for trial in range(40):
+            if trial < 25:
+                nodes, edges = random_connected_graph(rng, rng.randint(3, 7))
+            else:
+                nodes, edges = self.two_component_graph(rng)
             net = make_net([(a, b, w) for (a, b), w in edges.items()])
             for weighted in (False, True):
                 got = betweenness(net, weighted=weighted).scores

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork, normalize_weights, rolling_window
 from collabnet.ingest import EdgeList
+from collabnet.paths import weighted_distances
 from conftest import make_net
 
 
@@ -135,12 +137,11 @@ class TestNormalizeWeights:
 
 
 class TestToDistance:
-    """The inverse-weight distance transform, built once in CollabNetwork.distance_lists."""
+    """The inverse-weight distance transform, built once in CollabNetwork.distance_matrix."""
 
     @staticmethod
     def distance(net, a, b):
-        i, j = net.index[a], net.index[b]
-        return dict(net.distance_lists[i]).get(j)
+        return net.distance_matrix[net.index[a], net.index[b]]
 
     @pytest.mark.parametrize("w,d", [(100, 0.01), (1, 1.0), (2, 0.5)])
     def test_inverse_weight(self, w, d):
@@ -154,7 +155,8 @@ class TestToDistance:
         dists = [self.distance(n, "A", "B") for n in nets]
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
-    def test_non_edges_have_no_entry(self):
+    def test_non_edges_are_unreachable(self):
         net = make_net([("A", "B", 1)], nodes=["A", "B", "C"])
-        assert self.distance(net, "A", "C") is None
-        assert net.distance_lists[net.index["C"]] == []
+        assert self.distance(net, "A", "C") == math.inf
+        assert np.all(net.distance_matrix[net.index["C"]] == math.inf)
+        assert weighted_distances(net, [net.index["A"]])[0, net.index["C"]] == math.inf
