@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from collabnet import synth
 from collabnet.errors import DataError
 from collabnet.ingest import CorpusStore
 from collabnet.synth import (
@@ -10,6 +11,7 @@ from collabnet.synth import (
     generate_fitness,
     generate_pa,
     hole_closure_experiment,
+    standard_run_config,
 )
 
 
@@ -87,6 +89,15 @@ class TestGenerators:
             adj.setdefault(i, set()).add(j)
             adj.setdefault(j, set()).add(i)
         assert all(10 in adj[v] for v in range(11, 50))
+
+    def test_standard_seeds_never_reach_rejection_cap(self, monkeypatch):
+        # the capped draw would change a pinned run's targets, so it must not fire on one
+        def fallback(*_):
+            raise AssertionError(f"{synth.REJECTION_CAP} repeated targets in a row")
+
+        monkeypatch.setattr(synth, "_pick_excluding", fallback)
+        for seed in range(1, 21):
+            generate_fitness(standard_run_config(seed))
 
     def test_eta_monotone_in_entrant_degree(self):
         means = []
