@@ -70,7 +70,7 @@ def _betweenness_weighted(network: CollabNetwork) -> np.ndarray:
         sources = np.arange(start, min(start + SOURCE_BLOCK, n))
         rows = np.arange(len(sources))
         _, sigma, preds, order = weighted_paths(network, sources)
-        safe_sigma = np.where(sigma == 0.0, 1.0, sigma)  # unreachable nodes credit no predecessor
+        safe_sigma = np.where(sigma == 0.0, 1.0, sigma)  # unreachable: no predecessors, finite coefficient
         delta = np.zeros_like(sigma)
         for w in order.T[:0:-1]:
             coeff = (1.0 + delta[rows, w]) / safe_sigma[rows, w]

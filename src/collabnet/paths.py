@@ -25,7 +25,6 @@ by the share of co-minimal paths through the intermediary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,23 +121,16 @@ def bridging_fraction(network: CollabNetwork, source: str, intermediary: str, mo
         if not network.has_node(node):
             raise DataError(f"unknown country {node}")
     s, v = network.index[source], network.index[intermediary]
-    targets = [t for t in range(network.n) if t not in (s, v)]
+    targets = network.n - 2
     if not targets:
         raise DataError("network has no targets besides source and intermediary")
 
-    dist, sigma, _, _ = weighted_paths(network, [s, v])
-    (dist_s, dist_v), (sigma_s, sigma_v) = dist.tolist(), sigma.tolist()
-    d_sv = dist_s[v]
-
-    total = 0.0
-    for t in targets:
-        d_st = dist_s[t]
-        if not (math.isfinite(d_st) and math.isfinite(d_sv) and math.isfinite(dist_v[t])):
-            continue
-        through = d_sv + dist_v[t]
-        if through <= d_st + TIE_TOLERANCE * max(through, d_st):
-            if mode == "any":
-                total += 1.0
-            else:
-                total += (sigma_s[v] * sigma_v[t]) / sigma_s[t]
-    return BridgingReport(source, intermediary, network.slice.year, total / len(targets), len(targets), mode)
+    (dist_s, dist_v), (sigma_s, sigma_v), _, _ = weighted_paths(network, [s, v])
+    through = dist_s[v] + dist_v  # finite only where s reaches v and v reaches the target
+    bridged = np.isfinite(through) & (through <= dist_s + TIE_TOLERANCE * np.maximum(through, dist_s))
+    bridged[[s, v]] = False
+    if mode == "any":
+        total = float(bridged.sum())
+    else:  # shares add up target by target, in index order
+        total = float(np.cumsum(np.r_[0.0, sigma_s[v] * sigma_v[bridged] / sigma_s[bridged]])[-1])
+    return BridgingReport(source, intermediary, network.slice.year, total / targets, targets, mode)

@@ -31,9 +31,7 @@ from .graph import CollabNetwork, NetworkSlice
 from .ingest import ALL_FIELDS, CorpusStore, CountryYearStats, EdgeList
 
 FITNESS_LAWS = ("constant", "uniform", "entrant")
-# consecutive repeated targets before an arrival's draw excludes the chosen ones;
-# standard seeds 1-20 never reach it, so their draws are those of plain rejection
-REJECTION_CAP = 32
+REJECTION_CAP = 32  # repeated targets in a row before an arrival's draw excludes its chosen ones
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,6 @@ class SynthTrajectory:
 
 
 def _weighted_pick(rng: np.random.Generator, weights: np.ndarray, cum: np.ndarray | None = None) -> int:
-    """One index drawn in proportion to weights (uniformly when they sum to 0); cum may pass their cumsum."""
     total = weights.sum()
     if total <= 0:
         return int(rng.integers(0, len(weights)))
@@ -120,32 +117,10 @@ def _weighted_pick(rng: np.random.Generator, weights: np.ndarray, cum: np.ndarra
 
 
 def _pick_excluding(rng: np.random.Generator, weights: np.ndarray, chosen: list[int]) -> int:
-    """One index drawn in proportion to weights with the chosen indices zeroed."""
+    """The capped draw: in proportion to weights, with the chosen indices zeroed."""
     rest = weights.copy()
     rest[chosen] = 0.0
     return _weighted_pick(rng, rest)
-
-
-def _pick_targets(rng: np.random.Generator, weights: np.ndarray, m: int) -> list[int]:
-    """m distinct indices in proportion to weights, in draw order, rejecting repeats.
-
-    After REJECTION_CAP repeats in a row the next draw excludes the chosen
-    indices, so one dominant weight cannot stall growth.
-    """
-    cum = np.cumsum(weights)
-    chosen: list[int] = []
-    rejected = 0
-    while len(chosen) < m:
-        if rejected < REJECTION_CAP:
-            t = _weighted_pick(rng, weights, cum)
-        else:
-            t = _pick_excluding(rng, weights, chosen)
-        if t in chosen:
-            rejected += 1
-        else:
-            chosen.append(t)
-            rejected = 0
-    return chosen
 
 
 def _grow(config: SynthConfig) -> SynthTrajectory:
@@ -184,9 +159,21 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
             traj.entrant = v
             fitness[v] = config.eta * statistics.median(fitness[:v])
         weights = fitness[:v] * degree[:v]
+        cum = np.cumsum(weights)  # the weights stay fixed while this arrival draws
         count = v + 1
-        for t in _pick_targets(rng_grow, weights, m):
-            add_edge(count, v, t)
+        chosen: list[int] = []
+        rejected = 0
+        while len(chosen) < m:
+            if rejected < REJECTION_CAP:
+                t = _weighted_pick(rng_grow, weights, cum)
+            else:
+                t = _pick_excluding(rng_grow, weights, chosen)
+            if t in chosen:
+                rejected += 1
+            else:
+                chosen.append(t)
+                rejected = 0
+                add_edge(count, v, t)
 
         if arrival is not None and v >= arrival:
             # closure accelerates as the run matures (unit-mean linear ramp),
