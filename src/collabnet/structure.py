@@ -101,7 +101,7 @@ def global_efficiency(network: CollabNetwork, weighted: bool = False) -> float:
             dist[frontier] = level
     vals = dist[np.triu_indices(n, k=1)]
     inv = 1.0 / vals[np.isfinite(vals)]
-    # weighted pairs add up one by one in row order, hop pairs pairwise
+    # weighted pairs add up one by one in row order, the order their snapshot values were summed in
     total = float(np.cumsum(np.r_[0.0, inv])[-1] if weighted else inv.sum())
     return total / (n * (n - 1) / 2.0)
 
