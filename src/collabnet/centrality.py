@@ -50,7 +50,7 @@ class CentralityVector:
 def _betweenness_topological(network: CollabNetwork) -> np.ndarray:
     """Brandes' backward pass over the all-sources hop sweep, arrays [target, source]."""
     n = network.n
-    A = network.csr(weighted=False)
+    A = network.pattern
     sigma, frontiers = network.hop_sweep
     delta = np.zeros((n, n))
     safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
@@ -107,7 +107,7 @@ def degree_centrality(network: CollabNetwork) -> CentralityVector:
     if network.n < 2:
         raise DataError(f"degree centrality needs at least 2 nodes, got {network.n}")
     denom = network.n - 1
-    scores = {node: network.degree(node) / denom for node in network.nodes}
+    scores = {node: d / denom for node, d in zip(network.nodes, network.degrees.tolist())}
     return CentralityVector("deg_norm", scores)
 
 
@@ -138,7 +138,7 @@ def eigenvector_centrality(
         return CentralityVector("ev", scores, inner.meta)
 
     n = network.n
-    A = network.csr(weighted=True)
+    A = network.adjacency
     x = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
     residual = math.inf

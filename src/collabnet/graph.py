@@ -1,10 +1,14 @@
 """The weighted undirected collaboration network and its transforms.
 
-Distances for every weighted shortest-path metric are the inverse edge
-weights (`CollabNetwork.distance_matrix`), so heavily collaborating country
-pairs are close. Treat a constructed CollabNetwork as immutable: metric
-code only reads it, and the adjacency caches assume the edge dict never
-changes after construction.
+The edge dict is the network's data. Every metric reads the topology
+through one cached form of it: `CollabNetwork.adjacency`, the symmetric
+weighted adjacency in CSR form, with the 0/1 `pattern` that shares its
+index arrays and the `degrees` vector beside it. Distances for every
+weighted shortest-path metric are the inverse edge weights
+(`CollabNetwork.distance_matrix`, derived from the CSR), so heavily
+collaborating country pairs are close. Treat a constructed CollabNetwork as
+immutable: metric code only reads it, and the cached forms assume the edge
+dict never changes after construction.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import DataError
 from .ingest import EdgeList
@@ -73,20 +78,34 @@ class CollabNetwork:
         return {node: i for i, node in enumerate(self.nodes)}
 
     @cached_property
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        adj: dict[str, dict[str, float]] = {node: {} for node in self.nodes}
+    def adjacency(self) -> sp.csr_array:
+        """Symmetric weighted adjacency in CSR form; each row lists its neighbors by index."""
+        idx = self.index
+        rows, cols, vals = [], [], []
         for (a, b), w in self.edges.items():
-            adj[a][b] = w
-            adj[b][a] = w
-        return adj
+            i, j = idx[a], idx[b]
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
+        return sp.csr_array((vals, (rows, cols)), shape=(self.n, self.n), dtype=np.float64)
+
+    @cached_property
+    def pattern(self) -> sp.csr_array:
+        """The 0/1 adjacency: `adjacency` with every weight set to 1, sharing its index arrays."""
+        A = self.adjacency
+        return sp.csr_array((np.ones_like(A.data), A.indices, A.indptr), shape=A.shape)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Neighbor count of each node, in node order."""
+        return np.diff(self.adjacency.indptr)
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Inverse edge weights [u, v] that weighted paths walk; inf where there is no edge."""
-        dist = np.full((self.n, self.n), math.inf)
-        for (a, b), w in self.edges.items():
-            i, j = self.index[a], self.index[b]
-            dist[i, j] = dist[j, i] = 1.0 / w
+        A = self.adjacency
+        dist = np.full((self.n, self.n), np.inf)
+        dist[np.repeat(np.arange(self.n), self.degrees), A.indices] = 1.0 / A.data
         return dist
 
     @cached_property
@@ -96,25 +115,11 @@ class CollabNetwork:
 
         return paths.hop_levels(self)
 
-    def neighbors(self, node: str) -> dict[str, float]:
+    def neighbors(self, node: str) -> list[str]:
         if node not in self.index:
             raise DataError(f"unknown node {node}")
-        return self.adjacency[node]
-
-    def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
-
-    def csr(self, weighted: bool = False) -> sp.csr_array:
-        """Symmetric adjacency in CSR form (binary unless weighted)."""
-        idx = self.index
-        rows, cols, vals = [], [], []
-        for (a, b), w in self.edges.items():
-            i, j = idx[a], idx[b]
-            rows += [i, j]
-            cols += [j, i]
-            v = w if weighted else 1.0
-            vals += [v, v]
-        return sp.csr_array((vals, (rows, cols)), shape=(self.n, self.n), dtype=np.float64)
+        A, i = self.adjacency, self.index[node]
+        return [self.nodes[j] for j in A.indices[A.indptr[i]:A.indptr[i + 1]]]
 
     def subgraph(self, keep) -> "CollabNetwork":
         keep = set(keep)
@@ -125,22 +130,12 @@ class CollabNetwork:
         return CollabNetwork(tuple(sorted(keep)), edges, self.slice)
 
     def connected_components(self) -> list[set[str]]:
-        seen: set[str] = set()
-        comps: list[set[str]] = []
-        for start in self.nodes:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in self.adjacency[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        stack.append(v)
-            seen |= comp
-            comps.append(comp)
-        return comps
+        """Node sets of the components, in the order of their first node."""
+        _, labels = csgraph.connected_components(self.pattern, directed=False)
+        comps: dict[int, set[str]] = {}
+        for node, label in zip(self.nodes, labels.tolist()):
+            comps.setdefault(label, set()).add(node)
+        return list(comps.values())
 
     def to_json(self) -> str:
         payload = {

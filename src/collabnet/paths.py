@@ -43,7 +43,7 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, list[np.ndarray]]:
     and frontiers[k] marks the pairs k hops apart.
     """
     n = network.n
-    A = network.csr(weighted=False)
+    A = network.pattern
     sigma = np.eye(n)
     unvisited = ~np.eye(n, dtype=bool)
     frontier = np.eye(n, dtype=bool)

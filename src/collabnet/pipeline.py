@@ -433,14 +433,18 @@ def read_forecast_csv(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError(f"forecast file {path} does not exist")
-    years, points, lower, upper = [], [], [], []
     with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    for row in csv.DictReader(rows):
-        years.append(int(row["year"]))
-        points.append(float(row["point"]))
-        lower.append(float(row["lower"]))
-        upper.append(float(row["upper"]))
-    if not years:
+        lines = [line for line in fh if not line.startswith("#")]
+    parsed = []
+    for row in csv.DictReader(lines):
+        try:
+            values = (int(row["year"]), float(row["point"]), float(row["lower"]), float(row["upper"]))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DataError(f"bad forecast row in {path}: {row}") from exc
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"non-finite value in forecast row of {path}: {row}")
+        parsed.append(values)
+    if not parsed:
         raise DataError(f"forecast file {path} has no rows")
+    years, points, lower, upper = (list(column) for column in zip(*parsed))
     return {"years": years, "points": points, "lower": lower, "upper": upper}

@@ -37,27 +37,26 @@ class CorePartition:
 
 
 def k_core(network: CollabNetwork) -> CorePartition:
-    """Iterative peeling; weights are ignored."""
+    """Level-by-level peeling; weights are ignored.
+
+    At level k every node whose remaining degree is at most k gets core
+    number k and is peeled at once; its neighbors lose one degree each.
+    """
     if network.n < 1:
         raise DataError("k-core needs at least 1 node")
-    degrees = {v: network.degree(v) for v in network.nodes}
-    heap: list[tuple[int, str]] = [(d, v) for v, d in degrees.items()]
-    heapq.heapify(heap)
-    core: dict[str, int] = {}
+    degree = network.degrees.astype(float)
+    alive = np.ones(network.n, dtype=bool)
+    core = np.zeros(network.n, dtype=int)
     k = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in core or d != degrees[v]:
-            continue  # stale entry
-        k = max(k, d)
-        core[v] = k
-        for u in network.adjacency[v]:
-            if u not in core:
-                degrees[u] -= 1
-                heapq.heappush(heap, (degrees[u], u))
-    max_k = max(core.values())
-    members = sum(1 for v in core.values() if v == max_k)
-    return CorePartition(core, max_k, members, members / network.n)
+    while alive.any():
+        k = max(k, int(degree[alive].min()))
+        peeled = alive & (degree <= k)
+        core[peeled] = k
+        alive &= ~peeled
+        degree -= network.pattern @ peeled
+    max_k = int(core.max())
+    members = int((core == max_k).sum())
+    return CorePartition(dict(zip(network.nodes, core.tolist())), max_k, members, members / network.n)
 
 
 @dataclass
@@ -70,16 +69,11 @@ def clustering(network: CollabNetwork) -> ClusteringResult:
     """Local clustering coefficients; nodes of degree < 2 score 0."""
     if network.n < 1:
         raise DataError("clustering needs at least 1 node")
-    adj_sets = {v: set(network.adjacency[v]) for v in network.nodes}
-    per_node = {}
-    for v in network.nodes:
-        nbrs = adj_sets[v]
-        d = len(nbrs)
-        if d < 2:
-            per_node[v] = 0.0
-            continue
-        closed = sum(len(nbrs & adj_sets[u]) for u in nbrs)  # counts each triangle twice
-        per_node[v] = closed / (d * (d - 1))
+    A = network.pattern
+    closed = ((A @ A) * A).sum(axis=1)  # counts each triangle at a node twice
+    d = network.degrees
+    coeff = np.divide(closed, d * (d - 1), out=np.zeros(network.n), where=d >= 2)
+    per_node = dict(zip(network.nodes, coeff.tolist()))
     return ClusteringResult(per_node, sum(per_node.values()) / network.n)
 
 
@@ -260,7 +254,7 @@ def ego_modularity(network: CollabNetwork, country: str, include_ego: bool = Tru
     """Q of the CNM partition of the country's ego network."""
     if not network.has_node(country):
         raise DataError(f"unknown country {country}")
-    nodes = set(network.adjacency[country])
+    nodes = set(network.neighbors(country))
     if include_ego:
         nodes.add(country)
     if not nodes:

@@ -24,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import structure
-from .centrality import betweenness, normalize_bc
 from .errors import DataError
 from .graph import CollabNetwork, NetworkSlice
 from .ingest import ALL_FIELDS, CorpusStore, CountryYearStats, EdgeList
+from .pipeline import SliceAnalysis
 
 FITNESS_LAWS = ("constant", "uniform", "entrant")
 REJECTION_CAP = 32  # repeated targets in a row before an arrival's draw excludes its chosen ones
@@ -295,16 +294,17 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
 
     checkpoints = []
     for count in checkpoint_counts(config):
-        g = traj.graph_at(count)
-        # CNM first: BC and efficiency share the hop sweep cached on g, which
-        # should not be alive at CNM's memory peak (arguments run in this order)
+        a = SliceAnalysis(traj.graph_at(count))
+        # CNM first: BC and efficiency share the hop sweep cached on the
+        # network, which should not be alive at CNM's memory peak (arguments
+        # run in this order)
         cp = Checkpoint(
             node_count=count,
-            communities=len(structure.communities(g)),
-            hub_bc_norm=normalize_bc(betweenness(g, weighted=False), g.n)[hub],
-            global_efficiency=structure.global_efficiency(g),
-            avg_clustering=structure.clustering(g).average,
-            max_k=structure.k_core(g).max_k,
+            communities=len(a.partition),
+            hub_bc_norm=a.bc[hub],
+            global_efficiency=a.global_value("efficiency"),
+            avg_clustering=a.global_value("clustering"),
+            max_k=a.cores.max_k,
         )
         checkpoints.append(cp)
     return SynthRun(config, hub, checkpoints)
@@ -344,7 +344,7 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, start_year: int = 
 
     def year_slice(year: int, count: int) -> tuple[EdgeList, dict[str, CountryYearStats]]:
         g = traj.graph_at(count)
-        stats = {v: CountryYearStats(v, year, ALL_FIELDS, g.degree(v), g.degree(v)) for v in g.nodes}
+        stats = {v: CountryYearStats(v, year, ALL_FIELDS, d, d) for v, d in zip(g.nodes, g.degrees.tolist())}
         return EdgeList(year, ALL_FIELDS, dict(g.edges)), stats
 
     manifest = {

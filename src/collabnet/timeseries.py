@@ -283,6 +283,8 @@ def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecas
     """
     if horizon < 1:
         raise DataError("horizon must be at least 1")
+    if not 0.0 < level < 1.0:
+        raise DataError(f"forecast level must lie strictly between 0 and 1, got {level}")
     values = [v for v in series.values if v is not None]
     if len(values) != len(series.values):
         raise DataError(f"series {series.name!r} has missing values; fill or trim before forecasting")

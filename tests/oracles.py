@@ -2,7 +2,8 @@
 
 Everything here works from first principles on tiny graphs: exhaustive
 path enumeration with exact rational arithmetic, Floyd-Warshall, k-cores
-by repeated deletion, modularity maximization over all set partitions, a
+by repeated deletion, clustering by counting each node's closed neighbor
+pairs, modularity maximization over all set partitions, a
 naive greedy merge that recomputes every gain at every step, and
 participation shares counted from the publication records.
 None of it shares code with the package implementations.
@@ -43,6 +44,14 @@ def random_connected_graph(rng: random.Random, n: int, max_weight: int = 10):
             edges[pair] = rng.randint(1, max_weight)
             extra -= 1
     return nodes, edges
+
+
+def random_graph(rng: random.Random, n: int, max_weight: int = 10):
+    """Random graph with integer weights that may have isolated nodes, several components or no edges."""
+    nodes = [f"v{i}" for i in range(n)]
+    p = rng.choice([0.0, 0.15, 0.3, 0.6])
+    pairs = [tuple(sorted(pair)) for pair in combinations(nodes, 2)]
+    return nodes, {pair: rng.randint(1, max_weight) for pair in pairs if rng.random() < p}
 
 
 def enum_betweenness(nodes, edges, weighted: bool) -> dict[str, Fraction]:
@@ -130,6 +139,20 @@ def core_numbers_oracle(nodes, edges) -> dict[str, int]:
         for v in alive:
             core[v] = k
     return core
+
+
+def clustering_oracle(nodes, edges) -> dict[str, Fraction]:
+    """Local clustering: the share of each node's neighbor pairs that are adjacent, 0 below two neighbors."""
+    adj = {v: set() for v in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    coeff = {}
+    for v in nodes:
+        pairs = list(combinations(sorted(adj[v]), 2))
+        triangles = sum(1 for x, y in pairs if y in adj[x])
+        coeff[v] = Fraction(triangles, len(pairs)) if pairs else Fraction(0)
+    return coeff
 
 
 def modularity_oracle(nodes, edges, blocks, weighted: bool = True) -> Fraction:

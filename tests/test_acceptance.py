@@ -117,7 +117,7 @@ class TestCriterion5EigenvectorFixture:
         assert vec.scores["S"] == pytest.approx(0.70711, abs=1e-5)
         for leaf in "ABC":
             assert vec.scores[leaf] == pytest.approx(0.40825, abs=1e-5)
-        A = net.csr(weighted=True)
+        A = net.adjacency
         x = np.array([vec.scores[v] for v in net.nodes])
         residual = float(np.max(np.abs(A @ x - vec.meta["eigenvalue"] * x)))
         assert residual <= 1e-10

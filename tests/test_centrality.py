@@ -150,7 +150,7 @@ class TestEigenvector:
         nodes, edges = random_connected_graph(rng, 7)
         net = make_net([(a, b, w) for (a, b), w in edges.items()])
         vec = eigenvector_centrality(net, tolerance=1e-10)
-        A = net.csr(weighted=True)
+        A = net.adjacency
         x = np.array([vec.scores[v] for v in net.nodes])
         lam = vec.meta["eigenvalue"]
         assert np.max(np.abs(A @ x - lam * x)) <= 1e-10
@@ -162,7 +162,7 @@ class TestEigenvector:
         nodes, edges = random_connected_graph(rng, 7)
         net = make_net([(a, b, w) for (a, b), w in edges.items()])
         vec = eigenvector_centrality(net)
-        dense = net.csr(weighted=True).toarray()
+        dense = net.adjacency.toarray()
         vals, vecs = np.linalg.eigh(dense)
         principal = np.abs(vecs[:, -1])
         for i, node in enumerate(net.nodes):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from collabnet.graph import CollabNetwork, normalize_weights, rolling_window
 from collabnet.ingest import EdgeList
 from collabnet.paths import weighted_distances
 from conftest import make_net
+from oracles import floyd_warshall_hops, random_graph
 
 
 def edge_list(year, pairs, field="all"):
@@ -47,6 +49,23 @@ class TestCollabNetwork:
         net = make_net([("A", "B", 1), ("C", "D", 1)])
         comps = sorted(sorted(c) for c in net.connected_components())
         assert comps == [["A", "B"], ["C", "D"]]
+        # isolated nodes, several components and graphs with no edges at all
+        rng = random.Random(13)
+        for _ in range(60):
+            nodes, edges = random_graph(rng, rng.randint(1, 9))
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            hops = floyd_warshall_hops(nodes, edges)
+            reach = {frozenset(t for t in nodes if hops[s][t] < math.inf) for s in nodes}
+            # components come in the order of their first node
+            assert net.connected_components() == sorted(map(set, reach), key=lambda c: net.index[min(c)])
+
+    def test_csr_forms_agree(self):
+        net = make_net([("A", "B", 2), ("B", "C", 0.5)], nodes=["A", "B", "C", "D"])
+        assert net.adjacency.toarray().tolist() == [[0, 2, 0, 0], [2, 0, 0.5, 0], [0, 0.5, 0, 0], [0, 0, 0, 0]]
+        assert net.pattern.toarray().tolist() == (net.adjacency.toarray() > 0).tolist()
+        assert np.shares_memory(net.pattern.indices, net.adjacency.indices)
+        assert net.degrees.tolist() == [1, 2, 1, 0]
+        assert [net.neighbors(v) for v in net.nodes] == [["B"], ["A", "C"], ["B"], []]
 
 
 class TestRollingWindow:

@@ -527,6 +527,27 @@ class TestCli:
         assert "consecutive" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
+    @pytest.mark.parametrize("level", ["1.5", "1", "0", "-0.2", "nan"])
+    def test_forecast_level_outside_unit_interval_exit_2(self, tmp_path, level):
+        series = tmp_path / "s.csv"
+        series.write_text("# name=s\nyear,value\n" + "".join(f"{2001 + i},{float(i % 4)}\n" for i in range(12)))
+        assert self.run("forecast", "--series", str(series), "--level", level, "--out", str(tmp_path / "fc.csv")) == 2
+        assert not (tmp_path / "fc.csv").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "year,point,lower,upper\n2013,abc,0.1,0.9\n",
+        "year,point,lower\n2013,0.5,0.1\n",
+        "year,point,lower,upper\n2013,0.5,0.1\n",
+        "year,point,lower,upper\n2013,0.5,-inf,0.9\n",
+        "year,point,lower,upper\n2013.5,0.5,0.1,0.9\n",
+    ])
+    def test_malformed_forecast_csv_chart_exit_2(self, tmp_path, rows):
+        series, fc = tmp_path / "s.csv", tmp_path / "fc.csv"
+        series.write_text("# name=s\nyear,value\n2011,0.25\n2012,0.5\n")
+        fc.write_text("# model=ar1+drift\n" + rows)
+        assert self.run("chart", "--series", str(series), "--forecast", str(fc), "--out", str(tmp_path / "c.svg")) == 2
+        assert not (tmp_path / "c.svg").exists()
+
     def test_env_var_corpus_default(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("COLLABNET_CORPUS", str(corpus))
         parser_out = tmp_path / "envout"

@@ -16,11 +16,13 @@ from collabnet.synth import generate_fitness, standard_run_config
 from conftest import make_net
 from oracles import (
     best_partition_oracle,
+    clustering_oracle,
     core_numbers_oracle,
     efficiency_oracle,
     greedy_modularity_oracle,
     modularity_oracle,
     random_connected_graph,
+    random_graph,
 )
 
 
@@ -56,6 +58,11 @@ class TestKCore:
         for _ in range(20):
             nodes, edges = random_connected_graph(rng, rng.randint(3, 8))
             net = make_net([(a, b, w) for (a, b), w in edges.items()])
+            assert k_core(net).core_number == core_numbers_oracle(nodes, edges)
+        # isolated nodes, several components and graphs with no edges at all
+        for _ in range(60):
+            nodes, edges = random_graph(rng, rng.randint(1, 9))
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
             assert k_core(net).core_number == core_numbers_oracle(nodes, edges)
 
     def test_core_nestedness(self):
@@ -115,6 +122,17 @@ class TestClustering:
         assert res.per_node["C"] == pytest.approx(2 / 3)
         assert res.per_node["D"] == pytest.approx(2 / 3)
         assert res.average == pytest.approx(5 / 6)
+
+    def test_matches_triangle_oracle(self):
+        rng = random.Random(59)
+        graphs = [random_connected_graph(rng, rng.randint(3, 8)) for _ in range(20)]
+        graphs += [random_graph(rng, rng.randint(1, 9)) for _ in range(60)]
+        for nodes, edges in graphs:
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            res = clustering(net)
+            expected = clustering_oracle(nodes, edges)
+            assert res.per_node == {v: float(c) for v, c in expected.items()}
+            assert res.average == pytest.approx(float(sum(expected.values()) / len(nodes)))
 
     def test_average_in_unit_interval(self):
         rng = random.Random(53)
