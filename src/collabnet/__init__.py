@@ -46,7 +46,6 @@ from .timeseries import (
     fit_restricted_unrestricted,
     forecast,
     granger_test,
-    report_min_adjusted,
 )
 
 __version__ = "0.1.0"

@@ -339,13 +339,13 @@ def _cmd_synth(args) -> int:
     if args.experiment or args.standard:
         run = synth.hole_closure_experiment(config)
         out.write_text(run.to_json() + "\n", encoding="utf-8")
-        print(f"wrote {out} ({len(run.checkpoints)} checkpoints, hub {run.hub})")
+        print(f"wrote {out} ({len(run.checkpoints)} checkpoints, hub {run.hub}, {run.densify_dropped} densify edges dropped)")
         traj = None
     else:
         traj = synth.generate_fitness(config)
         graph = traj.final_graph()
         graph.save(out)
-        print(f"wrote {out} ({graph.n} nodes, {graph.m} edges)")
+        print(f"wrote {out} ({graph.n} nodes, {graph.m} edges, {traj.densify_dropped} densify edges dropped)")
     if args.export_corpus:
         traj = traj or synth.generate_fitness(config)
         synth.export_corpus(traj, args.export_corpus)

@@ -11,10 +11,9 @@ Every path metric reads one of two kernels:
   inverse-weight distances of `CollabNetwork.distance_matrix`, then
   derives the co-minimal predecessors, the path counts and the order in
   which Dijkstra finalizes the nodes, as arrays. Weighted betweenness and
-  bridging read it; weighted efficiency reads only its distances
-  (`weighted_distances`). Each caller asks for the rows it reads. Paths
-  whose lengths agree within TIE_TOLERANCE (relative) count as
-  co-minimal, so float noise cannot split genuinely tied routes.
+  bridging read it, each asking for the rows it reads. Paths whose
+  lengths agree within TIE_TOLERANCE (relative) count as co-minimal, so
+  float noise cannot split genuinely tied routes.
 
 Bridging: a target counts as bridged when the intermediary is an interior
 vertex of at least one minimum-distance path from the source, detected
@@ -58,11 +57,6 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, list[np.ndarray]]:
         frontiers.append(frontier)
 
 
-def weighted_distances(network: CollabNetwork, sources=None) -> np.ndarray:
-    """Inverse-weight distances [source, node] from each source index (every node by default); inf when unreachable."""
-    return csgraph.dijkstra(network.distance_matrix, indices=sources)
-
-
 def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Co-minimal inverse-weight paths from a block of source indices.
 
@@ -76,7 +70,7 @@ def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndar
     """
     sources = np.asarray(sources)
     rows = np.arange(len(sources))
-    dist = weighted_distances(network, sources)
+    dist = csgraph.dijkstra(network.distance_matrix, indices=sources)
     through = dist[:, None, :] + network.distance_matrix  # [b, v, u]: dist(s, u) + d(u, v)
     # inf <= inf would make every unreachable pair a tie
     preds = np.isfinite(through) & (through <= dist[:, :, None] + TIE_TOLERANCE * through)

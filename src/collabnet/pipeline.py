@@ -30,8 +30,8 @@ from .timeseries import (
     Forecast,
     MetricSeries,
     bh_fdr,
+    contiguous_overlap,
     granger_test,
-    report_min_adjusted,
     trend_diagnostic,
 )
 
@@ -364,7 +364,7 @@ def granger_panel(
             if trend_diagnostic(target) <= alpha:
                 flagged_trend += 1
             try:
-                test = granger_test(iv, target, max_lag=max_lag)
+                test = granger_test(*contiguous_overlap(iv, target), max_lag=max_lag)
             except DataError:
                 diagnostics["skipped_cells"].append(f"{fld}:{metric}")
                 continue
@@ -380,13 +380,9 @@ def granger_panel(
     adjusted = bh_fdr([p for _, _, p in flat])
     for (res, lag, _), adj in zip(flat, adjusted):
         res.adjusted[lag] = float(adj)
-
-    grid = {(r.field, r.metric): r.adjusted for r in results}
-    for cell in report_min_adjusted(grid, alpha):
-        for res in results:
-            if (res.field, res.metric) == (cell.field, cell.metric):
-                res.min_p_adj = cell.min_p_adj
-                res.flagged = cell.flagged
+    for res in results:
+        res.min_p_adj = min(res.adjusted.values())
+        res.flagged = res.min_p_adj <= alpha
 
     if total_series:
         diagnostics["nonstationary_share"] = flagged_trend / total_series

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CollabNetwork
-from .paths import weighted_distances
 
 DQ_TIE_TOLERANCE = 1e-12
 
@@ -77,27 +76,17 @@ def clustering(network: CollabNetwork) -> ClusteringResult:
     return ClusteringResult(per_node, sum(per_node.values()) / network.n)
 
 
-def global_efficiency(network: CollabNetwork, weighted: bool = False) -> float:
-    """Mean inverse shortest-path distance over unordered pairs, 0 when disconnected.
-
-    The default is hop-based; the weighted flag switches to inverse-weight
-    distances for sensitivity analysis.
-    """
+def global_efficiency(network: CollabNetwork) -> float:
+    """Mean inverse hop distance over unordered pairs; unreachable pairs add 0."""
     n = network.n
     if n < 2:
         raise DataError(f"global efficiency needs at least 2 nodes, got {n}")
-    if weighted:
-        dist = weighted_distances(network)
-    else:
-        _, frontiers = network.hop_sweep
-        dist = np.full((n, n), np.inf)
-        for level, frontier in enumerate(frontiers):
-            dist[frontier] = level
+    _, frontiers = network.hop_sweep
+    dist = np.full((n, n), np.inf)
+    for level, frontier in enumerate(frontiers):
+        dist[frontier] = level
     vals = dist[np.triu_indices(n, k=1)]
-    inv = 1.0 / vals[np.isfinite(vals)]
-    # weighted pairs add up one by one in row order, the order their snapshot values were summed in
-    total = float(np.cumsum(np.r_[0.0, inv])[-1] if weighted else inv.sum())
-    return total / (n * (n - 1) / 2.0)
+    return float((1.0 / vals[np.isfinite(vals)]).sum()) / (n * (n - 1) / 2.0)
 
 
 @dataclass
@@ -114,7 +103,7 @@ class CommunityPartition:
         return len(self.blocks)
 
 
-def modularity_score(network: CollabNetwork, partition, weighted: bool = True) -> float:
+def modularity_score(network: CollabNetwork, partition) -> float:
     """Q = sum over blocks of intra-weight/m - (block degree / 2m)^2."""
     blocks = [tuple(b) for b in partition]
     covered: set[str] = set()
@@ -130,25 +119,21 @@ def modularity_score(network: CollabNetwork, partition, weighted: bool = True) -
     if extra:
         raise DataError(f"partition covers unknown nodes {sorted(extra)}")
 
-    def w_of(w: float) -> float:
-        return w if weighted else 1.0
-
-    m = sum(w_of(w) for w in network.edges.values())
+    m = sum(network.edges.values())
     if m == 0:
         return 0.0
     block_of = {node: i for i, b in enumerate(blocks) for node in b}
     intra = [0.0] * len(blocks)
     degree = [0.0] * len(blocks)
     for (a, b), w in network.edges.items():
-        wv = w_of(w)
-        degree[block_of[a]] += wv
-        degree[block_of[b]] += wv
+        degree[block_of[a]] += w
+        degree[block_of[b]] += w
         if block_of[a] == block_of[b]:
-            intra[block_of[a]] += wv
+            intra[block_of[a]] += w
     return sum(e / m - (d / (2.0 * m)) ** 2 for e, d in zip(intra, degree))
 
 
-def communities(network: CollabNetwork, weighted: bool = True) -> CommunityPartition:
+def communities(network: CollabNetwork) -> CommunityPartition:
     """Greedy modularity merging with the deterministic tie rule.
 
     Starts from singletons, repeatedly merges the community pair with the
@@ -164,10 +149,7 @@ def communities(network: CollabNetwork, weighted: bool = True) -> CommunityParti
     if network.n < 1:
         raise DataError("community detection needs at least 1 node")
 
-    def w_of(w: float) -> float:
-        return w if weighted else 1.0
-
-    m = sum(w_of(w) for w in network.edges.values())
+    m = sum(network.edges.values())
     members: dict[int, tuple[str, ...]] = {i: (node,) for i, node in enumerate(network.nodes)}
     if m == 0:
         return CommunityPartition(list(members.values()), 0.0)
@@ -177,11 +159,10 @@ def communities(network: CollabNetwork, weighted: bool = True) -> CommunityParti
     between: dict[int, dict[int, float]] = {i: {} for i in members}
     for (a, b), w in network.edges.items():
         ca, cb = comm_of[a], comm_of[b]
-        wv = w_of(w)
-        degree[ca] += wv
-        degree[cb] += wv
-        between[ca][cb] = between[ca].get(cb, 0.0) + wv
-        between[cb][ca] = between[cb].get(ca, 0.0) + wv
+        degree[ca] += w
+        degree[cb] += w
+        between[ca][cb] = between[ca].get(cb, 0.0) + w
+        between[cb][ca] = between[cb].get(ca, 0.0) + w
 
     stamp: dict[int, int] = {i: 0 for i in members}
 
@@ -247,16 +228,11 @@ def communities(network: CollabNetwork, weighted: bool = True) -> CommunityParti
 
     # re-evaluate Q from the formula so the score matches modularity_score exactly
     blocks = list(members.values())
-    return CommunityPartition(blocks, modularity_score(network, blocks, weighted=weighted))
+    return CommunityPartition(blocks, modularity_score(network, blocks))
 
 
-def ego_modularity(network: CollabNetwork, country: str, include_ego: bool = True, weighted: bool = True) -> float:
-    """Q of the CNM partition of the country's ego network."""
+def ego_modularity(network: CollabNetwork, country: str) -> float:
+    """Q of the CNM partition of the country's ego network (the country and its neighbors)."""
     if not network.has_node(country):
         raise DataError(f"unknown country {country}")
-    nodes = set(network.neighbors(country))
-    if include_ego:
-        nodes.add(country)
-    if not nodes:
-        return 0.0
-    return communities(network.subgraph(nodes), weighted=weighted).q
+    return communities(network.subgraph({country, *network.neighbors(country)})).q

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .pipeline import SliceAnalysis
 
 FITNESS_LAWS = ("constant", "uniform", "entrant")
 REJECTION_CAP = 32  # repeated targets in a row before an arrival's draw excludes its chosen ones
+DENSIFY_ATTEMPTS = 30  # draws per densification edge before it is given up
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,16 @@ def _node_name(i: int) -> str:
 
 @dataclass
 class SynthTrajectory:
-    """Edge-creation log: each entry is (node count when added, endpoint ids)."""
+    """Edge-creation log: each entry is (node count when added, endpoint ids).
+
+    densify_dropped counts the densification edges given up after
+    DENSIFY_ATTEMPTS draws found no new pair.
+    """
 
     config: SynthConfig
     events: list[tuple[int, int, int]] = field(default_factory=list)
     entrant: int | None = None
+    densify_dropped: int = 0
 
     def graph_at(self, count: int) -> CollabNetwork:
         if not (self.config.m + 1 <= count <= self.config.n_final):
@@ -182,17 +188,19 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
             shortcut_carry += config.densify_random * count
             n_closure, closure_carry = int(closure_carry), closure_carry - int(closure_carry)
             n_shortcut, shortcut_carry = int(shortcut_carry), shortcut_carry - int(shortcut_carry)
-            _densify_step(rng_dense, fitness, degree, adj, count, add_edge, n_closure, n_shortcut)
+            traj.densify_dropped += _densify_step(rng_dense, fitness, degree, adj, count, add_edge, n_closure, n_shortcut)
 
     return traj
 
 
-def _densify_step(rng, fitness, degree, adj, count, add_edge, n_closure, n_shortcut) -> None:
+def _densify_step(rng, fitness, degree, adj, count, add_edge, n_closure, n_shortcut) -> int:
+    """Add n_closure closure and n_shortcut shortcut edges; returns how many were given up."""
     n = count
+    dropped = 0
     for _ in range(n_closure):
         # close an open triad: pick a broker by fitness-weighted degree, then
         # two of its neighbors by fitness, and connect them directly
-        for _attempt in range(30):
+        for _attempt in range(DENSIFY_ATTEMPTS):
             broker = _weighted_pick(rng, fitness[:n] * degree[:n])
             nbrs = sorted(adj[broker])
             if len(nbrs) < 2:
@@ -204,14 +212,19 @@ def _densify_step(rng, fitness, degree, adj, count, add_edge, n_closure, n_short
                 continue
             add_edge(count, u, v)
             break
+        else:
+            dropped += 1
     for _ in range(n_shortcut):
-        for _attempt in range(30):
+        for _attempt in range(DENSIFY_ATTEMPTS):
             u = _weighted_pick(rng, fitness[:n])
             v = _weighted_pick(rng, fitness[:n])
             if u == v or v in adj[u]:
                 continue
             add_edge(count, u, v)
             break
+        else:
+            dropped += 1
+    return dropped
 
 
 def generate_pa(config: SynthConfig) -> SynthTrajectory:
@@ -241,34 +254,15 @@ class SynthRun:
     config: SynthConfig
     hub: str
     checkpoints: list[Checkpoint]
+    densify_dropped: int  # printed by `synth`, left out of the hashed JSON
 
     def to_json(self) -> str:
         payload = {
-            "config": {
-                "seed": self.config.seed,
-                "n_final": self.config.n_final,
-                "m": self.config.m,
-                "fitness_law": self.config.fitness_law,
-                "eta": self.config.eta,
-                "entrant_arrival": self.config.entrant_arrival,
-                "checkpoint_stride": self.config.checkpoint_stride,
-                "densify_closure": self.config.densify_closure,
-                "densify_random": self.config.densify_random,
-            },
+            "config": asdict(self.config),
             "attachment_kernel": "fitness*degree",
             "rng": "pcg64/seedseq(seed,phase)",
             "hub": self.hub,
-            "checkpoints": [
-                {
-                    "node_count": c.node_count,
-                    "hub_bc_norm": c.hub_bc_norm,
-                    "avg_clustering": c.avg_clustering,
-                    "global_efficiency": c.global_efficiency,
-                    "max_k": c.max_k,
-                    "communities": c.communities,
-                }
-                for c in self.checkpoints
-            ],
+            "checkpoints": [asdict(c) for c in self.checkpoints],
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -307,7 +301,7 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
             max_k=a.cores.max_k,
         )
         checkpoints.append(cp)
-    return SynthRun(config, hub, checkpoints)
+    return SynthRun(config, hub, checkpoints, traj.densify_dropped)
 
 
 def standard_run_config(seed: int) -> SynthConfig:

@@ -11,7 +11,7 @@ whole grid of raw p-values is adjusted jointly with Benjamini-Hochberg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -69,7 +69,7 @@ def first_difference(series: MetricSeries) -> MetricSeries:
     return MetricSeries(series.name, series.years[1:], tuple(diffs), series.unit)
 
 
-def _contiguous_overlap(x: MetricSeries, y: MetricSeries) -> tuple[np.ndarray, np.ndarray]:
+def contiguous_overlap(x: MetricSeries, y: MetricSeries) -> tuple[np.ndarray, np.ndarray]:
     """Longest run of consecutive years where both series have values."""
     common = sorted(set(x.years) & set(y.years))
     runs: list[list[int]] = []
@@ -86,13 +86,6 @@ def _contiguous_overlap(x: MetricSeries, y: MetricSeries) -> tuple[np.ndarray, n
     xs = np.array([x.value_at(yr) for yr in best], dtype=float)
     ys = np.array([y.value_at(yr) for yr in best], dtype=float)
     return xs, ys
-
-
-def _as_array(series) -> np.ndarray:
-    if isinstance(series, MetricSeries):
-        vals = [v for v in series.values if v is not None]
-        return np.asarray(vals, dtype=float)
-    return np.asarray(series, dtype=float)
 
 
 def _lag_matrix(v: np.ndarray, lag: int) -> np.ndarray:
@@ -177,16 +170,15 @@ class GrangerTest:
 def granger_test(x, y, max_lag: int = 6) -> GrangerTest:
     """Does the past of x improve one-step predictions of y?
 
-    Both series are first-differenced (the descriptive rolling window is
-    never applied here). Lags whose effective sample is too small are
-    skipped and reported; the optimal lag minimizes AIC over usable lags.
+    x and y are aligned arrays of annual levels; `contiguous_overlap`
+    aligns two MetricSeries. Both are first-differenced (the descriptive
+    rolling window is never applied here). Lags whose effective sample is
+    too small are skipped and reported; the optimal lag minimizes AIC over
+    usable lags.
     """
-    if isinstance(x, MetricSeries) and isinstance(y, MetricSeries):
-        xv, yv = _contiguous_overlap(x, y)
-    else:
-        xv, yv = _as_array(x), _as_array(y)
-        if xv.shape != yv.shape:
-            raise DataError("x and y must cover the same years")
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xv.shape != yv.shape:
+        raise DataError("x and y must cover the same years")
     if len(xv) < 2:
         raise DataError("series too short to difference")
     xv = np.diff(xv)
@@ -231,37 +223,6 @@ def bh_fdr(pvalues) -> np.ndarray:
 
 
 @dataclass
-class CellSummary:
-    """Minimum adjusted p for one (field, metric) cell of the Granger grid."""
-
-    field: str
-    metric: str
-    min_p_adj: float | None
-    best_lag: int | None
-    flagged: bool
-
-
-def report_min_adjusted(grid: dict[tuple[str, str], dict[int, float]], alpha: float = 0.05) -> list[CellSummary]:
-    """Collapse per-lag adjusted p-values to the per-cell minimum.
-
-    The input must already carry jointly adjusted p-values (one bh_fdr pass
-    over the whole field x metric x lag grid). Cells with no usable lag are
-    reported as missing rather than significant.
-    """
-    if not grid:
-        raise DataError("empty Granger grid")
-    out = []
-    for (fld, metric), per_lag in sorted(grid.items()):
-        if not per_lag:
-            out.append(CellSummary(fld, metric, None, None, False))
-            continue
-        best_lag = min(per_lag, key=lambda lag: (per_lag[lag], lag))
-        min_p = per_lag[best_lag]
-        out.append(CellSummary(fld, metric, min_p, best_lag, min_p <= alpha))
-    return out
-
-
-@dataclass
 class Forecast:
     """Point forecasts with symmetric Gaussian bands."""
 
@@ -278,8 +239,9 @@ class Forecast:
 def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecast:
     """Fit an AR(p<=3)-with-drift model by AIC and iterate it forward.
 
-    Band widths come from the propagated innovation variance (psi-weight
-    recursion), so they are non-decreasing with the horizon.
+    The horizon may not exceed the series length. Band widths come from
+    the propagated innovation variance (psi-weight recursion), so they are
+    non-decreasing with the horizon.
     """
     if horizon < 1:
         raise DataError("horizon must be at least 1")
@@ -293,6 +255,8 @@ def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecas
     v = np.asarray(values, dtype=float)
     if len(v) < 10:
         raise DataError(f"series {series.name!r} too short to forecast (length {len(v)}, need 10)")
+    if horizon > len(v):
+        raise DataError(f"horizon {horizon} exceeds the length {len(v)} of series {series.name!r}")
 
     best: tuple[float, int, np.ndarray, float] | None = None  # (aic, order, beta, sigma2)
     for order in range(0, 4):

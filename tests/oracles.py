@@ -155,14 +155,14 @@ def clustering_oracle(nodes, edges) -> dict[str, Fraction]:
     return coeff
 
 
-def modularity_oracle(nodes, edges, blocks, weighted: bool = True) -> Fraction:
+def modularity_oracle(nodes, edges, blocks) -> Fraction:
     """Q from the definition, in exact arithmetic (integer weights assumed)."""
     member = {v: i for i, blk in enumerate(blocks) for v in blk}
     m = Fraction(0)
     intra = [Fraction(0)] * len(blocks)
     deg = [Fraction(0)] * len(blocks)
     for (a, b), w in edges.items():
-        wv = Fraction(int(w)) if weighted else Fraction(1)
+        wv = Fraction(int(w))
         m += wv
         deg[member[a]] += wv
         deg[member[b]] += wv
@@ -186,18 +186,18 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def best_partition_oracle(nodes, edges, weighted: bool = True):
+def best_partition_oracle(nodes, edges):
     """Globally optimal-modularity partition by exhaustive search (n <= 8)."""
     best_q = None
     best = None
     for part in set_partitions(sorted(nodes)):
-        q = modularity_oracle(nodes, edges, part, weighted)
+        q = modularity_oracle(nodes, edges, part)
         if best_q is None or q > best_q:
             best_q, best = q, [sorted(b) for b in part]
     return best, best_q
 
 
-def greedy_modularity_oracle(nodes, edges, weighted: bool = True):
+def greedy_modularity_oracle(nodes, edges):
     """Greedy modularity merging in exact arithmetic (integer weights assumed).
 
     Starts from singletons. Every step recomputes the gain of every pair of
@@ -206,10 +206,7 @@ def greedy_modularity_oracle(nodes, edges, weighted: bool = True):
     stops once the best gain is <= 0. Returns the blocks as sorted tuples,
     ordered by their smallest member.
     """
-    def w_of(w):
-        return Fraction(int(w)) if weighted else Fraction(1)
-
-    m = sum((w_of(w) for w in edges.values()), Fraction(0))
+    m = sum((Fraction(int(w)) for w in edges.values()), Fraction(0))
     blocks = [(v,) for v in sorted(nodes)]
     while m > 0 and len(blocks) > 1:
         member = {v: i for i, blk in enumerate(blocks) for v in blk}
@@ -217,10 +214,11 @@ def greedy_modularity_oracle(nodes, edges, weighted: bool = True):
         between = {}
         for (a, b), w in edges.items():
             i, j = sorted((member[a], member[b]))
-            deg[i] += w_of(w)
-            deg[j] += w_of(w)
+            wv = Fraction(int(w))
+            deg[i] += wv
+            deg[j] += wv
             if i != j:
-                between[i, j] = between.get((i, j), Fraction(0)) + w_of(w)
+                between[i, j] = between.get((i, j), Fraction(0)) + wv
         gain, union, i, j = min(
             (-(between.get((i, j), Fraction(0)) / m - deg[i] * deg[j] / (2 * m * m)),
              tuple(sorted(blocks[i] + blocks[j])), i, j)

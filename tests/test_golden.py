@@ -4,7 +4,7 @@ A small seeded `pubgen` corpus (the benchmark's generator, imported
 through sys.path) is ingested and run through `series`, `build`,
 `metrics` and `granger` (the last two also once with every metric they
 know), and through `bridge` twice and `build` and `series` once more with
-other windows, years and normalizations; bridging in both modes, weighted efficiency, a shortened
+other windows, years and normalizations; bridging in both modes, a shortened
 hole-closure run and the standard 1,000-node run of seed 1 (whose CNM
 merges meet many tied gains) are computed in-process. Each output is hashed
 (sha256) and compared with tests/golden.json. Three corpus layouts are
@@ -47,7 +47,6 @@ from collabnet import cli, synth  # noqa: E402
 from collabnet.graph import CollabNetwork  # noqa: E402
 from collabnet.paths import bridging_fraction  # noqa: E402
 from collabnet.pipeline import read_series_csv  # noqa: E402
-from collabnet.structure import global_efficiency  # noqa: E402
 
 GOLDEN = HERE / "golden.json"
 SEED, RECORDS, THRESHOLD = 5, 4000, "3"
@@ -137,7 +136,6 @@ def build_snapshot(workdir: Path) -> dict:
             for src, via in BRIDGES for mode in ("any", "sigma")
         )
         hashes["bridging"] = _sha(bridging.encode())
-        hashes["efficiency_weighted"] = _sha(repr(global_efficiency(net, weighted=True)).encode())
         hashes["synth_run"] = _sha(synth.hole_closure_experiment(SYNTH).to_json().encode())
         standard = synth.hole_closure_experiment(synth.standard_run_config(1))
         hashes["synth_run_standard_1"] = _sha(standard.to_json().encode())

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork, normalize_weights, rolling_window
 from collabnet.ingest import EdgeList
-from collabnet.paths import weighted_distances
+from collabnet.paths import weighted_paths
 from conftest import make_net
 from oracles import floyd_warshall_hops, random_graph
 
@@ -178,4 +178,4 @@ class TestToDistance:
         net = make_net([("A", "B", 1)], nodes=["A", "B", "C"])
         assert self.distance(net, "A", "C") == math.inf
         assert np.all(net.distance_matrix[net.index["C"]] == math.inf)
-        assert weighted_distances(net, [net.index["A"]])[0, net.index["C"]] == math.inf
+        assert weighted_paths(net, [net.index["A"]])[0][0, net.index["C"]] == math.inf

@@ -306,6 +306,7 @@ class TestGrangerPanel:
             for lag, p in res.pvalues.items():
                 assert res.adjusted[lag] >= p - 1e-15
             assert res.min_p_adj == min(res.adjusted.values())
+            assert res.flagged == (res.min_p_adj <= 0.05)
         assert diagnostics["nonstationary_share"] is not None
 
     def test_unknown_metric_cells_skipped(self, corpus, tmp_path):
@@ -433,7 +434,7 @@ class TestCli:
         series = read_series_csv(out / "pipe" / "series" / "clustering__all.csv")
         assert len(series) == 24  # full synthetic span survives the round trip
 
-    def test_synth_experiment_cli(self, tmp_path):
+    def test_synth_experiment_cli(self, tmp_path, capsys):
         out = tmp_path / "exp.json"
         assert self.run("synth", "--experiment", "--n", "120", "--m", "2", "--eta", "4",
                         "--arrival", "40", "--checkpoints", "40",
@@ -441,6 +442,8 @@ class TestCli:
                         "--seed", "2", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert [c["node_count"] for c in payload["checkpoints"]] == [40, 80, 120]
+        assert "densify edges dropped" in capsys.readouterr().out
+        assert "densify_dropped" not in payload
 
     def test_series_writes_exactly_the_requested_metrics(self, corpus, tmp_path):
         out = tmp_path / "out"
@@ -525,6 +528,14 @@ class TestCli:
             f"{year},{float(i)}\n" for i, year in enumerate(y for y in range(2001, 2014) if y != 2006)))
         assert self.run("forecast", "--series", str(series), "--out", str(tmp_path / "fc.csv")) == 2
         assert "consecutive" in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_forecast_horizon_beyond_series_length_exit_2(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("# name=s\nyear,value\n" + "".join(f"{2001 + i},{float(i % 4)}\n" for i in range(12)))
+        assert self.run("forecast", "--series", str(series), "--horizon", "12", "--out", str(tmp_path / "ok.csv")) == 0
+        assert self.run("forecast", "--series", str(series), "--horizon", "1000000", "--out", str(tmp_path / "fc.csv")) == 2
+        assert "horizon 1000000 exceeds" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
     @pytest.mark.parametrize("level", ["1.5", "1", "0", "-0.2", "nan"])

@@ -162,11 +162,6 @@ class TestGlobalEfficiency:
             net = make_net([(a, b, w) for (a, b), w in edges.items()])
             assert global_efficiency(net) == pytest.approx(float(efficiency_oracle(nodes, edges)), abs=1e-12)
 
-    def test_weighted_variant_runs(self):
-        net = make_net([("A", "B", 2), ("B", "C", 2)])
-        # distances 0.5 each: pairs (A,B)=2, (B,C)=2, (A,C)=1 -> mean 5/3
-        assert global_efficiency(net, weighted=True) == pytest.approx((2 + 2 + 1) / 3)
-
 
 class TestCommunities:
     def test_two_triangles_bridge(self):
@@ -212,8 +207,7 @@ class TestCommunities:
         assert p1.blocks == p2.blocks and p1.q == p2.q
 
     def test_matches_exact_greedy_oracle(self):
-        # random graphs (isolated nodes allowed) with unit weights, small
-        # integer weights, and integer weights read with weighted=False
+        # random graphs (isolated nodes allowed) with unit weights and small integer weights
         rng = random.Random(73)
         for trial in range(300):
             n = rng.randint(3, 14)
@@ -223,12 +217,11 @@ class TestCommunities:
                 (a, b): 1 if trial % 3 == 0 else rng.randint(1, 4)
                 for i, a in enumerate(nodes) for b in nodes[i + 1:] if rng.random() < density
             }
-            weighted = trial % 3 != 2
             net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
-            expected = greedy_modularity_oracle(nodes, edges, weighted)
-            part = communities(net, weighted=weighted)
-            assert part.blocks == expected, (trial, n, weighted, edges)
-            assert part.q == pytest.approx(float(modularity_oracle(nodes, edges, expected, weighted)), abs=1e-12)
+            expected = greedy_modularity_oracle(nodes, edges)
+            part = communities(net)
+            assert part.blocks == expected, (trial, n, edges)
+            assert part.q == pytest.approx(float(modularity_oracle(nodes, edges, expected)), abs=1e-12)
 
     def test_memory_on_standard_final_graph(self):
         # 1,000 nodes, ~10.8k edges: heap entries must not carry member lists
@@ -240,12 +233,6 @@ class TestCommunities:
         finally:
             tracemalloc.stop()
         assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
-
-    def test_unweighted_flag(self):
-        net = make_net([("A", "B", 100), ("C", "D", 1)])
-        part = communities(net, weighted=False)
-        assert part.blocks == [("A", "B"), ("C", "D")]
-        assert part.q == pytest.approx(0.5, abs=1e-12)
 
 
 class TestModularityScore:
@@ -314,9 +301,3 @@ class TestEgoModularity:
     def test_unknown_country(self):
         with pytest.raises(DataError):
             ego_modularity(triangle(), "ZZ")
-
-    def test_exclude_ego_flag(self):
-        net = make_net([("S", "A", 1), ("S", "B", 1), ("A", "B", 1), ("S", "C", 1)])
-        with_ego = ego_modularity(net, "S")
-        without = ego_modularity(net, "S", include_ego=False)
-        assert isinstance(with_ego, float) and isinstance(without, float)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ class TestGenerators:
         monkeypatch.setattr(synth, "_pick_excluding", fallback)
         for seed in range(1, 21):
             generate_fitness(standard_run_config(seed))
+
+    def test_densify_dropped_counts_given_up_edges(self):
+        # the densify schedule does not depend on eta, so grown plus dropped edges stay fixed
+        cfg = standard_run_config(1)
+        base = generate_fitness(cfg)
+        extreme = generate_fitness(replace(cfg, eta=1e4))
+        assert (len(base.events), base.densify_dropped) == (10_836, 0)
+        assert (len(extreme.events), extreme.densify_dropped) == (8_910, 1_926)
 
     def test_eta_monotone_in_entrant_degree(self):
         means = []

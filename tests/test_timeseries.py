@@ -6,11 +6,11 @@ from collabnet.errors import DataError
 from collabnet.timeseries import (
     MetricSeries,
     bh_fdr,
+    contiguous_overlap,
     first_difference,
     fit_restricted_unrestricted,
     forecast,
     granger_test,
-    report_min_adjusted,
     trend_diagnostic,
 )
 
@@ -136,9 +136,12 @@ class TestGrangerTest:
         assert max(res.pvalues) < 6
 
     def test_metric_series_alignment(self):
+        # a missing value splits the overlap; the longer run after it is kept
         xs = series(list(np.sin(np.arange(30))), name="x")
-        ys = series(list(np.cos(np.arange(30))), name="y")
-        res = granger_test(xs, ys, max_lag=2)
+        ys = series([None if i == 3 else v for i, v in enumerate(np.cos(np.arange(30)))], name="y")
+        xv, yv = contiguous_overlap(xs, ys)
+        assert np.array_equal(xv, np.sin(np.arange(4, 30))) and np.array_equal(yv, np.cos(np.arange(4, 30)))
+        res = granger_test(xv, yv, max_lag=2)
         assert set(res.pvalues) == {1, 2}
 
     def test_no_usable_lag(self):
@@ -186,28 +189,6 @@ class TestBhFdr:
             ours = bh_fdr(p)
             theirs = mt.multipletests(p, method="fdr_bh")[1]
             assert ours == pytest.approx(theirs, abs=1e-12)
-
-
-class TestReportMinAdjusted:
-    def test_min_and_flag(self):
-        grid = {("f", "m"): {1: 0.20, 2: 0.04, 3: 0.33}}
-        cells = report_min_adjusted(grid)
-        assert cells[0].min_p_adj == 0.04
-        assert cells[0].best_lag == 2
-        assert cells[0].flagged
-
-    def test_all_skipped_cell_missing(self):
-        cells = report_min_adjusted({("f", "m"): {}})
-        assert cells[0].min_p_adj is None
-        assert not cells[0].flagged
-
-    def test_single_cell_identity(self):
-        cells = report_min_adjusted({("f", "m"): {1: 0.31}})
-        assert cells[0].min_p_adj == 0.31
-
-    def test_empty_grid(self):
-        with pytest.raises(DataError):
-            report_min_adjusted({})
 
 
 class TestForecast:
