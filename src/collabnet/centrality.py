@@ -142,8 +142,9 @@ def eigenvector_centrality(
     x = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
     residual = math.inf
+    ax = A @ x
     for _ in range(max_iterations):
-        nxt = A @ x + x  # shift by identity: same eigenvectors, spectrum moved off +/- pairs
+        nxt = ax + x  # shift by identity: same eigenvectors, spectrum moved off +/- pairs
         x = nxt / np.linalg.norm(nxt)
         ax = A @ x
         lam = float(x @ ax)

@@ -307,6 +307,9 @@ def _cmd_granger(args) -> int:
     pl.write_granger_csv(results, args.out, config.hash(iv=iv, max_lag=args.max_lag))
     share = diagnostics.get("nonstationary_share")
     extra = f", residual trend flagged in {share:.1%} of series" if share is not None else ""
+    skipped = diagnostics["skipped_cells"]
+    if skipped:
+        extra += f"; {len(skipped)} skipped: {', '.join(skipped)}"
     print(f"wrote {args.out} ({len(results)} cells{extra})")
     return 0
 

@@ -10,7 +10,6 @@ which pins the partition across runs and platforms.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,90 +140,62 @@ def communities(network: CollabNetwork) -> CommunityPartition:
     with its Q. Gains within DQ_TIE_TOLERANCE of the best are tied and the
     smallest combined label (the sorted union of both member lists) wins.
 
-    Heap entries hold only the gain, the two community ids and their merge
-    stamps; an entry whose stamps are out of date is stale and skipped. The
-    sorted-union tie key is built only when two or more valid candidates
-    fall inside the tie window.
+    Every linked community pair is one slot of the arrays `lo < hi`,
+    `weight` and `gains`. Merging `hi` into `lo` adds the two weights of a
+    partner linked to both into one slot and relabels a partner linked only
+    to `hi`; only the survivor's slots get their gain recomputed.
     """
     if network.n < 1:
         raise DataError("community detection needs at least 1 node")
 
     m = sum(network.edges.values())
+    # ids are node indices; reassigning members[a] in place keeps the dict
+    # order, in which modularity_score sums the blocks
     members: dict[int, tuple[str, ...]] = {i: (node,) for i, node in enumerate(network.nodes)}
     if m == 0:
         return CommunityPartition(list(members.values()), 0.0)
 
-    comm_of = {node: i for i, node in enumerate(network.nodes)}
-    degree: dict[int, float] = {i: 0.0 for i in members}
-    between: dict[int, dict[int, float]] = {i: {} for i in members}
-    for (a, b), w in network.edges.items():
-        ca, cb = comm_of[a], comm_of[b]
-        degree[ca] += w
-        degree[cb] += w
-        between[ca][cb] = between[ca].get(cb, 0.0) + w
-        between[cb][ca] = between[cb].get(ca, 0.0) + w
+    idx = network.index
+    ends = np.array([(idx[a], idx[b]) for a, b in network.edges], dtype=np.intp)
+    weight = np.array(list(network.edges.values()), dtype=float)
+    degree = np.zeros(network.n)
+    np.add.at(degree, ends.ravel(), np.repeat(weight, 2))  # in edge-dict order
+    lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+    alive = np.ones(len(weight), dtype=bool)
+    norm = 2.0 * m * m
 
-    stamp: dict[int, int] = {i: 0 for i in members}
+    def gain(slots: np.ndarray) -> np.ndarray:
+        return weight[slots] / m - degree[lo[slots]] * degree[hi[slots]] / norm
 
-    def gain(a: int, b: int) -> float:
-        return between[a][b] / m - degree[a] * degree[b] / (2.0 * m * m)
-
-    heap: list[tuple[float, int, int, int, int]] = []
-
-    def push(a: int, b: int) -> None:
-        heapq.heappush(heap, (-gain(a, b), a, b, stamp[a], stamp[b]))
-
-    for a in between:
-        for b in between[a]:
-            if a < b:
-                push(a, b)
-
-    def pop_valid():
-        while heap:
-            neg_dq, a, b, sa, sb = heapq.heappop(heap)
-            if a in members and b in members and stamp[a] == sa and stamp[b] == sb:
-                return -neg_dq, a, b
-        return None
-
-    while True:
-        top = pop_valid()
-        if top is None or top[0] <= 0.0:
+    gains = gain(np.arange(len(weight)))
+    while alive.any():
+        live = np.flatnonzero(alive)
+        best = gains[live].max()
+        if best <= 0.0:
             break
-        # gather every valid candidate inside the tie window below the best gain
-        best_dq = top[0]
-        candidates = [top]
-        while heap and -heap[0][0] >= best_dq - DQ_TIE_TOLERANCE:
-            cand = pop_valid()
-            if cand is None:
-                break
-            candidates.append(cand)
-            if cand[0] < best_dq - DQ_TIE_TOLERANCE:
-                break
-        in_window = [c for c in candidates if c[0] >= best_dq - DQ_TIE_TOLERANCE]
-        winner = in_window[0]
-        if len(in_window) > 1:
-            winner = min(in_window, key=lambda c: tuple(sorted(members[c[1]] + members[c[2]])))
-        for cand in candidates:
-            if cand is not winner:
-                heapq.heappush(heap, (-cand[0], cand[1], cand[2], stamp[cand[1]], stamp[cand[2]]))
-        _, a, b = winner
+        tied = live[gains[live] >= best - DQ_TIE_TOLERANCE]
+        s = tied[0]
+        if len(tied) > 1:
+            s = min(tied, key=lambda t: tuple(sorted(members[lo[t]] + members[hi[t]])))
+        a, b = lo[s], hi[s]
 
         # merge b into a
+        alive[s] = False
         members[a] = tuple(sorted(members[a] + members[b]))
-        degree[a] += degree[b]
-        nbrs_b = between.pop(b)
         del members[b]
-        del degree[b]
-        stamp[a] += 1
-        between[a].pop(b, None)
-        for x, w in nbrs_b.items():
-            if x == a:
-                continue
-            between[x].pop(b, None)
-            between[a][x] = between[a].get(x, 0.0) + w
-            between[x][a] = between[a][x]
-        for x in between[a]:
-            push(min(a, x), max(a, x))
+        degree[a] += degree[b]
+        at_a = np.flatnonzero(alive & ((lo == a) | (hi == a)))
+        at_b = np.flatnonzero(alive & ((lo == b) | (hi == b)))
+        partner_a = lo[at_a] + hi[at_a] - a
+        partner_b = lo[at_b] + hi[at_b] - b
+        _, shared_a, shared_b = np.intersect1d(partner_a, partner_b, assume_unique=True, return_indices=True)
+        weight[at_a[shared_a]] += weight[at_b[shared_b]]
+        alive[at_b[shared_b]] = False
+        moved, partner = np.delete(at_b, shared_b), np.delete(partner_b, shared_b)
+        lo[moved] = np.minimum(a, partner)
+        hi[moved] = np.maximum(a, partner)
+        touched = np.concatenate([at_a, moved])
+        gains[touched] = gain(touched)
 
     # re-evaluate Q from the formula so the score matches modularity_score exactly
     blocks = list(members.values())

@@ -289,9 +289,6 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
     checkpoints = []
     for count in checkpoint_counts(config):
         a = SliceAnalysis(traj.graph_at(count))
-        # CNM first: BC and efficiency share the hop sweep cached on the
-        # network, which should not be alive at CNM's memory peak (arguments
-        # run in this order)
         cp = Checkpoint(
             node_count=count,
             communities=len(a.partition),

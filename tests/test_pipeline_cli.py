@@ -5,6 +5,7 @@ import shutil
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,27 @@ class TestCli:
         ]
         assert all(line.startswith("# config=") for line in lines)
         assert len(set(lines)) == len(lines)
+
+    def test_granger_reports_skipped_cells(self, tmp_path, capsys):
+        # Physics is the same five-country clique every year, so its clustering
+        # series is constant and that cell cannot be tested; CN's share still varies
+        rng = random.Random(5)
+        recs = []
+        for year in range(2001, 2015):
+            physics = [list(p) for p in combinations(["CN", "DE", "FR", "GB", "US"], 2)] + [["CN", "US"]] * (year % 4)
+            biology = [rng.sample(["CN", "US", "JP", "KR", "BR"], rng.randint(1, 3)) for _ in range(20)]
+            recs += [{"id": f"P{year}-{i}", "year": year, "field": "Physics", "countries": t} for i, t in enumerate(physics)]
+            recs += [{"id": f"B{year}-{i}", "year": year, "field": "Biology", "countries": t} for i, t in enumerate(biology)]
+        pubs = tmp_path / "pubs.jsonl"
+        pubs.write_text("".join(json.dumps(r) + "\n" for r in recs), encoding="utf-8")
+        ingest_publications(pubs, tmp_path / "corpus", threshold=0)
+        out = tmp_path / "granger.csv"
+        assert self.run("granger", "--corpus", str(tmp_path / "corpus"), "--iv", "CN", "--threshold", "0",
+                        "--fields", "all,Physics", "--metrics", "clustering", "--max-lag", "1",
+                        "--out", str(out)) == 0
+        summary = capsys.readouterr().out
+        assert "(1 cells, " in summary and summary.rstrip().endswith("; 1 skipped: Physics:clustering)")
+        assert {row.split(",")[0] for row in out.read_text().splitlines()[2:]} == {"all"}
 
     def test_config_file_supplies_defaults(self, corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
