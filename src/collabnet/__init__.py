@@ -36,7 +36,7 @@ from .structure import (
     k_core,
     modularity_score,
 )
-from .synth import SynthConfig, SynthRun, generate_fitness, generate_pa, hole_closure_experiment
+from .synth import SynthConfig, SynthRun, generate_fitness, hole_closure_experiment
 from .timeseries import (
     Forecast,
     GrangerTest,

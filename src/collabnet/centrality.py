@@ -16,23 +16,31 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError
 from .graph import CollabNetwork
-from .paths import TIE_TOLERANCE, weighted_paths
+from .paths import weighted_paths
 
 SOURCE_BLOCK = 16  # sources per weighted_paths call; its temporaries are block x n x n
+EV_TOLERANCE = 1e-10  # max |Ax - lambda x| at which power iteration stops
+EV_MAX_ITERATIONS = 10_000
 
 
 @dataclass
 class CentralityVector:
-    """Per-node scores for one centrality metric."""
+    """Per-node scores for one centrality metric: float64 `array` in node order."""
 
     metric: str
-    scores: dict[str, float]
+    nodes: tuple[str, ...]
+    array: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def scores(self) -> dict[str, float]:
+        return dict(zip(self.nodes, self.array.tolist()))
 
     def __getitem__(self, node: str) -> float:
         return self.scores[node]
@@ -40,11 +48,8 @@ class CentralityVector:
     def items(self):
         return self.scores.items()
 
-    def values(self) -> np.ndarray:
-        return np.array(list(self.scores.values()))
-
     def mean(self) -> float:
-        return float(self.values().mean()) if self.scores else 0.0
+        return float(self.array.mean()) if len(self.array) else 0.0
 
 
 def _betweenness_topological(network: CollabNetwork) -> np.ndarray:
@@ -86,36 +91,24 @@ def betweenness(network: CollabNetwork, weighted: bool = False) -> CentralityVec
     if network.n < 2:
         raise DataError(f"betweenness needs at least 2 nodes, got {network.n}")
     raw = _betweenness_weighted(network) if weighted else _betweenness_topological(network)
-    scores = {node: float(raw[i]) for i, node in enumerate(network.nodes)}
-    meta = {"weighted": weighted}
-    if weighted:
-        meta["tie_tolerance"] = TIE_TOLERANCE
-    return CentralityVector("bcw" if weighted else "bc", scores, meta)
+    return CentralityVector("bcw" if weighted else "bc", network.nodes, raw)
 
 
 def normalize_bc(vector: CentralityVector, n: int) -> CentralityVector:
     """Divide raw betweenness by its maximum (n-1)(n-2)/2 in an n-node network."""
     if n < 3:
         raise DataError(f"normalized betweenness undefined for n={n}")
-    divisor = (n - 1) * (n - 2) / 2.0
-    scores = {node: v / divisor for node, v in vector.scores.items()}
-    return CentralityVector(vector.metric + "_norm", scores, dict(vector.meta, divisor=divisor))
+    return CentralityVector(vector.metric + "_norm", vector.nodes, vector.array / ((n - 1) * (n - 2) / 2.0))
 
 
 def degree_centrality(network: CollabNetwork) -> CentralityVector:
     """Share of possible partners actually connected, ignoring weights."""
     if network.n < 2:
         raise DataError(f"degree centrality needs at least 2 nodes, got {network.n}")
-    denom = network.n - 1
-    scores = {node: d / denom for node, d in zip(network.nodes, network.degrees.tolist())}
-    return CentralityVector("deg_norm", scores)
+    return CentralityVector("deg_norm", network.nodes, network.degrees / (network.n - 1))
 
 
-def eigenvector_centrality(
-    network: CollabNetwork,
-    tolerance: float = 1e-10,
-    max_iterations: int = 10_000,
-) -> CentralityVector:
+def eigenvector_centrality(network: CollabNetwork) -> CentralityVector:
     """Principal eigenvector of the weighted adjacency, L2-normalized.
 
     Disconnected networks are scored on the largest component (ties broken
@@ -132,10 +125,10 @@ def eigenvector_centrality(
             f"on the largest ({len(comps[0])} nodes), others scored 0",
             stacklevel=2,
         )
-        sub = network.subgraph(comps[0])
-        inner = eigenvector_centrality(sub, tolerance, max_iterations)
-        scores = {node: inner.scores.get(node, 0.0) for node in network.nodes}
-        return CentralityVector("ev", scores, inner.meta)
+        inner = eigenvector_centrality(network.subgraph(comps[0]))
+        x = np.zeros(network.n)
+        x[[network.index[node] for node in inner.nodes]] = inner.array
+        return CentralityVector("ev", network.nodes, x, inner.meta)
 
     n = network.n
     A = network.adjacency
@@ -143,25 +136,24 @@ def eigenvector_centrality(
     lam = 0.0
     residual = math.inf
     ax = A @ x
-    for _ in range(max_iterations):
+    for _ in range(EV_MAX_ITERATIONS):
         nxt = ax + x  # shift by identity: same eigenvectors, spectrum moved off +/- pairs
         x = nxt / np.linalg.norm(nxt)
         ax = A @ x
         lam = float(x @ ax)
         residual = float(np.max(np.abs(ax - lam * x)))
-        if residual <= tolerance:
+        if residual <= EV_TOLERANCE:
             break
     else:
         raise ConvergenceError(
-            f"eigenvector centrality did not converge in {max_iterations} iterations "
+            f"eigenvector centrality did not converge in {EV_MAX_ITERATIONS} iterations "
             f"(residual {residual:.3e})",
             residual=residual,
         )
-    scores = {node: float(x[i]) for i, node in enumerate(network.nodes)}
-    return CentralityVector("ev", scores, {"eigenvalue": lam, "tolerance": tolerance})
+    return CentralityVector("ev", network.nodes, x, {"eigenvalue": lam})
 
 
 def centralization(bc_norm: CentralityVector) -> float:
     """Summed gap to the maximum normalized betweenness, over n - 1."""
-    vals = bc_norm.values()
+    vals = bc_norm.array
     return float((vals.max() - vals).sum() / (len(vals) - 1))

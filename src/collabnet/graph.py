@@ -67,9 +67,6 @@ class CollabNetwork:
     def m(self) -> int:
         return len(self.edges)
 
-    def weight(self, a: str, b: str) -> float | None:
-        return self.edges.get((a, b) if a < b else (b, a))
-
     def has_node(self, node: str) -> bool:
         return node in self.index
 

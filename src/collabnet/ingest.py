@@ -62,9 +62,6 @@ class EdgeList:
             out.add(b)
         return out
 
-    def total_weight(self) -> float:
-        return sum(self.edges.values())
-
 
 @dataclass(frozen=True)
 class CountryYearStats:
@@ -101,7 +98,7 @@ def _clean_countries(raw) -> frozenset[str]:
     return frozenset(cleaned)
 
 
-def parse_publications(lines, default_field: str = ALL_FIELDS) -> ParseResult:
+def parse_publications(lines) -> ParseResult:
     """Parse JSON-lines publication records; malformed lines are counted and skipped.
 
     Country codes are uppercased and deduplicated; records with no usable
@@ -117,7 +114,7 @@ def parse_publications(lines, default_field: str = ALL_FIELDS) -> ParseResult:
             obj = json.loads(text)
             year = int(obj["year"])
             countries = _clean_countries(obj["countries"])
-            fld = str(obj.get("field", default_field)).strip() or default_field
+            fld = str(obj.get("field", ALL_FIELDS)).strip() or ALL_FIELDS
             rid = str(obj.get("id", f"line{lineno}"))
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("skipping malformed line %d: %s", lineno, exc)
@@ -222,8 +219,14 @@ class CorpusStore:
         path = self._manifest_path()
         if not path.exists():
             raise DataError(f"no manifest.json under {self.root}")
-        with path.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with path.open("r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"manifest.json under {self.root} is not JSON: {exc}") from exc
+        if not isinstance(manifest, dict) or not {"years", "threshold"} <= manifest.keys():
+            raise DataError(f"manifest.json under {self.root} lacks its years or threshold")
+        return manifest
 
     def edge_path(self, year: int, fld: str) -> Path:
         return self.root / f"edges_{year}_{field_slug(fld)}.csv"

@@ -93,14 +93,6 @@ class BridgingReport:
     mode: str = "any"
 
 
-def shortest_path_info(network: CollabNetwork, source: str):
-    """Single-source inverse-weight distances and co-minimal path counts, keyed by name."""
-    if not network.has_node(source):
-        raise DataError(f"unknown country {source}")
-    dist, sigma, _, _ = weighted_paths(network, [network.index[source]])
-    return dict(zip(network.nodes, dist[0].tolist())), dict(zip(network.nodes, sigma[0].tolist()))
-
-
 def bridging_fraction(network: CollabNetwork, source: str, intermediary: str, mode: str = "any") -> BridgingReport:
     """Fraction of targets whose shortest paths from source pass through the intermediary.
 

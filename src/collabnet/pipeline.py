@@ -137,14 +137,13 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_series_csv(series: MetricSeries, path: str | Path, config_hash: str = "") -> None:
+def write_series_csv(series: MetricSeries, path: str | Path, config_hash: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# name={series.name}\n")
         fh.write(f"# unit={series.unit}\n")
-        if config_hash:
-            fh.write(f"# config={config_hash}\n")
+        fh.write(f"# config={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["year", "value"])
         for year, value in zip(series.years, series.values):
@@ -221,9 +220,16 @@ def read_windows(config: PipelineConfig, fld: str) -> Iterator[tuple[int, Collab
     """Yield (year, window network or None if missing, years used, the year's
     stats or None) for each year of the config's range (the corpus's by
     default) in one field. Each annual slice is read once and at most
-    `config.window` of them are kept."""
+    `config.window` of them are kept.
+
+    The corpus's edges were thresholded at ingest, so a run threshold below
+    the manifest's cannot be honoured and is a DataError."""
     store = CorpusStore(config.corpus)
-    years = config.years or store.manifest()["years"]
+    manifest = store.manifest()
+    if config.threshold < manifest["threshold"]:
+        raise DataError(f"threshold {config.threshold} is below the corpus's ingest threshold "
+                        f"{manifest['threshold']}; re-ingest with --threshold {config.threshold}")
+    years = config.years or manifest["years"]
     slices: dict = {}
     for year in range(min(years), max(years) + 1):
         net, used = _load_window_network(store, slices, year, fld, config.window, config.threshold, config.normalize)
@@ -325,9 +331,10 @@ class GrangerResult:
     flagged: bool = False
 
 
-def granger_panel(
-    config: PipelineConfig, iv_country: str, max_lag: int = 6, alpha: float = 0.05
-) -> tuple[list[GrangerResult], dict]:
+ALPHA = 0.05  # the joint FDR level of a flagged cell, and the trend diagnostic's p-value cut
+
+
+def granger_panel(config: PipelineConfig, iv_country: str, max_lag: int = 6) -> tuple[list[GrangerResult], dict]:
     """Granger tests of the IV country's participation against each of the
     config's global metrics, per config field, on plain annual networks,
     with joint BH-FDR over the whole grid.
@@ -361,7 +368,7 @@ def granger_panel(
             pairs = [(y, per_year[y].get(metric)) for y in sorted(per_year)]
             target = MetricSeries.from_pairs(f"{metric}__{fld}", pairs)
             total_series += 1
-            if trend_diagnostic(target) <= alpha:
+            if trend_diagnostic(target) <= ALPHA:
                 flagged_trend += 1
             try:
                 test = granger_test(*contiguous_overlap(iv, target), max_lag=max_lag)
@@ -382,19 +389,18 @@ def granger_panel(
         res.adjusted[lag] = float(adj)
     for res in results:
         res.min_p_adj = min(res.adjusted.values())
-        res.flagged = res.min_p_adj <= alpha
+        res.flagged = res.min_p_adj <= ALPHA
 
     if total_series:
         diagnostics["nonstationary_share"] = flagged_trend / total_series
     return results, diagnostics
 
 
-def write_granger_csv(results: list[GrangerResult], path: str | Path, config_hash: str = "") -> None:
+def write_granger_csv(results: list[GrangerResult], path: str | Path, config_hash: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config={config_hash}\n")
+        fh.write(f"# config={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["field", "metric", "lag", "p_raw", "aic", "p_adj", "min_p_adj", "flag"])
         for res in sorted(results, key=lambda r: (r.field, r.metric)):
@@ -411,14 +417,12 @@ def write_granger_csv(results: list[GrangerResult], path: str | Path, config_has
                 ])
 
 
-def write_forecast_csv(fc: Forecast, path: str | Path, config_hash: str = "") -> None:
+def write_forecast_csv(fc: Forecast, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# model={fc.model}\n")
         fh.write(f"# level={fc.level}\n")
-        if config_hash:
-            fh.write(f"# config={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["year", "point", "lower", "upper"])
         for year, p, lo, hi in zip(fc.years, fc.points, fc.lower, fc.upper):

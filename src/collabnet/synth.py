@@ -102,15 +102,6 @@ class SynthTrajectory:
     def final_graph(self) -> CollabNetwork:
         return self.graph_at(self.config.n_final)
 
-    def degrees_at(self, count: int) -> dict[int, int]:
-        deg: dict[int, int] = {i: 0 for i in range(count)}
-        for at, i, j in self.events:
-            if at > count:
-                break
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 def _weighted_pick(rng: np.random.Generator, weights: np.ndarray, cum: np.ndarray | None = None) -> int:
     total = weights.sum()
@@ -227,15 +218,9 @@ def _densify_step(rng, fitness, degree, adj, count, add_edge, n_closure, n_short
     return dropped
 
 
-def generate_pa(config: SynthConfig) -> SynthTrajectory:
-    """Classic preferential attachment (constant fitness)."""
-    if config.fitness_law != "constant":
-        raise DataError("generate_pa requires the constant fitness law")
-    return _grow(config)
-
-
 def generate_fitness(config: SynthConfig) -> SynthTrajectory:
-    """Fitness-model growth: attachment probability proportional to fitness x degree."""
+    """Fitness-model growth: attachment probability proportional to fitness x degree
+    (classic preferential attachment under the constant fitness law)."""
     return _grow(config)
 
 
@@ -282,13 +267,12 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
         raise DataError("hole-closure experiment needs entrant_arrival")
     traj = _grow(config)
 
-    arrival_deg = traj.degrees_at(config.entrant_arrival)
-    hub_id = max(sorted(arrival_deg), key=lambda i: arrival_deg[i])
-    hub = _node_name(hub_id)
-
     checkpoints = []
     for count in checkpoint_counts(config):
-        a = SliceAnalysis(traj.graph_at(count))
+        net = traj.graph_at(count)
+        if not checkpoints:  # the first checkpoint is the entrant's arrival; ties go to the oldest node
+            hub = net.nodes[int(np.argmax(net.degrees))]
+        a = SliceAnalysis(net)
         cp = Checkpoint(
             node_count=count,
             communities=len(a.partition),
@@ -321,9 +305,9 @@ def standard_run_config(seed: int) -> SynthConfig:
     )
 
 
-def export_corpus(traj: SynthTrajectory, out_dir: str | Path, start_year: int = 2001, years: int = 24) -> dict:
+def export_corpus(traj: SynthTrajectory, out_dir: str | Path, years: int = 24) -> dict:
     """Write a synthetic trajectory as an ingestable corpus: one cumulative
-    edge snapshot per year, with degree-based stand-in statistics."""
+    edge snapshot per year from 2001, with degree-based stand-in statistics."""
     if years < 1:
         raise DataError("need at least one year")
     lo = traj.config.m + 2
@@ -344,5 +328,5 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, start_year: int = 
         "skipped": 0,
         "stats_source": "synthetic degree approximation",
     }
-    slices = (year_slice(start_year + k, count) for k, count in enumerate(counts))
+    slices = (year_slice(2001 + k, count) for k, count in enumerate(counts))
     return CorpusStore(out_dir).write(slices, 0, manifest)

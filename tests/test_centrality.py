@@ -12,7 +12,7 @@ from collabnet.centrality import (
     eigenvector_centrality,
     normalize_bc,
 )
-from collabnet.errors import DataError
+from collabnet.errors import ConvergenceError, DataError
 from collabnet.pipeline import SliceAnalysis
 from conftest import make_net
 from oracles import enum_betweenness, random_connected_graph
@@ -155,7 +155,7 @@ class TestEigenvector:
         rng = random.Random(7)
         nodes, edges = random_connected_graph(rng, 7)
         net = make_net([(a, b, w) for (a, b), w in edges.items()])
-        vec = eigenvector_centrality(net, tolerance=1e-10)
+        vec = eigenvector_centrality(net)
         A = net.adjacency
         x = np.array([vec.scores[v] for v in net.nodes])
         lam = vec.meta["eigenvalue"]
@@ -190,6 +190,13 @@ class TestEigenvector:
             vec = eigenvector_centrality(net)
         assert vec.scores["D"] == 0.0
         assert vec.scores["B"] > 0.0
+
+    def test_long_path_does_not_converge(self):
+        # the shifted power iteration closes the spectral gap of a 180-node path too slowly
+        net = make_net([(f"N{i:03d}", f"N{i + 1:03d}", 1) for i in range(179)])
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            eigenvector_centrality(net)
+        assert info.value.residual == pytest.approx(2.73e-8, rel=1e-2)
 
 
 class TestDegreeCentrality:

@@ -12,7 +12,9 @@ hashed as whole trees (every file's relative name and bytes): the
 ingested JSONL corpus, an edge-CSV ingest, and `synth.export_corpus` for
 24 years and for 1 year. Next to the hashes the
 snapshot keeps the values the paper's argument rests on (US `bc`/`bcw`
-and CN `bcw` in the first and last all-fields windows), so a broken hash
+and CN `bcw` in the first and last all-fields windows, and the hub's
+normalized betweenness, average clustering and global efficiency at the
+first and last checkpoints of the standard seed-1 run), so a broken hash
 also reports which named value moved and by how much.
 
 The CSVs and summary.json embed the config hash, which covers the corpus
@@ -74,6 +76,8 @@ ALL_GLOBAL_METRICS = ("kcore_max,kcore_nodes,kcore_ratio,clustering,efficiency,n
                       "betw_centralization,avg_bc")
 # (series file, label) pairs whose first and last values are named
 NAMED = (("bc_US__all.csv", "bc:US"), ("bcw_US__all.csv", "bcw:US"), ("bcw_CN__all.csv", "bcw:CN"))
+# hole-closure checkpoint fields named at the standard seed-1 run's first and last checkpoints
+NAMED_HOLE = ("hub_bc_norm", "avg_clustering", "global_efficiency")
 
 
 def _cli(*argv: str) -> None:
@@ -139,6 +143,10 @@ def build_snapshot(workdir: Path) -> dict:
         hashes["synth_run"] = _sha(synth.hole_closure_experiment(SYNTH).to_json().encode())
         standard = synth.hole_closure_experiment(synth.standard_run_config(1))
         hashes["synth_run_standard_1"] = _sha(standard.to_json().encode())
+        values = {
+            f"{name}:standard_1@{cp.node_count}": getattr(cp, name)
+            for cp in (standard.checkpoints[0], standard.checkpoints[-1]) for name in NAMED_HOLE
+        }
 
         hashes["tree/metrics_all"] = _tree_sha(Path("metrics_all"))
         hashes["tree/results_jaccard"] = _tree_sha(Path("results_jaccard"))
@@ -146,12 +154,11 @@ def build_snapshot(workdir: Path) -> dict:
         Path("edges.csv").write_text(EDGE_CSV, encoding="utf-8")
         _cli("ingest", "--pubs", "edges.csv", "--out", "edge_corpus", "--threshold", EDGE_THRESHOLD)
         hashes["tree/edge_corpus"] = _tree_sha(Path("edge_corpus"))
-        traj = synth.generate_pa(EXPORT)
+        traj = synth.generate_fitness(EXPORT)
         for years in (24, 1):
             synth.export_corpus(traj, f"export_{years}", years=years)
             hashes[f"tree/export_{years}"] = _tree_sha(Path(f"export_{years}"))
 
-        values = {}
         for fname, label in NAMED:
             series = read_series_csv(Path("results/series") / fname)
             years, vals = series.present()

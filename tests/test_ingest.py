@@ -88,7 +88,7 @@ class TestBuildAnnualEdges:
             lines.append(rec_line(2010, rng.sample(codes, k), rid=str(i)))
         recs = parse_publications(lines).records
         el = build_annual_edges(recs, 2010)
-        assert el.total_weight() == sum(comb(len(r.countries), 2) for r in recs)
+        assert sum(el.edges.values()) == sum(comb(len(r.countries), 2) for r in recs)
 
     def test_field_filtering_and_all(self):
         recs = parse_publications(

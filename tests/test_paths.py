@@ -4,7 +4,7 @@ import random
 import pytest
 
 from collabnet.errors import DataError
-from collabnet.paths import bridging_fraction, shortest_path_info
+from collabnet.paths import bridging_fraction, weighted_paths
 from collabnet.pipeline import bridge_value
 from conftest import make_net
 from oracles import random_connected_graph
@@ -16,22 +16,23 @@ def detour_net():
 
 class TestShortestPathInfo:
     def test_worked_distances(self):
-        dist, sigma = shortest_path_info(detour_net(), "D")
-        assert dist["A"] == pytest.approx(0.5, abs=1e-12)
-        assert dist["B"] == pytest.approx(0.51, abs=1e-12)
-        assert dist["C"] == pytest.approx(0.52, abs=1e-12)
-        assert sigma["C"] == 1.0
+        net = detour_net()
+        dist, sigma, _, _ = weighted_paths(net, [net.index["D"]])
+        assert dist[0, net.index["A"]] == pytest.approx(0.5, abs=1e-12)
+        assert dist[0, net.index["B"]] == pytest.approx(0.51, abs=1e-12)
+        assert dist[0, net.index["C"]] == pytest.approx(0.52, abs=1e-12)
+        assert sigma[0, net.index["C"]] == 1.0
 
     def test_unreachable_is_infinite(self):
         net = make_net([("A", "B", 1)], nodes=["C"])
-        dist, _ = shortest_path_info(net, "A")
-        assert math.isinf(dist["C"])
+        dist, _, _, _ = weighted_paths(net, [net.index["A"]])
+        assert math.isinf(dist[0, net.index["C"]])
 
     def test_counts_comimal_paths(self):
         # two equal-cost routes A-B-D and A-C-D
         net = make_net([("A", "B", 2), ("B", "D", 2), ("A", "C", 2), ("C", "D", 2)])
-        _, sigma = shortest_path_info(net, "A")
-        assert sigma["D"] == 2.0
+        _, sigma, _, _ = weighted_paths(net, [net.index["A"]])
+        assert sigma[0, net.index["D"]] == 2.0
 
 
 class TestBridgingFraction:

@@ -376,6 +376,33 @@ class TestCli:
         assert self.run("build", "--corpus", str(tmp_path / "nope"), "--year", "2001",
                         "--out", str(tmp_path / "x.json")) == 2
 
+    def test_eigenvector_non_convergence_exit_3(self, tmp_path, capsys):
+        net = tmp_path / "path.json"
+        CollabNetwork(tuple(f"N{i:03d}" for i in range(180)),
+                      {(f"N{i:03d}", f"N{i + 1:03d}"): 1.0 for i in range(179)}).save(net)
+        assert self.run("metrics", "--net", str(net), "--metric", "ev", "--out", str(tmp_path / "m.csv")) == 3
+        assert "collabnet: numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_threshold_below_ingest_threshold_exit_2(self, corpus, tmp_path, capsys):
+        # the corpus was ingested at threshold 5: its edges to weaker countries are gone
+        for argv in (["series", "--out", str(tmp_path / "series")],
+                     ["granger", "--iv", "CN", "--out", str(tmp_path / "granger.csv")],
+                     ["bridge", "--source", "CN", "--via", "US", "--out", str(tmp_path / "bridge.csv")],
+                     ["build", "--year", "2010", "--out", str(tmp_path / "net.json")]):
+            assert self.run(*argv, "--corpus", str(corpus), "--threshold", "4") == 2, argv
+            assert "threshold 4 is below the corpus's ingest threshold 5" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.*"))
+
+    @pytest.mark.parametrize("text", ['{"years": [2001]}', "{not json", "[]"])
+    def test_bad_manifest_exit_2(self, corpus, tmp_path, capsys, text):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        (copy / "manifest.json").write_text(text)
+        assert self.run("granger", "--corpus", str(copy), "--iv", "CN", "--threshold", "5",
+                        "--out", str(tmp_path / "granger.csv")) == 2
+        assert "manifest.json under" in capsys.readouterr().err
+
     def test_nan_weight_network_exit_2(self, tmp_path):
         net = tmp_path / "nan.json"
         net.write_text(json.dumps({"nodes": ["A", "B", "C"], "edges": [["A", "B", float("nan")], ["B", "C", 1.0]]}))

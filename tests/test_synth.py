@@ -11,7 +11,6 @@ from collabnet.synth import (
     checkpoint_counts,
     export_corpus,
     generate_fitness,
-    generate_pa,
     hole_closure_experiment,
     standard_run_config,
 )
@@ -38,39 +37,30 @@ class TestConfigValidation:
 class TestGenerators:
     def test_same_seed_identical_edges(self):
         cfg = SynthConfig(seed=42, n_final=60, m=2)
-        assert generate_pa(cfg).events == generate_pa(cfg).events
+        assert generate_fitness(cfg).events == generate_fitness(cfg).events
 
     def test_different_seed_differs(self):
-        a = generate_pa(SynthConfig(seed=1, n_final=60, m=2)).events
-        b = generate_pa(SynthConfig(seed=2, n_final=60, m=2)).events
+        a = generate_fitness(SynthConfig(seed=1, n_final=60, m=2)).events
+        b = generate_fitness(SynthConfig(seed=2, n_final=60, m=2)).events
         assert a != b
 
     def test_m1_yields_tree(self):
-        traj = generate_pa(SynthConfig(seed=3, n_final=50, m=1))
+        traj = generate_fitness(SynthConfig(seed=3, n_final=50, m=1))
         g = traj.final_graph()
         assert g.m == g.n - 1
         assert len(g.connected_components()) == 1
 
     def test_every_graph_connected(self):
         for seed in range(5):
-            g = generate_pa(SynthConfig(seed=seed, n_final=80, m=3)).final_graph()
+            g = generate_fitness(SynthConfig(seed=seed, n_final=80, m=3)).final_graph()
             assert len(g.connected_components()) == 1
-
-    def test_pa_requires_constant_law(self):
-        cfg = SynthConfig(seed=1, n_final=50, m=2, fitness_law="uniform")
-        with pytest.raises(DataError):
-            generate_pa(cfg)
-
-    def test_fitness_constant_equals_pa(self):
-        cfg = SynthConfig(seed=11, n_final=120, m=3)
-        assert generate_pa(cfg).events == generate_fitness(cfg).events
 
     def test_heavy_tail_degrees(self):
         maxes, medians = [], []
         for seed in range(8):
-            traj = generate_pa(SynthConfig(seed=seed, n_final=2000, m=3))
-            deg = list(traj.degrees_at(2000).values())
-            maxes.append(max(deg))
+            traj = generate_fitness(SynthConfig(seed=seed, n_final=2000, m=3))
+            deg = traj.graph_at(2000).degrees
+            maxes.append(deg.max())
             medians.append(np.median(deg))
         assert np.mean(maxes) > 10 * np.mean(medians)
 
@@ -78,7 +68,7 @@ class TestGenerators:
         wins = 0
         for seed in range(20):
             cfg = SynthConfig(seed=seed, n_final=1000, m=3, fitness_law="entrant", eta=5.0, entrant_arrival=100)
-            deg = generate_fitness(cfg).degrees_at(1000)
+            deg = generate_fitness(cfg).graph_at(1000).degrees
             cohort = [deg[i] for i in range(80, 121) if i != 100]
             wins += deg[100] > np.median(cohort)
         assert wins >= 19
@@ -115,12 +105,12 @@ class TestGenerators:
             degs = []
             for seed in range(10):
                 cfg = SynthConfig(seed=seed, n_final=600, m=3, fitness_law="entrant", eta=eta, entrant_arrival=150)
-                degs.append(generate_fitness(cfg).degrees_at(600)[150])
+                degs.append(generate_fitness(cfg).graph_at(600).degrees[150])
             means.append(np.mean(degs))
         assert means[0] < means[1] < means[2]
 
     def test_graph_prefix_consistency(self):
-        traj = generate_pa(SynthConfig(seed=7, n_final=80, m=2))
+        traj = generate_fitness(SynthConfig(seed=7, n_final=80, m=2))
         g50 = traj.graph_at(50)
         g80 = traj.final_graph()
         assert set(g50.edges) <= set(g80.edges)
@@ -174,8 +164,8 @@ class TestHoleClosure:
 
 class TestExportCorpus:
     def test_round_trip_series_span(self, tmp_path):
-        traj = generate_pa(SynthConfig(seed=5, n_final=150, m=2))
-        manifest = export_corpus(traj, tmp_path / "corpus", start_year=2001, years=24)
+        traj = generate_fitness(SynthConfig(seed=5, n_final=150, m=2))
+        manifest = export_corpus(traj, tmp_path / "corpus", years=24)
         assert manifest["years"] == list(range(2001, 2025))
         store = CorpusStore(tmp_path / "corpus")
         el = store.read_edges(2024, "all")
