@@ -6,9 +6,9 @@ hop counts; the weighted variant uses inverse-weight distances, counting
 all minimum-distance paths with a relative tie tolerance so float noise
 cannot split genuinely co-minimal routes.
 
-Both variants run Brandes' dependency accumulation over the kernels of
-the path layer (`CollabNetwork.hop_sweep` and `paths.weighted_paths`); the
-weighted one takes its sources in blocks of SOURCE_BLOCK.
+Both variants run Brandes' dependency accumulation over blocks of
+`paths.SOURCE_BLOCK` sources: the topological one inside the cached
+`CollabNetwork.hop_sweep`, the weighted one here over `paths.weighted_paths`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import paths
 from .errors import ConvergenceError, DataError
 from .graph import CollabNetwork
-from .paths import weighted_paths
 
-SOURCE_BLOCK = 16  # sources per weighted_paths call; its temporaries are block x n x n
 EV_TOLERANCE = 1e-10  # max |Ax - lambda x| at which power iteration stops
 EV_MAX_ITERATIONS = 10_000
 
@@ -52,29 +51,14 @@ class CentralityVector:
         return float(self.array.mean()) if len(self.array) else 0.0
 
 
-def _betweenness_topological(network: CollabNetwork) -> np.ndarray:
-    """Brandes' backward pass over the all-sources hop sweep, arrays [target, source]."""
-    n = network.n
-    A = network.pattern
-    sigma, frontiers = network.hop_sweep
-    delta = np.zeros((n, n))
-    safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
-    for level in range(len(frontiers) - 1, 0, -1):
-        coeff = np.where(frontiers[level], (1.0 + delta) / safe_sigma, 0.0)
-        delta += np.where(frontiers[level - 1], (A @ coeff) * sigma, 0.0)
-    # delta[s, s] is never credited to the source itself
-    totals = np.ascontiguousarray(delta.T).sum(axis=0) - np.diag(delta)
-    return totals / 2.0
-
-
 def _betweenness_weighted(network: CollabNetwork) -> np.ndarray:
     """Brandes' dependency accumulation over `weighted_paths`, one block of sources at a time."""
     n = network.n
     bc = np.zeros(n)
-    for start in range(0, n, SOURCE_BLOCK):
-        sources = np.arange(start, min(start + SOURCE_BLOCK, n))
+    for start in range(0, n, paths.SOURCE_BLOCK):
+        sources = np.arange(start, min(start + paths.SOURCE_BLOCK, n))
         rows = np.arange(len(sources))
-        _, sigma, preds, order = weighted_paths(network, sources)
+        _, sigma, preds, order = paths.weighted_paths(network, sources)
         safe_sigma = np.where(sigma == 0.0, 1.0, sigma)  # unreachable: no predecessors, finite coefficient
         delta = np.zeros_like(sigma)
         for w in order.T[:0:-1]:
@@ -90,7 +74,7 @@ def betweenness(network: CollabNetwork, weighted: bool = False) -> CentralityVec
     """Raw betweenness over unordered pairs; disconnected pairs contribute 0."""
     if network.n < 2:
         raise DataError(f"betweenness needs at least 2 nodes, got {network.n}")
-    raw = _betweenness_weighted(network) if weighted else _betweenness_topological(network)
+    raw = _betweenness_weighted(network) if weighted else network.hop_sweep[0]
     return CentralityVector("bcw" if weighted else "bc", network.nodes, raw)
 
 

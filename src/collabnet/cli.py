@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
 
     p = add_parser("metrics", help="compute metrics for one network file")
     p.add_argument("--net", required=True)
-    p.add_argument("--metric", required=True, help="comma list: bc,bcw,ev,deg,centralization,kcore,clustering,efficiency,communities,ego:CC")
+    p.add_argument("--metric", required=True, help="comma list: bc,bcw,ev,deg,centralization,kcore,kcore_bc,clustering,efficiency,communities,ego:CC")
     p.add_argument("--out", required=True)
 
     p = add_parser("series", help="run the full metric-series pipeline")

@@ -6,9 +6,10 @@ weighted adjacency in CSR form, with the 0/1 `pattern` that shares its
 index arrays and the `degrees` vector beside it. Distances for every
 weighted shortest-path metric are the inverse edge weights
 (`CollabNetwork.distance_matrix`, derived from the CSR), so heavily
-collaborating country pairs are close. Treat a constructed CollabNetwork as
-immutable: metric code only reads it, and the cached forms assume the edge
-dict never changes after construction.
+collaborating country pairs are close. Hop metrics share `hop_sweep`: the
+topological betweenness and hop distances of one `paths.hop_levels` pass.
+Treat a constructed CollabNetwork as immutable: metric code only reads it,
+and the cached forms assume the edge dict never changes after construction.
 """
 
 from __future__ import annotations
@@ -106,10 +107,9 @@ class CollabNetwork:
         return dist
 
     @cached_property
-    def hop_sweep(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """`paths.hop_levels` of this network, run once and shared by every hop metric."""
+    def hop_sweep(self) -> tuple[np.ndarray, np.ndarray]:
+        """`paths.hop_levels` of this network, (topological betweenness, hop distances), run once and shared."""
         from . import paths  # paths imports this module
-
         return paths.hop_levels(self)
 
     def neighbors(self, node: str) -> list[str]:

@@ -1,12 +1,12 @@
-"""The shortest-path layer: one hop sweep, one weighted kernel, and bridging on top.
+"""The shortest-path layer: one hop pass, one weighted kernel, and bridging on top.
 
 Every path metric reads one of two kernels:
 
-- `hop_levels` runs a level-synchronous breadth-first search from every
-  source at once, as sparse-matrix products, and returns the path counts
-  sigma and the frontier of each level. It runs once per network, cached
-  as `CollabNetwork.hop_sweep`; topological betweenness and hop
-  efficiency both read that one result.
+- `hop_levels` runs a level-synchronous breadth-first search and Brandes'
+  backward pass from each block of SOURCE_BLOCK sources, as sparse-matrix
+  products, and returns only topological betweenness and hop distances.
+  It runs once per network, cached as `CollabNetwork.hop_sweep`, so
+  topological betweenness and hop efficiency share one pass.
 - `weighted_paths` runs scipy's Dijkstra from a block of sources over the
   inverse-weight distances of `CollabNetwork.distance_matrix`, then
   derives the co-minimal predecessors, the path counts and the order in
@@ -33,28 +33,46 @@ from .errors import DataError
 from .graph import CollabNetwork
 
 TIE_TOLERANCE = 1e-12  # relative, on accumulated path distances
+SOURCE_BLOCK = 16  # sources per block; weighted_paths' temporaries are block x n x n
 
 
-def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, list[np.ndarray]]:
-    """All-sources breadth-first search, one level per step.
+def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Topological betweenness and hop distances, one block of sources at a time.
 
-    Arrays are indexed [target, source]: sigma counts the shortest hop paths,
-    and frontiers[k] marks the pairs k hops apart.
+    Returns (bc, hops): bc is the raw betweenness over unordered pairs, and
+    hops[t, s] the hop distance between t and s, 0 where t == s or t is
+    unreachable. Within a block, arrays are [target, source]: sigma counts
+    the shortest hop paths, and frontiers[k] marks the pairs k hops apart.
     """
     n = network.n
     A = network.pattern
-    sigma = np.eye(n)
-    unvisited = ~np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    frontiers = [frontier]
-    while True:
-        contrib = A @ (sigma * frontier)
-        frontier = (contrib > 0.0) & unvisited
-        if not frontier.any():
-            return sigma, frontiers
-        sigma = np.where(frontier, contrib, sigma)
-        unvisited &= ~frontier
-        frontiers.append(frontier)
+    bc = np.zeros(n)
+    own = np.zeros(n)  # each source's dependency on itself, never credited
+    hops = np.zeros((n, n), dtype=np.min_scalar_type(n))  # no hop distance reaches n
+    for start in range(0, n, SOURCE_BLOCK):
+        block = slice(start, min(start + SOURCE_BLOCK, n))
+        frontier = np.eye(n, block.stop - start, -start, dtype=bool)
+        sigma = frontier.astype(float)
+        unvisited = ~frontier
+        frontiers = [frontier]
+        while True:
+            contrib = A @ (sigma * frontier)
+            frontier = (contrib > 0.0) & unvisited
+            if not frontier.any():
+                break
+            sigma = np.where(frontier, contrib, sigma)
+            unvisited &= ~frontier
+            hops[:, block][frontier] = len(frontiers)
+            frontiers.append(frontier)
+        delta = np.zeros_like(sigma)
+        safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
+        for level in range(len(frontiers) - 1, 0, -1):
+            coeff = np.where(frontiers[level], (1.0 + delta) / safe_sigma, 0.0)
+            delta += np.where(frontiers[level - 1], (A @ coeff) * sigma, 0.0)
+        own[block] = delta[frontiers[0]]
+        for column in delta.T:  # one source at a time, so bc sums in source order
+            bc += column
+    return (bc - own) / 2.0, hops
 
 
 def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -266,8 +266,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     cfg_hash = config.hash()
 
     out_dir = Path(config.out)
-    (out_dir / "series").mkdir(parents=True, exist_ok=True)
-
     summary: dict = {
         "config": config.canonical(),
         "config_hash": cfg_hash,
@@ -307,6 +305,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     summary["missing"].sort()
     summary["truncated_windows"].sort()
     summary["series_files"].sort()
+    out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "summary.json").open("w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,11 +1,12 @@
 """Cohesion and community structure: k-cores, clustering, efficiency, modularity.
 
 Topology-only metrics (k-core, clustering, global efficiency) ignore edge
-weights; community detection is greedy modularity maximization in the
-Clauset-Newman-Moore style, merging whichever pair of communities raises Q
-most and stopping when no merge helps. Merge ties within 1e-12 of the best
-gain are broken by the lexicographically smallest combined member labels,
-which pins the partition across runs and platforms.
+weights; global efficiency reads the hop distances of the cached hop pass
+(`CollabNetwork.hop_sweep`). Community detection is greedy modularity
+maximization in the Clauset-Newman-Moore style, merging whichever pair of
+communities raises Q most and stopping when no merge helps. Merge ties
+within 1e-12 of the best gain are broken by the lexicographically smallest
+combined member labels, which pins the partition across runs and platforms.
 """
 
 from __future__ import annotations
@@ -80,12 +81,9 @@ def global_efficiency(network: CollabNetwork) -> float:
     n = network.n
     if n < 2:
         raise DataError(f"global efficiency needs at least 2 nodes, got {n}")
-    _, frontiers = network.hop_sweep
-    dist = np.full((n, n), np.inf)
-    for level, frontier in enumerate(frontiers):
-        dist[frontier] = level
-    vals = dist[np.triu_indices(n, k=1)]
-    return float((1.0 / vals[np.isfinite(vals)]).sum()) / (n * (n - 1) / 2.0)
+    vals = network.hop_sweep[1][np.triu(np.ones((n, n), dtype=bool), k=1)]  # upper triangle, row by row
+    vals = vals[vals > 0]  # 0: unreachable
+    return float((1.0 / vals).sum()) / (n * (n - 1) / 2.0)
 
 
 @dataclass

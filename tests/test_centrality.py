@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from collabnet import centrality
+from collabnet import paths
 from collabnet.centrality import (
     betweenness,
     centralization,
@@ -101,8 +101,8 @@ class TestBetweenness:
                     assert got[node] == pytest.approx(float(want[node]), abs=1e-9)
 
     def test_matches_enumeration_oracle_in_blocks_of_two(self, monkeypatch):
-        # every oracle graph has at most 9 nodes, so blocks of 2 make weighted BC accumulate over several
-        monkeypatch.setattr(centrality, "SOURCE_BLOCK", 2)
+        # every oracle graph has at most 9 nodes, so blocks of 2 make both kernels accumulate over several
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", 2)
         self.test_matches_enumeration_oracle()
 
 

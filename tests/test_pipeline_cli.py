@@ -171,7 +171,7 @@ class TestSliceMetrics:
 
 
 class TestOneHopSweep:
-    """Topological betweenness and hop efficiency share one all-sources sweep per network."""
+    """Topological betweenness and hop efficiency share one hop pass per network."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
@@ -393,6 +393,7 @@ class TestCli:
             assert self.run(*argv, "--corpus", str(corpus), "--threshold", "4") == 2, argv
             assert "threshold 4 is below the corpus's ingest threshold 5" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.*"))
+        assert not (tmp_path / "series").exists()
 
     @pytest.mark.parametrize("text", ['{"years": [2001]}', "{not json", "[]"])
     def test_bad_manifest_exit_2(self, corpus, tmp_path, capsys, text):

@@ -3,7 +3,8 @@ import tracemalloc
 
 import pytest
 
-from collabnet import structure
+from collabnet import paths, structure
+from collabnet.centrality import betweenness
 from collabnet.errors import DataError
 from collabnet.structure import (
     clustering,
@@ -162,6 +163,28 @@ class TestGlobalEfficiency:
             nodes, edges = random_connected_graph(rng, rng.randint(2, 8))
             net = make_net([(a, b, w) for (a, b), w in edges.items()])
             assert global_efficiency(net) == pytest.approx(float(efficiency_oracle(nodes, edges)), abs=1e-12)
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_matches_floyd_warshall_oracle_in_small_blocks(self, monkeypatch, block):
+        # isolated nodes, several components and no edges, with the hop pass over several blocks
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        rng = random.Random(61)
+        for _ in range(40):
+            nodes, edges = random_graph(rng, rng.randint(2, 9))
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            assert global_efficiency(net) == pytest.approx(float(efficiency_oracle(nodes, edges)), abs=1e-12)
+
+    def test_memory_with_betweenness_on_standard_final_graph(self):
+        # 1,000 nodes, ~10.8k edges: the hop pass keeps one block of levels and a compact hop matrix
+        net = generate_fitness(standard_run_config(1)).final_graph()
+        tracemalloc.start()
+        try:
+            betweenness(net)
+            global_efficiency(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 class TestCommunities:
