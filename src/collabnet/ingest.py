@@ -92,17 +92,28 @@ def _clean_countries(raw) -> frozenset[str]:
         raise ValueError("countries must be a list")
     cleaned = set()
     for c in raw:
-        code = str(c).strip().upper()
+        if not isinstance(c, str):
+            raise ValueError(f"country {c!r} is not a string")
+        code = c.strip().upper()
         if code:
             cleaned.add(code)
     return frozenset(cleaned)
+
+
+def _year(raw) -> int:
+    """A JSON integer or a string of one; floats and booleans are malformed."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise ValueError(f"year {raw!r} is not an integer")
+    return int(raw)
 
 
 def parse_publications(lines) -> ParseResult:
     """Parse JSON-lines publication records; malformed lines are counted and skipped.
 
     Country codes are uppercased and deduplicated; records with no usable
-    country are dropped (they also count as skipped).
+    country are dropped (they also count as skipped). A year that is not an
+    integer or a string of one, or a country that is not a string, makes the
+    line malformed.
     """
     records: list[PublicationRecord] = []
     skipped = 0
@@ -112,7 +123,7 @@ def parse_publications(lines) -> ParseResult:
             continue
         try:
             obj = json.loads(text)
-            year = int(obj["year"])
+            year = _year(obj["year"])
             countries = _clean_countries(obj["countries"])
             fld = str(obj.get("field", ALL_FIELDS)).strip() or ALL_FIELDS
             rid = str(obj.get("id", f"line{lineno}"))
@@ -281,7 +292,7 @@ class CorpusStore:
             for row in csv.DictReader(fh):
                 try:
                     out.add(row["country_a"], row["country_b"], float(row["weight"]))
-                except (KeyError, ValueError) as exc:
+                except (KeyError, ValueError, TypeError) as exc:  # TypeError: a short row's missing cells are None
                     raise DataError(f"bad edge row in {path}: {row}") from exc
         return out
 
@@ -297,7 +308,7 @@ class CorpusStore:
                         row["country"], int(row["year"]), row["field"],
                         int(row["intl_pubs"]), int(row["total_pubs"]),
                     )
-                except (KeyError, ValueError) as exc:
+                except (KeyError, ValueError, TypeError) as exc:  # TypeError: a short row's missing cells are None
                     raise DataError(f"bad stats row in {path}: {row}") from exc
         return out
 
@@ -373,11 +384,14 @@ def _edge_csv_slices(path: Path) -> list[tuple[EdgeList, dict[str, CountryYearSt
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
+                if None in row.values():
+                    raise DataError(f"short row in edge CSV {path}: {row}")
                 year = int(row["year"])
                 fld = row.get("field") or ALL_FIELDS
-                by_slice.setdefault((year, fld), EdgeList(year, fld)).add(
-                    row["country_a"].strip().upper(), row["country_b"].strip().upper(), float(row["weight"])
-                )
+                a, b = row["country_a"].strip().upper(), row["country_b"].strip().upper()
+                if not (a and b):
+                    raise DataError(f"blank country in edge CSV {path}: {row}")
+                by_slice.setdefault((year, fld), EdgeList(year, fld)).add(a, b, float(row["weight"]))
     except (OSError, KeyError, ValueError) as exc:
         raise DataError(f"cannot ingest edge CSV {path}: {exc}") from exc
     if not by_slice:

@@ -7,6 +7,9 @@ maximization in the Clauset-Newman-Moore style, merging whichever pair of
 communities raises Q most and stopping when no merge helps. Merge ties
 within 1e-12 of the best gain are broken by the lexicographically smallest
 combined member labels, which pins the partition across runs and platforms.
+Each linked community pair is one slot of flat arrays, a dead slot's gain
+is -inf, and each community keeps a list of its slots, so a merge touches
+only the two merged communities' slots.
 """
 
 from __future__ import annotations
@@ -139,9 +142,12 @@ def communities(network: CollabNetwork) -> CommunityPartition:
     smallest combined label (the sorted union of both member lists) wins.
 
     Every linked community pair is one slot of the arrays `lo < hi`,
-    `weight` and `gains`. Merging `hi` into `lo` adds the two weights of a
-    partner linked to both into one slot and relabels a partner linked only
-    to `hi`; only the survivor's slots get their gain recomputed.
+    `weight` and `gains`; a dead slot's gain is -inf, so the best gain is
+    `gains.max()`. Each community keeps the list of its slots. Merging `hi`
+    into `lo` reads only the two lists: it adds the two weights of a partner
+    linked to both into one slot, kills the other and relabels a partner
+    linked only to `hi`; only the survivor's slots get their gain
+    recomputed, and their live union becomes its list.
     """
     if network.n < 1:
         raise DataError("community detection needs at least 1 node")
@@ -159,41 +165,42 @@ def communities(network: CollabNetwork) -> CommunityPartition:
     degree = np.zeros(network.n)
     np.add.at(degree, ends.ravel(), np.repeat(weight, 2))  # in edge-dict order
     lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
-    alive = np.ones(len(weight), dtype=bool)
+    # slots[c]: the slots of community c, live ones among them; a merge stores the survivor's live union
+    order = np.argsort(ends.ravel())
+    slots = np.split(order // 2, np.cumsum(np.bincount(ends.ravel(), minlength=network.n))[:-1])
+    position = np.full(network.n, -1, dtype=np.intp)  # partner -> slot of `a`, reset after each merge
     norm = 2.0 * m * m
 
-    def gain(slots: np.ndarray) -> np.ndarray:
-        return weight[slots] / m - degree[lo[slots]] * degree[hi[slots]] / norm
+    def gain(at: np.ndarray) -> np.ndarray:
+        return weight[at] / m - degree[lo[at]] * degree[hi[at]] / norm
 
     gains = gain(np.arange(len(weight)))
-    while alive.any():
-        live = np.flatnonzero(alive)
-        best = gains[live].max()
-        if best <= 0.0:
-            break
-        tied = live[gains[live] >= best - DQ_TIE_TOLERANCE]
+    while (best := gains.max()) > 0.0:
+        tied = np.flatnonzero(gains >= best - DQ_TIE_TOLERANCE)
         s = tied[0]
         if len(tied) > 1:
             s = min(tied, key=lambda t: tuple(sorted(members[lo[t]] + members[hi[t]])))
         a, b = lo[s], hi[s]
 
         # merge b into a
-        alive[s] = False
+        gains[s] = -np.inf
         members[a] = tuple(sorted(members[a] + members[b]))
         del members[b]
         degree[a] += degree[b]
-        at_a = np.flatnonzero(alive & ((lo == a) | (hi == a)))
-        at_b = np.flatnonzero(alive & ((lo == b) | (hi == b)))
-        partner_a = lo[at_a] + hi[at_a] - a
-        partner_b = lo[at_b] + hi[at_b] - b
-        _, shared_a, shared_b = np.intersect1d(partner_a, partner_b, assume_unique=True, return_indices=True)
-        weight[at_a[shared_a]] += weight[at_b[shared_b]]
-        alive[at_b[shared_b]] = False
-        moved, partner = np.delete(at_b, shared_b), np.delete(partner_b, shared_b)
+        at_a, at_b = slots[a], slots[b]
+        at_a, at_b = at_a[gains[at_a] > -np.inf], at_b[gains[at_b] > -np.inf]
+        partner_a, partner_b = lo[at_a] + hi[at_a] - a, lo[at_b] + hi[at_b] - b
+        position[partner_a] = at_a
+        into = position[partner_b]  # the slot of `a` shared with each partner of `b`, or -1
+        position[partner_a] = -1
+        shared = into >= 0
+        weight[into[shared]] += weight[at_b[shared]]
+        gains[at_b[shared]] = -np.inf
+        moved, partner = at_b[~shared], partner_b[~shared]
         lo[moved] = np.minimum(a, partner)
         hi[moved] = np.maximum(a, partner)
-        touched = np.concatenate([at_a, moved])
-        gains[touched] = gain(touched)
+        slots[a] = np.concatenate([at_a, moved])
+        gains[slots[a]] = gain(slots[a])
 
     # re-evaluate Q from the formula so the score matches modularity_score exactly
     blocks = list(members.values())

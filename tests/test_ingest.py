@@ -54,6 +54,23 @@ class TestParsePublications:
         assert result.records == []
         assert result.skipped == 1
 
+    @pytest.mark.parametrize("line", [
+        '{"year": Infinity, "countries": ["US", "CN"]}',
+        '{"year": 1e400, "countries": ["US", "CN"]}',
+        '{"year": 2002.9, "countries": ["US", "CN"]}',
+        '{"year": true, "countries": ["US", "CN"]}',
+        '{"year": 2002, "countries": ["US", null]}',
+    ])
+    def test_non_integer_year_or_non_string_country_is_malformed(self, line):
+        result = parse_publications([line, rec_line(2002, ["US", "CN"])])
+        assert [(r.year, r.countries) for r in result.records] == [(2002, frozenset({"US", "CN"}))]
+        assert result.skipped == 1
+
+    def test_integer_and_digit_string_years_accepted(self):
+        result = parse_publications([rec_line(2002, ["US"]), rec_line("2003", ["US"])])
+        assert [r.year for r in result.records] == [2002, 2003]
+        assert result.skipped == 0
+
     def test_international_flag(self):
         result = parse_publications([rec_line(2010, ["US"]), rec_line(2010, ["US", "CN"])])
         assert [r.international for r in result.records] == [False, True]

@@ -566,6 +566,24 @@ class TestCli:
         edges.write_text(f"year,field,country_a,country_b,weight\n2001,all,US,CN,{weight}\n2001,all,US,GB,2\n")
         assert self.run("ingest", "--pubs", str(edges), "--out", str(tmp_path / "corpus"), "--threshold", "0") == 2
 
+    @pytest.mark.parametrize("row, error", [("2001,,US", "short row"), ("2001,, ,CN,2", "blank country")])
+    def test_short_or_blank_edge_csv_row_exit_2(self, tmp_path, capsys, row, error):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"year,field,country_a,country_b,weight\n2001,all,US,GB,2\n{row}\n")
+        assert self.run("ingest", "--pubs", str(edges), "--out", str(tmp_path / "corpus"), "--threshold", "0") == 2
+        assert f"{error} in edge CSV" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("name, short, error", [("edges_2005_all.csv", "2005,all,CN,US", "bad edge row"),
+                                                    ("stats_2002_all.csv", "2002,all,FR", "bad stats row")])
+    def test_short_corpus_row_exit_2(self, corpus, tmp_path, capsys, name, short, error):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        path = copy / name
+        path.write_text(path.read_text() + short + "\n")
+        assert self.run("series", "--corpus", str(copy), "--threshold", "5", "--out", str(tmp_path / "series")) == 2
+        assert f"{error} in {path}" in capsys.readouterr().err
+
     def test_nan_series_cell_forecast_exit_2(self, tmp_path):
         series = tmp_path / "s.csv"
         series.write_text("# name=s\nyear,value\n" + "".join(

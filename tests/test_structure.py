@@ -247,6 +247,29 @@ class TestCommunities:
             assert part.blocks == expected, (trial, n, edges)
             assert part.q == pytest.approx(float(modularity_oracle(nodes, edges, expected)), abs=1e-12)
 
+    def test_matches_exact_greedy_oracle_on_larger_graphs(self):
+        # 25-50 nodes in 2-4 components plus isolated nodes: communities absorb many
+        # partners, so relabelled and dead slots pile up in the per-community slot lists
+        rng = random.Random(79)
+        for trial in range(20):
+            n = rng.randint(25, 50)
+            nodes = [f"v{i:02d}" for i in range(n)]
+            shuffled = rng.sample(nodes, n)
+            cuts = sorted(rng.sample(range(3, n - 3), rng.randint(1, 3)))
+            linked = shuffled[:n - rng.randint(0, 4)]  # the rest stay isolated
+            edges = {}
+            for part in (linked[i:j] for i, j in zip([0, *cuts], [*cuts, len(linked)])):
+                density = rng.uniform(0.15, 0.5)
+                for i, a in enumerate(part):
+                    for b in part[i + 1:]:
+                        if rng.random() < density:
+                            edges[(a, b) if a < b else (b, a)] = rng.randint(1, 5)
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            expected = greedy_modularity_oracle(nodes, edges)
+            part = communities(net)
+            assert part.blocks == expected, (trial, n)
+            assert part.q == pytest.approx(float(modularity_oracle(nodes, edges, expected)), abs=1e-12)
+
     def test_near_tie_goes_to_smallest_union(self, monkeypatch):
         # after D+E and A+C merge, B's gains toward (A, C) and (D, E) are equal in
         # exact arithmetic; 1.1 + 2.2 and 0.1 + 0.2 round them ~7e-18 apart
