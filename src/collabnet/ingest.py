@@ -107,13 +107,20 @@ def _year(raw) -> int:
     return int(raw)
 
 
+def _field(raw) -> str:
+    """A JSON string; blank means all fields."""
+    if not isinstance(raw, str):
+        raise ValueError(f"field {raw!r} is not a string")
+    return raw.strip() or ALL_FIELDS
+
+
 def parse_publications(lines) -> ParseResult:
     """Parse JSON-lines publication records; malformed lines are counted and skipped.
 
     Country codes are uppercased and deduplicated; records with no usable
     country are dropped (they also count as skipped). A year that is not an
-    integer or a string of one, or a country that is not a string, makes the
-    line malformed.
+    integer or a string of one, or a country or field that is not a string,
+    makes the line malformed; a missing or blank field means all fields.
     """
     records: list[PublicationRecord] = []
     skipped = 0
@@ -125,7 +132,7 @@ def parse_publications(lines) -> ParseResult:
             obj = json.loads(text)
             year = _year(obj["year"])
             countries = _clean_countries(obj["countries"])
-            fld = str(obj.get("field", ALL_FIELDS)).strip() or ALL_FIELDS
+            fld = _field(obj.get("field", ALL_FIELDS))
             rid = str(obj.get("id", f"line{lineno}"))
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("skipping malformed line %d: %s", lineno, exc)

@@ -5,6 +5,8 @@ Every path metric reads one of two kernels:
 - `hop_levels` runs a level-synchronous breadth-first search and Brandes'
   backward pass from each block of SOURCE_BLOCK sources, as sparse-matrix
   products, and returns only topological betweenness and hop distances.
+  The path counts live only on each level's frontier, the backward pass
+  divides only there, and a block stops once it has reached every node.
   It runs once per network, cached as `CollabNetwork.hop_sweep`, so
   topological betweenness and hop efficiency share one pass.
 - `weighted_paths` runs scipy's Dijkstra from a block of sources over the
@@ -41,8 +43,10 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (bc, hops): bc is the raw betweenness over unordered pairs, and
     hops[t, s] the hop distance between t and s, 0 where t == s or t is
-    unreachable. Within a block, arrays are [target, source]: sigma counts
-    the shortest hop paths, and frontiers[k] marks the pairs k hops apart.
+    unreachable. Within a block, arrays are [target, source]: fronts[k] holds
+    the shortest-path counts sigma on the pairs k hops apart and 0 elsewhere,
+    a target's hop distance counts the levels that start with it unvisited,
+    and the sweep ends once it has reached every target or a level reaches none.
     """
     n = network.n
     A = network.pattern
@@ -51,25 +55,25 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
     hops = np.zeros((n, n), dtype=np.min_scalar_type(n))  # no hop distance reaches n
     for start in range(0, n, SOURCE_BLOCK):
         block = slice(start, min(start + SOURCE_BLOCK, n))
-        frontier = np.eye(n, block.stop - start, -start, dtype=bool)
-        sigma = frontier.astype(float)
-        unvisited = ~frontier
-        frontiers = [frontier]
-        while True:
-            contrib = A @ (sigma * frontier)
+        front = np.eye(n, block.stop - start, -start)
+        unvisited = front == 0.0
+        fronts, frontiers = [front], [~unvisited]
+        while unvisited.any():
+            contrib = A @ front
             frontier = (contrib > 0.0) & unvisited
             if not frontier.any():
+                hops[:, block][unvisited] = 0  # unreachable, yet counted at every level
                 break
-            sigma = np.where(frontier, contrib, sigma)
-            unvisited &= ~frontier
-            hops[:, block][frontier] = len(frontiers)
+            hops[:, block] += unvisited
+            unvisited ^= frontier
+            front = contrib * frontier
+            fronts.append(front)
             frontiers.append(frontier)
-        delta = np.zeros_like(sigma)
-        safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
-        for level in range(len(frontiers) - 1, 0, -1):
-            coeff = np.where(frontiers[level], (1.0 + delta) / safe_sigma, 0.0)
-            delta += np.where(frontiers[level - 1], (A @ coeff) * sigma, 0.0)
-        own[block] = delta[frontiers[0]]
+        delta = np.zeros_like(front)
+        for level in range(len(fronts) - 1, 0, -1):
+            coeff = np.divide(1.0 + delta, fronts[level], out=np.zeros_like(delta), where=frontiers[level])
+            delta += (A @ coeff) * fronts[level - 1]
+        own[block] = delta[block].diagonal()
         for column in delta.T:  # one source at a time, so bc sums in source order
             bc += column
     return (bc - own) / 2.0, hops

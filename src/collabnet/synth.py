@@ -103,20 +103,23 @@ class SynthTrajectory:
         return self.graph_at(self.config.n_final)
 
 
-def _weighted_pick(rng: np.random.Generator, weights: np.ndarray, cum: np.ndarray | None = None) -> int:
-    total = weights.sum()
+def _running_sums(weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """What _weighted_pick draws from: the weights' total and their running sums."""
+    return weights.sum(), weights.cumsum()
+
+
+def _weighted_pick(rng: np.random.Generator, sums: tuple[float, np.ndarray]) -> int:
+    total, cum = sums
     if total <= 0:
-        return int(rng.integers(0, len(weights)))
-    if cum is None:
-        cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, rng.random() * total, side="right"))
+        return int(rng.integers(0, len(cum)))
+    return int(cum.searchsorted(rng.random() * total, side="right"))
 
 
 def _pick_excluding(rng: np.random.Generator, weights: np.ndarray, chosen: list[int]) -> int:
     """The capped draw: in proportion to weights, with the chosen indices zeroed."""
     rest = weights.copy()
     rest[chosen] = 0.0
-    return _weighted_pick(rng, rest)
+    return _weighted_pick(rng, _running_sums(rest))
 
 
 def _grow(config: SynthConfig) -> SynthTrajectory:
@@ -129,15 +132,15 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
     fitness = np.ones(config.n_final)
     if config.fitness_law == "uniform":
         fitness[:n0] = rng_grow.random(n0)
-    degree = np.zeros(config.n_final, dtype=np.int64)
+    weight = np.zeros(config.n_final)  # fitness x degree, the attachment weight
     adj: list[set[int]] = [set() for _ in range(config.n_final)]
 
     def add_edge(count: int, i: int, j: int) -> None:
         key = (i, j) if i < j else (j, i)
         adj[i].add(j)
         adj[j].add(i)
-        degree[i] += 1
-        degree[j] += 1
+        weight[i] = fitness[i] * len(adj[i])
+        weight[j] = fitness[j] * len(adj[j])
         traj.events.append((count, key[0], key[1]))
 
     for i in range(n0):
@@ -154,14 +157,15 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
         if arrival is not None and v == arrival and config.fitness_law == "entrant":
             traj.entrant = v
             fitness[v] = config.eta * statistics.median(fitness[:v])
-        weights = fitness[:v] * degree[:v]
-        cum = np.cumsum(weights)  # the weights stay fixed while this arrival draws
+        # the arrival's own edges change only chosen weights, which the capped draw zeroes
+        weights = weight[:v]
+        sums = _running_sums(weights)
         count = v + 1
         chosen: list[int] = []
         rejected = 0
         while len(chosen) < m:
             if rejected < REJECTION_CAP:
-                t = _weighted_pick(rng_grow, weights, cum)
+                t = _weighted_pick(rng_grow, sums)
             else:
                 t = _pick_excluding(rng_grow, weights, chosen)
             if t in chosen:
@@ -179,24 +183,24 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
             shortcut_carry += config.densify_random * count
             n_closure, closure_carry = int(closure_carry), closure_carry - int(closure_carry)
             n_shortcut, shortcut_carry = int(shortcut_carry), shortcut_carry - int(shortcut_carry)
-            traj.densify_dropped += _densify_step(rng_dense, fitness, degree, adj, count, add_edge, n_closure, n_shortcut)
+            traj.densify_dropped += _densify_step(rng_dense, fitness, weight, adj, count, add_edge, n_closure, n_shortcut)
 
     return traj
 
 
-def _densify_step(rng, fitness, degree, adj, count, add_edge, n_closure, n_shortcut) -> int:
+def _densify_step(rng, fitness, weight, adj, count, add_edge, n_closure, n_shortcut) -> int:
     """Add n_closure closure and n_shortcut shortcut edges; returns how many were given up."""
-    n = count
     dropped = 0
     for _ in range(n_closure):
         # close an open triad: pick a broker by fitness-weighted degree, then
         # two of its neighbors by fitness, and connect them directly
+        brokers = _running_sums(weight[:count])  # only an added edge changes the weights
         for _attempt in range(DENSIFY_ATTEMPTS):
-            broker = _weighted_pick(rng, fitness[:n] * degree[:n])
+            broker = _weighted_pick(rng, brokers)
             nbrs = sorted(adj[broker])
             if len(nbrs) < 2:
                 continue
-            w = fitness[nbrs]
+            w = _running_sums(fitness[nbrs])
             u = nbrs[_weighted_pick(rng, w)]
             v = nbrs[_weighted_pick(rng, w)]
             if u == v or v in adj[u]:
@@ -205,10 +209,11 @@ def _densify_step(rng, fitness, degree, adj, count, add_edge, n_closure, n_short
             break
         else:
             dropped += 1
+    ends = _running_sums(fitness[:count])  # fitness is fixed within a step
     for _ in range(n_shortcut):
         for _attempt in range(DENSIFY_ATTEMPTS):
-            u = _weighted_pick(rng, fitness[:n])
-            v = _weighted_pick(rng, fitness[:n])
+            u = _weighted_pick(rng, ends)
+            v = _weighted_pick(rng, ends)
             if u == v or v in adj[u]:
                 continue
             add_edge(count, u, v)

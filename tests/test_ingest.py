@@ -66,6 +66,18 @@ class TestParsePublications:
         assert [(r.year, r.countries) for r in result.records] == [(2002, frozenset({"US", "CN"}))]
         assert result.skipped == 1
 
+    @pytest.mark.parametrize("field", [None, 7, True, ["x"]], ids=["null", "number", "bool", "list"])
+    def test_non_string_field_is_malformed(self, field):
+        result = parse_publications([rec_line(2002, ["US", "CN"], field=field), rec_line(2002, ["US", "CN"])])
+        assert [(r.field, r.countries) for r in result.records] == [(ALL_FIELDS, frozenset({"US", "CN"}))]
+        assert result.skipped == 1
+
+    def test_missing_or_blank_field_means_all(self):
+        lines = ['{"year": 2002, "countries": ["US"]}', rec_line(2002, ["US"], field=" "), rec_line(2002, ["US"], field="")]
+        result = parse_publications(lines)
+        assert [r.field for r in result.records] == [ALL_FIELDS] * 3
+        assert result.skipped == 0
+
     def test_integer_and_digit_string_years_accepted(self):
         result = parse_publications([rec_line(2002, ["US"]), rec_line("2003", ["US"])])
         assert [r.year for r in result.records] == [2002, 2003]

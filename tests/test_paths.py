@@ -1,17 +1,47 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
+from collabnet import paths
 from collabnet.errors import DataError
-from collabnet.paths import bridging_fraction, weighted_paths
+from collabnet.paths import bridging_fraction, hop_levels, weighted_paths
 from collabnet.pipeline import bridge_value
+from collabnet.synth import checkpoint_counts, generate_fitness, standard_run_config
 from conftest import make_net
-from oracles import random_connected_graph
+from oracles import random_connected_graph, random_graph
 
 
 def detour_net():
     return make_net([("A", "B", 100), ("B", "C", 100), ("A", "C", 1), ("A", "D", 2)])
+
+
+def hop_oracle(net):
+    """scipy's breadth-first hop distances, 0 where unreachable (the diagonal is already 0)."""
+    dist = csgraph.shortest_path(net.pattern, unweighted=True)
+    dist[np.isinf(dist)] = 0.0
+    return dist
+
+
+class TestHopLevels:
+    @pytest.mark.parametrize("block", [2, 3, 16])
+    def test_hops_match_scipy_on_random_graphs(self, monkeypatch, block):
+        # isolated nodes, several components and no edges, over one or several blocks
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        rng = random.Random(67)
+        for _ in range(60):
+            nodes, edges = random_graph(rng, rng.randint(1, 40))
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            np.testing.assert_array_equal(hop_levels(net)[1], hop_oracle(net))
+
+    def test_hops_match_scipy_on_standard_checkpoints(self):
+        config = standard_run_config(1)
+        traj = generate_fitness(config)
+        for count in checkpoint_counts(config):
+            net = traj.graph_at(count)
+            np.testing.assert_array_equal(hop_levels(net)[1], hop_oracle(net))
 
 
 class TestShortestPathInfo:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,19 @@ class TestGenerators:
         extreme = generate_fitness(replace(cfg, eta=1e4))
         assert (len(base.events), base.densify_dropped) == (10_836, 0)
         assert (len(extreme.events), extreme.densify_dropped) == (8_910, 1_926)
+
+    @pytest.mark.parametrize("law, eta, digest", [
+        ("uniform", 1.0, "f226c21454600dcd10a5571f53d3ec3fbbdd6f6369397add9cd4590d3d2bc00a"),
+        ("entrant", 2.7, "e963f75bdb407c71381271284ba17c5240ef7997838751e0689349f46915542d"),
+    ], ids=["uniform", "entrant"])
+    def test_densified_growth_with_fractional_weights_is_pinned(self, law, eta, digest):
+        # the golden runs' weights are whole numbers (constant fitness, eta = 5); these
+        # pin densified growth under fractional fitness and attachment weights
+        cfg = SynthConfig(seed=5, n_final=400, m=3, fitness_law=law, eta=eta, entrant_arrival=80,
+                          densify_closure=0.01, densify_random=0.005)
+        traj = generate_fitness(cfg)
+        assert len(traj.events) == 2448
+        assert hashlib.sha256(repr((traj.events, traj.densify_dropped, traj.entrant)).encode()).hexdigest() == digest
 
     def test_eta_monotone_in_entrant_degree(self):
         means = []
