@@ -230,7 +230,7 @@ def _cmd_metrics(args) -> int:
             rows.append(("num_communities", "", float(len(part))))
         elif metric.startswith("ego:"):
             country = metric.split(":", 1)[1]
-            rows.append((metric, country, structure.ego_modularity(net, country)))
+            rows.append((metric, country, analysis.ego_q(country)))
         else:
             raise DataError(f"unknown metric {metric!r}")
     out = Path(args.out)

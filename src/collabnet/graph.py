@@ -5,9 +5,10 @@ through one cached form of it: `CollabNetwork.adjacency`, the symmetric
 weighted adjacency in CSR form, with the 0/1 `pattern` that shares its
 index arrays and the `degrees` vector beside it. Distances for every
 weighted shortest-path metric are the inverse edge weights
-(`CollabNetwork.distance_matrix`, derived from the CSR), so heavily
-collaborating country pairs are close. Hop metrics share `hop_sweep`: the
-topological betweenness and hop distances of one `paths.hop_levels` pass.
+(`CollabNetwork.distance_csr`, a CSR beside `adjacency`, and its dense
+form `distance_matrix`), so heavily collaborating country pairs are close.
+Hop metrics share `hop_sweep`: the topological betweenness and hop
+distances of one `paths.hop_levels` pass.
 Treat a constructed CollabNetwork as immutable: metric code only reads it,
 and the cached forms assume the edge dict never changes after construction.
 """
@@ -99,11 +100,17 @@ class CollabNetwork:
         return np.diff(self.adjacency.indptr)
 
     @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        """Inverse edge weights [u, v] that weighted paths walk; inf where there is no edge."""
+    def distance_csr(self) -> sp.csr_array:
+        """Inverse edge weights that weighted paths walk, in `adjacency`'s CSR layout."""
         A = self.adjacency
+        return sp.csr_array((1.0 / A.data, A.indices, A.indptr), shape=A.shape)
+
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """`distance_csr` as a dense [u, v] matrix, inf where there is no edge."""
+        D = self.distance_csr
         dist = np.full((self.n, self.n), np.inf)
-        dist[np.repeat(np.arange(self.n), self.degrees), A.indices] = 1.0 / A.data
+        dist[np.repeat(np.arange(self.n), self.degrees), D.indices] = D.data
         return dist
 
     @cached_property

@@ -13,10 +13,14 @@ import json
 import logging
 import math
 import re
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DataError
 
@@ -63,22 +67,26 @@ class EdgeList:
         return out
 
 
-@dataclass(frozen=True)
-class CountryYearStats:
-    """Publication counts for one country in one (year, field) slice."""
-
+class _CountryYearCounts(NamedTuple):
     country: str
     year: int
     field: str
     intl_pubs: int
     total_pubs: int
 
-    def __post_init__(self):
-        if self.intl_pubs > self.total_pubs or self.intl_pubs < 0:
+
+class CountryYearStats(_CountryYearCounts):
+    """Publication counts for one country in one (year, field) slice; an
+    immutable tuple, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, country: str, year: int, field: str, intl_pubs: int, total_pubs: int):
+        if intl_pubs > total_pubs or intl_pubs < 0:
             raise DataError(
-                f"{self.country} {self.year}/{self.field}: "
-                f"intl_pubs={self.intl_pubs} inconsistent with total_pubs={self.total_pubs}"
+                f"{country} {year}/{field}: intl_pubs={intl_pubs} inconsistent with total_pubs={total_pubs}"
             )
+        return tuple.__new__(cls, (country, year, field, intl_pubs, total_pubs))
 
 
 @dataclass
@@ -159,7 +167,10 @@ def _matches(record: PublicationRecord, year: int, fld: str) -> bool:
 
 
 def build_annual_edges(records, year: int, fld: str = ALL_FIELDS) -> EdgeList:
-    """Full counting: every unordered country pair on a record adds weight 1."""
+    """Full counting: every unordered country pair on a record adds weight 1.
+
+    The reference definition of a slice's edges; ingest counts every slice at
+    once in `_record_slices`, which must agree with it."""
     out = EdgeList(year, fld)
     for rec in records:
         if not _matches(rec, year, fld):
@@ -170,7 +181,10 @@ def build_annual_edges(records, year: int, fld: str = ALL_FIELDS) -> EdgeList:
 
 
 def country_year_stats(records, year: int, fld: str = ALL_FIELDS) -> dict[str, CountryYearStats]:
-    """Per-country publication counts in one (year, field) slice."""
+    """Per-country publication counts in one (year, field) slice.
+
+    The reference definition of a slice's stats, which `_record_slices` must
+    agree with."""
     total: Counter[str] = Counter()
     intl: Counter[str] = Counter()
     for rec in records:
@@ -271,20 +285,20 @@ class CorpusStore:
                 writer.writerow([year, fld, c, s.intl_pubs, s.total_pubs])
         return path
 
-    def write(self, slices, threshold: int, manifest: dict) -> dict:
-        """Write every (edges, stats) slice, edges thresholded and stats
-        unfiltered, then the manifest with its `years`, `field_slugs`,
-        `threshold` and `edge_counts` filled in; returns the manifest."""
+    def write(self, slices, manifest: dict) -> dict:
+        """Write every (edges, stats) slice, edges already thresholded at the
+        manifest's `threshold` and stats unfiltered, then the manifest with
+        its `years`, `field_slugs` and `edge_counts` filled in; returns the
+        manifest."""
         self.root.mkdir(parents=True, exist_ok=True)
         years, edge_counts = set(), {}
         for edges, stats in slices:
             years.add(edges.year)
-            filtered = filter_countries(edges, stats, threshold)
-            self.write_edges(filtered)
+            self.write_edges(edges)
             self.write_stats(edges.year, edges.field, stats)
-            edge_counts[f"{edges.year}/{edges.field}"] = len(filtered.edges)
+            edge_counts[f"{edges.year}/{edges.field}"] = len(edges.edges)
         manifest.update(years=sorted(years), field_slugs={f: field_slug(f) for f in manifest["fields"]},
-                        threshold=threshold, edge_counts=edge_counts)
+                        edge_counts=edge_counts)
         with self._manifest_path().open("w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -296,10 +310,14 @@ class CorpusStore:
             raise DataError(f"no edge list for {year}/{fld} under {self.root}")
         out = EdgeList(year, fld)
         with path.open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
+            rows = csv.reader(fh)
+            a, b, w = _columns(next(rows, []), ("country_a", "country_b", "weight"), path)
+            for row in rows:
+                if not row:  # a blank line
+                    continue
                 try:
-                    out.add(row["country_a"], row["country_b"], float(row["weight"]))
-                except (KeyError, ValueError, TypeError) as exc:  # TypeError: a short row's missing cells are None
+                    out.add(row[a], row[b], float(row[w]))
+                except (IndexError, ValueError) as exc:  # IndexError: a short row
                     raise DataError(f"bad edge row in {path}: {row}") from exc
         return out
 
@@ -309,15 +327,24 @@ class CorpusStore:
             raise DataError(f"no stats for {year}/{fld} under {self.root}")
         out: dict[str, CountryYearStats] = {}
         with path.open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
+            rows = csv.reader(fh)
+            c, y, f, i, t = _columns(next(rows, []), ("country", "year", "field", "intl_pubs", "total_pubs"), path)
+            for row in rows:
+                if not row:  # a blank line
+                    continue
                 try:
-                    out[row["country"]] = CountryYearStats(
-                        row["country"], int(row["year"]), row["field"],
-                        int(row["intl_pubs"]), int(row["total_pubs"]),
-                    )
-                except (KeyError, ValueError, TypeError) as exc:  # TypeError: a short row's missing cells are None
+                    out[row[c]] = CountryYearStats(row[c], int(row[y]), row[f], int(row[i]), int(row[t]))
+                except (IndexError, ValueError) as exc:  # IndexError: a short row
                     raise DataError(f"bad stats row in {path}: {row}") from exc
         return out
+
+
+def _columns(header: list[str], names: tuple[str, ...], path: Path) -> list[int]:
+    """The position of each named column in a stored CSV's header row."""
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise DataError(f"{path} has no {', '.join(missing)} column")
+    return [header.index(name) for name in names]
 
 
 def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: int = 10) -> dict:
@@ -327,19 +354,21 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
     country-year statistics are kept alongside so later stages can
     re-derive participation series and normalization productivities.
     """
+    if threshold < 0:
+        raise DataError(f"threshold must be non-negative, got {threshold}")
     pubs_path = Path(pubs_path)
     store = CorpusStore(out_dir)
 
     if pubs_path.suffix.lower() == ".csv":
         slices = _edge_csv_slices(pubs_path)
-        fields = sorted({el.field for el, _ in slices})
         manifest = {
-            "fields": fields,
+            "fields": sorted({el.field for el, _ in slices}),
             "records": None,
             "skipped": 0,
             "stats_source": "edge-weight approximation (pre-aggregated input)",
+            "threshold": threshold,
         }
-        return store.write(slices, threshold, manifest)
+        return store.write(((filter_countries(el, stats, threshold), stats) for el, stats in slices), manifest)
 
     parsed = parse_publications_file(pubs_path)
     records = parsed.records
@@ -354,24 +383,75 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
         "records": len(records),
         "skipped": parsed.skipped,
         "slice_counts": slice_counts,
+        "threshold": threshold,
     }
-    return store.write(_record_slices(records, years, fields, slice_counts), threshold, manifest)
+    return store.write(_record_slices(records, years, fields, threshold, slice_counts), manifest)
 
 
-def _record_slices(records, years: list[int], fields: list[str], slice_counts: dict):
-    """Yield every year x field slice, empty ones included, from one pass that
-    buckets the records by (year, "all") and (year, field); fills `slice_counts`.
-    Lazy, so that only one slice's edges and stats are alive at a time."""
-    buckets = defaultdict(list)
+def _record_slices(records, years: list[int], fields: list[str], threshold: int, slice_counts: dict):
+    """Yield every year x field slice, empty ones included, as (edges
+    thresholded at `threshold`, stats), counted in one pass over the records;
+    fills `slice_counts`. Equal, slice by slice, to `filter_countries` of
+    `build_annual_edges` and `country_year_stats`.
+
+    The pass numbers the countries in code order and appends to compact
+    integer arrays of the record's (year, field): a domestic record's
+    country, or an international record's countries and its country pairs
+    (i * n + j for i < j). A year's `all` slice joins the arrays of all its
+    fields. Each slice is then counted with numpy, and only the pairs of
+    countries at or above the threshold become an edge dict. Lazy, and a
+    year's arrays go once its slices are out."""
+    codes = sorted({c for rec in records for c in rec.countries})
+    index = {c: i for i, c in enumerate(codes)}
+    n = len(codes)
+    member_type, pair_type = np.min_scalar_type(n - 1).char, np.min_scalar_type(n * n - 1).char
+    tallies: defaultdict[int, dict[str, _Tally]] = defaultdict(dict)  # year -> record field -> tally
     for rec in records:
-        buckets[rec.year, ALL_FIELDS].append(rec)
-        if rec.field != ALL_FIELDS:
-            buckets[rec.year, rec.field].append(rec)
+        tally = tallies[rec.year].get(rec.field)
+        if tally is None:
+            tally = tallies[rec.year][rec.field] = _Tally(member_type, pair_type)
+        ids = sorted([index[c] for c in rec.countries])
+        if len(ids) == 1:
+            tally.domestic.append(ids[0])
+            continue
+        tally.members.extend(ids)
+        tally.pairs.extend([i * n + j for i, j in combinations(ids, 2)])
+        tally.intl_pubs += 1
+
+    def joined(parts: list[_Tally], name: str) -> np.ndarray:
+        arrays = [getattr(t, name) for t in parts]
+        return np.concatenate([np.frombuffer(a, dtype=a.typecode) for a in arrays] or [np.zeros(0, np.intp)])
+
     for year in years:
+        by_field = tallies.pop(year, {})
         for fld in fields:
-            bucket = buckets.pop((year, fld), [])
-            slice_counts[f"{year}/{fld}"] = {"pubs": len(bucket), "intl": sum(r.international for r in bucket)}
-            yield build_annual_edges(bucket, year, fld), country_year_stats(bucket, year, fld)
+            parts = list(by_field.values()) if fld == ALL_FIELDS else [by_field[fld]] if fld in by_field else []
+            intl_pubs = sum(t.intl_pubs for t in parts)
+            pubs = sum(len(t.domestic) for t in parts) + intl_pubs
+            slice_counts[f"{year}/{fld}"] = {"pubs": pubs, "intl": intl_pubs}
+            intl = np.bincount(joined(parts, "members"), minlength=n)
+            total = np.bincount(joined(parts, "domestic"), minlength=n) + intl
+            total_of, intl_of = total.tolist(), intl.tolist()
+            stats = {codes[i]: CountryYearStats(codes[i], year, fld, intl_of[i], total_of[i])
+                     for i in np.flatnonzero(total).tolist()}
+            pair, weight = np.unique(joined(parts, "pairs"), return_counts=True)
+            a, b = np.divmod(pair, n)
+            kept = (intl[a] >= threshold) & (intl[b] >= threshold)
+            edges = {(codes[i], codes[j]): w
+                     for i, j, w in zip(a[kept].tolist(), b[kept].tolist(), weight[kept].astype(float).tolist())}
+            yield EdgeList(year, fld, edges), stats
+
+
+class _Tally:
+    """The records of one (year, field) as compact arrays of country numbers."""
+
+    __slots__ = ("domestic", "members", "pairs", "intl_pubs")
+
+    def __init__(self, member_type: str, pair_type: str):
+        self.domestic = array(member_type)  # each domestic record's country
+        self.members = array(member_type)  # each international record's countries
+        self.pairs = array(pair_type)  # each international record's pairs i < j, as i * n + j
+        self.intl_pubs = 0
 
 
 def _edge_csv_slices(path: Path) -> list[tuple[EdgeList, dict[str, CountryYearStats]]]:

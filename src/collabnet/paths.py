@@ -10,12 +10,13 @@ Every path metric reads one of two kernels:
   It runs once per network, cached as `CollabNetwork.hop_sweep`, so
   topological betweenness and hop efficiency share one pass.
 - `weighted_paths` runs scipy's Dijkstra from a block of sources over the
-  inverse-weight distances of `CollabNetwork.distance_matrix`, then
-  derives the co-minimal predecessors, the path counts and the order in
-  which Dijkstra finalizes the nodes, as arrays. Weighted betweenness and
-  bridging read it, each asking for the rows it reads. Paths whose
-  lengths agree within TIE_TOLERANCE (relative) count as co-minimal, so
-  float noise cannot split genuinely tied routes.
+  cached inverse-weight CSR `CollabNetwork.distance_csr`, then derives,
+  with its dense form `distance_matrix`, the co-minimal predecessors, the
+  path counts and the order in which Dijkstra finalizes the nodes, as
+  arrays. Weighted betweenness and bridging read it, each asking for the
+  rows it reads. Paths whose lengths agree within TIE_TOLERANCE
+  (relative) count as co-minimal, so float noise cannot split genuinely
+  tied routes.
 
 Bridging: a target counts as bridged when the intermediary is an interior
 vertex of at least one minimum-distance path from the source, detected
@@ -92,7 +93,7 @@ def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndar
     """
     sources = np.asarray(sources)
     rows = np.arange(len(sources))
-    dist = csgraph.dijkstra(network.distance_matrix, indices=sources)
+    dist = csgraph.dijkstra(network.distance_csr, indices=sources)
     through = dist[:, None, :] + network.distance_matrix  # [b, v, u]: dist(s, u) + d(u, v)
     # inf <= inf would make every unreachable pair a tie
     preds = np.isfinite(through) & (through <= dist[:, :, None] + TIE_TOLERANCE * through)

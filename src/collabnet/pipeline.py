@@ -66,6 +66,15 @@ class SliceAnalysis:
     def partition(self) -> structure.CommunityPartition:
         return structure.communities(self.net)
 
+    def ego_q(self, country: str) -> float:
+        """`structure.ego_modularity` of the country. A country linked to every
+        other node has the whole network as its ego network, so the cached
+        `partition` answers without a second CNM run."""
+        net = self.net
+        if net.has_node(country) and net.degrees[net.index[country]] == net.n - 1:
+            return self.partition.q
+        return structure.ego_modularity(net, country)
+
     def global_value(self, name: str) -> float | None:
         fewest, value = GLOBAL_METRICS[name]
         return value(self) if self.net.n >= fewest else None
@@ -88,7 +97,7 @@ COUNTRY_METRICS = {
     "bcw": (3, lambda a, c: a.bcw[c]),
     "ev": (1, lambda a, c: a.ev[c]),
     "deg": (2, lambda a, c: a.deg[c]),
-    "ego_q": (1, lambda a, c: structure.ego_modularity(a.net, c)),
+    "ego_q": (1, lambda a, c: a.ego_q(c)),
 }
 
 

@@ -332,6 +332,7 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, years: int = 24) -
         "records": None,
         "skipped": 0,
         "stats_source": "synthetic degree approximation",
+        "threshold": 0,
     }
     slices = (year_slice(2001 + k, count) for k, count in enumerate(counts))
-    return CorpusStore(out_dir).write(slices, 0, manifest)
+    return CorpusStore(out_dir).write(slices, manifest)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from collabnet import paths
+from collabnet import centrality, paths
 from collabnet.centrality import (
     betweenness,
     centralization,
@@ -14,7 +14,7 @@ from collabnet.centrality import (
 )
 from collabnet.errors import ConvergenceError, DataError
 from collabnet.pipeline import SliceAnalysis
-from conftest import make_net
+from conftest import arpack_fails, make_net
 from oracles import enum_betweenness, random_connected_graph
 
 
@@ -191,12 +191,30 @@ class TestEigenvector:
         assert vec.scores["D"] == 0.0
         assert vec.scores["B"] > 0.0
 
-    def test_long_path_does_not_converge(self):
-        # the shifted power iteration closes the spectral gap of a 180-node path too slowly
-        net = make_net([(f"N{i:03d}", f"N{i + 1:03d}", 1) for i in range(179)])
+    def test_long_path_does_not_converge(self, monkeypatch):
+        # the shifted power iteration closes the spectral gap of a 180-node path too slowly;
+        # with eigsh failing too, the error carries the power iteration's residual
+        monkeypatch.setattr(centrality, "eigsh", arpack_fails)
         with pytest.raises(ConvergenceError, match="did not converge") as info:
-            eigenvector_centrality(net)
+            eigenvector_centrality(long_path())
         assert info.value.residual == pytest.approx(2.73e-8, rel=1e-2)
+
+    def test_long_path_converges_through_eigsh(self):
+        net = long_path()
+        vec = eigenvector_centrality(net)
+        A = net.adjacency
+        x, lam = vec.array, vec.meta["eigenvalue"]
+        assert np.max(np.abs(A @ x - lam * x)) <= 1e-10
+        assert np.all(x > 0) and np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        vals, vecs = np.linalg.eigh(A.toarray())
+        assert lam == pytest.approx(vals[-1], abs=1e-12)
+        assert np.max(np.abs(x - np.abs(vecs[:, -1]))) <= 1e-12
+        # the fallback starts from a fixed vector, so reruns are byte-identical
+        assert eigenvector_centrality(long_path()).array.tobytes() == x.tobytes()
+
+
+def long_path(n=180):
+    return make_net([(f"N{i:03d}", f"N{i + 1:03d}", 1) for i in range(n - 1)])
 
 
 class TestDegreeCentrality:

@@ -1,31 +1,39 @@
 import hashlib
 import json
+import math
 import random
 import shutil
+import string
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
-from collabnet import cli, paths
+from collabnet import centrality, cli, paths, structure
 from collabnet.chart import emit_chart
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork
 from collabnet.ingest import CorpusStore, ingest_publications
 from collabnet.pipeline import (
     PipelineConfig,
+    SliceAnalysis,
     _slice_metrics,
     granger_panel,
     read_forecast_csv,
     read_series_csv,
+    read_windows,
     run_pipeline,
     write_series_csv,
 )
 from collabnet.synth import SynthConfig, hole_closure_experiment
 from collabnet.timeseries import MetricSeries
+from conftest import arpack_fails
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import pubgen  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +215,51 @@ class TestOneHopSweep:
         assert len(sweeps) == 1
 
 
+class TestEgoReuse:
+    """A country linked to every other node of a window has the window as its
+    ego network: `SliceAnalysis.ego_q` reads the window's partition instead."""
+
+    @pytest.fixture(scope="class")
+    def windows(self, tmp_path_factory):
+        """Every 1- and 3-year window, all fields and the six fields, of a `pubgen` seed-2 corpus."""
+        tmp = tmp_path_factory.mktemp("pubgen2")
+        pubgen.write_corpus(tmp / "pubs.jsonl", 2, pubgen.RECORDS)
+        ingest_publications(tmp / "pubs.jsonl", tmp / "corpus", threshold=10)
+        nets = []
+        for window in (1, 3):
+            config = PipelineConfig(corpus=str(tmp / "corpus"), out=".", window=window)
+            for fld in ("all",) + pubgen.FIELDS:
+                nets += [net for _, net, _, _ in read_windows(config, fld) if net is not None]
+        return nets
+
+    def test_ego_q_is_ego_modularity(self, windows):
+        spanning = 0
+        for net in windows:
+            analysis = SliceAnalysis(net)
+            for country in filter(net.has_node, pubgen.FOCUS):
+                assert repr(analysis.ego_q(country)) == repr(structure.ego_modularity(net, country))
+                spanning += len(net.neighbors(country)) == net.n - 1
+        assert spanning == 538
+
+    def test_one_cnm_per_spanning_window(self, windows, monkeypatch):
+        runs = []
+        communities = structure.communities
+        monkeypatch.setattr(structure, "communities", lambda net: runs.append(net.n) or communities(net))
+        spanned = 0
+        for net in windows:
+            egos = [c for c in pubgen.FOCUS if net.has_node(c) and len(net.neighbors(c)) == net.n - 1]
+            if not egos:
+                continue
+            runs.clear()
+            analysis = SliceAnalysis(net)
+            for country in egos:
+                analysis.ego_q(country)
+            assert analysis.partition.q == analysis.ego_q(egos[0])
+            assert runs == [net.n]
+            spanned += 1
+        assert spanned == 272
+
+
 def _digest(paths) -> dict[str, str]:
     """sha256 of each file's bytes, keyed by name; Granger's `# config=` line is left out."""
     out = {}
@@ -376,13 +429,32 @@ class TestCli:
         assert self.run("build", "--corpus", str(tmp_path / "nope"), "--year", "2001",
                         "--out", str(tmp_path / "x.json")) == 2
 
-    def test_eigenvector_non_convergence_exit_3(self, tmp_path, capsys):
+    def test_eigenvector_non_convergence_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(centrality, "eigsh", arpack_fails)
         net = tmp_path / "path.json"
         CollabNetwork(tuple(f"N{i:03d}" for i in range(180)),
                       {(f"N{i:03d}", f"N{i + 1:03d}"): 1.0 for i in range(179)}).save(net)
         assert self.run("metrics", "--net", str(net), "--metric", "ev", "--out", str(tmp_path / "m.csv")) == 3
         assert "collabnet: numeric failure" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    def test_chain_window_keeps_every_slice(self, tmp_path):
+        # 2001-2003 are a 180-country chain, on which the power iteration stalls and eigsh takes over
+        codes = ["".join(pair) for pair in product(string.ascii_uppercase, repeat=2)][:180]
+        rows = [f"{year},,{a},{b},1" for year in (2001, 2002, 2003) for a, b in zip(codes, codes[1:])]
+        rows += ["2004,,AA,AB,2", "2004,,AB,AC,1", "2004,,AA,AC,1"]
+        edges = tmp_path / "chain.csv"
+        edges.write_text("year,field,country_a,country_b,weight\n" + "\n".join(rows) + "\n")
+        corpus, out = str(tmp_path / "corpus"), tmp_path / "res"
+        assert self.run("ingest", "--pubs", str(edges), "--out", corpus, "--threshold", "0") == 0
+        assert self.run("series", "--corpus", corpus, "--out", str(out), "--window", "1", "--threshold", "0",
+                        "--countries", "AA") == 0
+        ev = read_series_csv(out / "series" / "ev_AA__all.csv")
+        assert ev.years == (2001, 2002, 2003, 2004)
+        # a path's Perron vector is sqrt(2 / (n + 1)) sin(k pi / (n + 1)); AA is its end, k = 1
+        end = math.sqrt(2 / 181) * math.sin(math.pi / 181)
+        assert ev.values[:3] == pytest.approx([end] * 3, abs=1e-12)
+        assert ev.values[3] is not None and ev.values[3] > end
 
     def test_threshold_below_ingest_threshold_exit_2(self, corpus, tmp_path, capsys):
         # the corpus was ingested at threshold 5: its edges to weaker countries are gone
