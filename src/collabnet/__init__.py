@@ -42,8 +42,6 @@ from .timeseries import (
     GrangerTest,
     MetricSeries,
     bh_fdr,
-    first_difference,
-    fit_restricted_unrestricted,
     forecast,
     granger_test,
 )

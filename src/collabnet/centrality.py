@@ -54,19 +54,24 @@ class CentralityVector:
 
 
 def _betweenness_weighted(network: CollabNetwork) -> np.ndarray:
-    """Brandes' dependency accumulation over `weighted_paths`, one block of sources at a time."""
+    """Brandes' dependency accumulation over `weighted_paths`' DAG, one block of sources at a time.
+
+    delta <- M ((1 + delta) / sigma) until it settles, where M[u, v] = sigma_u
+    on each DAG edge u -> v. M's rows keep `succ`'s last-finalized-first
+    order, so each delta_u sums its terms in the order of Brandes' pass.
+    """
     n = network.n
     bc = np.zeros(n)
     for start in range(0, n, paths.SOURCE_BLOCK):
         sources = np.arange(start, min(start + paths.SOURCE_BLOCK, n))
-        rows = np.arange(len(sources))
-        _, sigma, preds, order = paths.weighted_paths(network, sources)
+        _, sigma, succ = paths.weighted_paths(network, sources)
+        sigma = sigma.ravel()
+        # built from its own arrays: the (data, (row, col)) form would re-sort each row's columns
+        M = sp.csr_array((np.repeat(sigma, np.diff(succ.indptr)), succ.indices, succ.indptr), shape=succ.shape)
         safe_sigma = np.where(sigma == 0.0, 1.0, sigma)  # unreachable: no predecessors, finite coefficient
-        delta = np.zeros_like(sigma)
-        for w in order.T[:0:-1]:
-            coeff = (1.0 + delta[rows, w]) / safe_sigma[rows, w]
-            delta += np.where(preds[rows, w], sigma * coeff[:, None], 0.0)
-        delta[rows, sources] = 0.0  # a source is never credited for its own paths
+        delta = paths.settle(lambda delta: M @ ((1.0 + delta) / safe_sigma), np.zeros_like(sigma), n)
+        delta = delta.reshape(len(sources), n)
+        delta[np.arange(len(sources)), sources] = 0.0  # a source is never credited for its own paths
         for row in delta:  # one source at a time, so bc sums in source order
             bc += row
     return bc / 2.0

@@ -5,8 +5,8 @@ through one cached form of it: `CollabNetwork.adjacency`, the symmetric
 weighted adjacency in CSR form, with the 0/1 `pattern` that shares its
 index arrays and the `degrees` vector beside it. Distances for every
 weighted shortest-path metric are the inverse edge weights
-(`CollabNetwork.distance_csr`, a CSR beside `adjacency`, and its dense
-form `distance_matrix`), so heavily collaborating country pairs are close.
+(`CollabNetwork.distance_csr`, a CSR beside `adjacency`), so heavily
+collaborating country pairs are close.
 Hop metrics share `hop_sweep`: the topological betweenness and hop
 distances of one `paths.hop_levels` pass.
 Treat a constructed CollabNetwork as immutable: metric code only reads it,
@@ -79,14 +79,12 @@ class CollabNetwork:
     @cached_property
     def adjacency(self) -> sp.csr_array:
         """Symmetric weighted adjacency in CSR form; each row lists its neighbors by index."""
-        idx = self.index
-        rows, cols, vals = [], [], []
-        for (a, b), w in self.edges.items():
-            i, j = idx[a], idx[b]
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        return sp.csr_array((vals, (rows, cols)), shape=(self.n, self.n), dtype=np.float64)
+        idx, m = self.index, self.m
+        i = np.fromiter((idx[a] for a, _ in self.edges), dtype=np.intp, count=m)
+        j = np.fromiter((idx[b] for _, b in self.edges), dtype=np.intp, count=m)
+        w = np.fromiter(self.edges.values(), dtype=np.float64, count=m)
+        coords = (np.concatenate([i, j]), np.concatenate([j, i]))
+        return sp.csr_array((np.concatenate([w, w]), coords), shape=(self.n, self.n))
 
     @cached_property
     def pattern(self) -> sp.csr_array:
@@ -104,14 +102,6 @@ class CollabNetwork:
         """Inverse edge weights that weighted paths walk, in `adjacency`'s CSR layout."""
         A = self.adjacency
         return sp.csr_array((1.0 / A.data, A.indices, A.indptr), shape=A.shape)
-
-    @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        """`distance_csr` as a dense [u, v] matrix, inf where there is no edge."""
-        D = self.distance_csr
-        dist = np.full((self.n, self.n), np.inf)
-        dist[np.repeat(np.arange(self.n), self.degrees), D.indices] = D.data
-        return dist
 
     @cached_property
     def hop_sweep(self) -> tuple[np.ndarray, np.ndarray]:

@@ -211,13 +211,18 @@ def participation(stats: dict[str, CountryYearStats], country: str, pubs: int | 
     return (stats[country].intl_pubs if country in stats else 0) / denom
 
 
+def require_stats(edge_list: EdgeList, stats: dict[str, CountryYearStats]) -> None:
+    """DataError naming the first country of the edges that has no stats row."""
+    missing = edge_list.countries() - stats.keys()
+    if missing:
+        raise DataError(f"country {min(missing)} appears in edges but is missing from stats {edge_list.year}/{edge_list.field}")
+
+
 def filter_countries(edge_list: EdgeList, stats: dict[str, CountryYearStats], threshold: int = 10) -> EdgeList:
     """Drop every edge touching a country below the international-output threshold."""
     if threshold < 0:
         raise DataError(f"threshold must be non-negative, got {threshold}")
-    for c in sorted(edge_list.countries()):
-        if c not in stats:
-            raise DataError(f"country {c} appears in edges but is missing from stats {edge_list.year}/{edge_list.field}")
+    require_stats(edge_list, stats)
     keep = {c for c in edge_list.countries() if stats[c].intl_pubs >= threshold}
     out = EdgeList(edge_list.year, edge_list.field)
     for (a, b), w in edge_list.edges.items():

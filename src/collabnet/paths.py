@@ -10,13 +10,13 @@ Every path metric reads one of two kernels:
   It runs once per network, cached as `CollabNetwork.hop_sweep`, so
   topological betweenness and hop efficiency share one pass.
 - `weighted_paths` runs scipy's Dijkstra from a block of sources over the
-  cached inverse-weight CSR `CollabNetwork.distance_csr`, then derives,
-  with its dense form `distance_matrix`, the co-minimal predecessors, the
-  path counts and the order in which Dijkstra finalizes the nodes, as
-  arrays. Weighted betweenness and bridging read it, each asking for the
-  rows it reads. Paths whose lengths agree within TIE_TOLERANCE
-  (relative) count as co-minimal, so float noise cannot split genuinely
-  tied routes.
+  cached inverse-weight CSR `CollabNetwork.distance_csr`, tests each CSR
+  entry as the last step of a co-minimal path, and returns the distances,
+  the path counts and those predecessor edges as one sparse DAG, the
+  recursion of Brandes (2001) as fixed points of sparse products.
+  Weighted betweenness and bridging read it, each asking for the rows it
+  reads. Paths whose lengths agree within TIE_TOLERANCE (relative) count
+  as co-minimal, so float noise cannot split genuinely tied routes.
 
 Bridging: a target counts as bridged when the intermediary is an interior
 vertex of at least one minimum-distance path from the source, detected
@@ -30,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import DataError
 from .graph import CollabNetwork
 
 TIE_TOLERANCE = 1e-12  # relative, on accumulated path distances
-SOURCE_BLOCK = 16  # sources per block; weighted_paths' temporaries are block x n x n
+SOURCE_BLOCK = 16  # sources per block; weighted_paths' temporaries are block x nnz
 
 
 def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -80,30 +81,54 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
     return (bc - own) / 2.0, hops
 
 
-def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndarray, sp.csr_array]:
     """Co-minimal inverse-weight paths from a block of source indices.
 
-    Returns (dist, sigma, preds, order), one row per source: dist[b, v] is
-    the distance (inf when unreachable), sigma[b, v] the number of
-    co-minimal paths, preds[b, v, u] marks u as the last step before v on
-    one of them, and order[b] lists the nodes by distance, ties by index,
-    which is the order Dijkstra finalizes them in. order has as many
-    columns as the farthest-reaching row reaches nodes; a row that reaches
-    fewer ends in unreachable nodes, which have sigma 0 and no predecessors.
+    Returns (dist, sigma, succ), dist and sigma with one row per source:
+    dist[b, v] is the distance (inf when unreachable) and sigma[b, v] the
+    number of co-minimal paths. succ is the block's predecessor DAG, a 0/1
+    matrix over the (source, node) pairs b * n + v: row b * n + u lists
+    b * n + v for each edge u -> v that ends a co-minimal path to v, the v
+    that Dijkstra finalizes last first. Dijkstra finalizes nodes by
+    distance, ties by index; an edge is kept only if it finalizes u before
+    v, which on a non-degenerate network drops nothing and always leaves
+    the DAG acyclic.
     """
     sources = np.asarray(sources)
-    rows = np.arange(len(sources))
-    dist = csgraph.dijkstra(network.distance_csr, indices=sources)
-    through = dist[:, None, :] + network.distance_matrix  # [b, v, u]: dist(s, u) + d(u, v)
-    # inf <= inf would make every unreachable pair a tie
-    preds = np.isfinite(through) & (through <= dist[:, :, None] + TIE_TOLERANCE * through)
-    reach = int(np.isfinite(dist).sum(axis=1).max())
-    order = np.argsort(dist, axis=1, kind="stable")[:, :reach]
-    sigma = np.zeros_like(dist)
-    sigma[rows, sources] = 1.0
-    for v in order.T[1:]:
-        sigma[rows, v] = np.where(preds[rows, v], sigma, 0.0).sum(axis=1)
-    return dist, sigma, preds, order
+    n, blocks = network.n, len(sources)
+    D = network.distance_csr
+    dist = csgraph.dijkstra(D, indices=sources)
+    # [nnz, block] arrays, one row per CSR entry u -> v: gathering rows of dist.T keeps them contiguous
+    tail, dist_t = np.repeat(np.arange(n), network.degrees), np.ascontiguousarray(dist.T)
+    through = np.take(dist_t, tail, axis=0) + D.data[:, None]  # dist(s, u) + d(u, v)
+    bound = np.take(dist_t, D.indices, axis=0)
+    bound += TIE_TOLERANCE * through
+    hits = np.flatnonzero(through <= bound)
+    hits = hits[np.isfinite(through.ravel()[hits])]  # inf <= inf would make every unreachable pair a tie
+    k, b = np.divmod(hits, blocks)
+    u, v = b * n + tail[k], b * n + D.indices[k]  # as (source, node) pairs
+    rank = np.argsort(np.argsort(dist, axis=1, kind="stable"), axis=1).ravel()  # Dijkstra's finalize order
+    keep = rank[u] < rank[v]
+    u, v = u[keep], v[keep]
+    by_row = np.argsort(u * n + (n - 1 - rank[v]))  # each row u lists its v last-finalized first
+    indptr = np.r_[0, np.cumsum(np.bincount(u, minlength=blocks * n))]
+    succ = sp.csr_array((np.ones(len(u)), v[by_row], indptr), shape=(blocks * n, blocks * n))
+
+    seed = np.zeros(succ.shape[0])
+    seed[np.arange(blocks) * n + sources] = 1.0
+    sigma = settle(lambda sigma: seed + succ.T @ sigma, seed, n)  # sigma <- e + P sigma
+    return dist, sigma.reshape(dist.shape), succ
+
+
+def settle(step, x: np.ndarray, n: int) -> np.ndarray:
+    """Iterate x <- step(x) until it stops changing, at most n + 1 times:
+    a step over a DAG of n nodes per source settles one more level of it."""
+    for _ in range(n + 1):
+        nxt = step(x)
+        if np.array_equal(nxt, x):
+            break
+        x = nxt
+    return x
 
 
 @dataclass
@@ -134,7 +159,7 @@ def bridging_fraction(network: CollabNetwork, source: str, intermediary: str, mo
     if not targets:
         raise DataError("network has no targets besides source and intermediary")
 
-    (dist_s, dist_v), (sigma_s, sigma_v), _, _ = weighted_paths(network, [s, v])
+    (dist_s, dist_v), (sigma_s, sigma_v), _ = weighted_paths(network, [s, v])
     through = dist_s[v] + dist_v  # finite only where s reaches v and v reaches the target
     bridged = np.isfinite(through) & (through <= dist_s + TIE_TOLERANCE * np.maximum(through, dist_s))
     bridged[[s, v]] = False

@@ -199,9 +199,10 @@ def _load_window_network(
     are read, and years that left it are dropped. A window with no slice, or
     whose slices are not consecutive, is missing: it returns (empty net, 0)
     rather than raising, so that no caller catches a read error as a missing
-    year.
+    year. The stored edges already hold the corpus's ingest threshold;
+    `threshold` is re-applied on top of it, and 0 re-applies none.
     """
-    from .ingest import filter_countries  # local import keeps module load cheap
+    from .ingest import filter_countries, require_stats  # local import keeps module load cheap
 
     for y in [y for y in slices if y <= year - window]:
         del slices[y]
@@ -209,8 +210,11 @@ def _load_window_network(
         if y not in slices:
             el = store.read_edges(y, fld) if store.edge_path(y, fld).exists() else None
             stats = store.read_stats(y, fld) if store.stats_path(y, fld).exists() else None
-            if el is not None and stats is not None and threshold > 0:
-                el = filter_countries(el, stats, threshold)
+            if el is not None and stats is not None:
+                if threshold > 0:
+                    el = filter_countries(el, stats, threshold)
+                else:
+                    require_stats(el, stats)
             slices[y] = el, stats
     present = [slices[y] for y in range(year - window + 1, year + 1) if None not in slices[y]]
     if not present or present[-1][0].year - present[0][0].year != len(present) - 1:
@@ -239,9 +243,10 @@ def read_windows(config: PipelineConfig, fld: str) -> Iterator[tuple[int, Collab
         raise DataError(f"threshold {config.threshold} is below the corpus's ingest threshold "
                         f"{manifest['threshold']}; re-ingest with --threshold {config.threshold}")
     years = config.years or manifest["years"]
+    refilter = config.threshold if config.threshold > manifest["threshold"] else 0  # the filter is idempotent
     slices: dict = {}
     for year in range(min(years), max(years) + 1):
-        net, used = _load_window_network(store, slices, year, fld, config.window, config.threshold, config.normalize)
+        net, used = _load_window_network(store, slices, year, fld, config.window, refilter, config.normalize)
         yield year, net if used else None, used, slices[year][1]
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError, NumericError
 
@@ -120,6 +119,7 @@ def fit_restricted_unrestricted(y, x, lag: int) -> LagFit:
     T_eff * ln(RSS/T_eff) + 2k with k counting all estimated coefficients
     of the unrestricted model (intercept plus 2*lag slopes).
     """
+    from scipy import stats  # local import keeps module load cheap
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
@@ -243,6 +243,7 @@ def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecas
     the propagated innovation variance (psi-weight recursion), so they are
     non-decreasing with the horizon.
     """
+    from scipy import stats  # local import keeps module load cheap
     if horizon < 1:
         raise DataError("horizon must be at least 1")
     if not 0.0 < level < 1.0:
@@ -305,6 +306,7 @@ def trend_diagnostic(series: MetricSeries) -> float:
     Small values signal residual non-stationarity after differencing; the
     Granger pipeline reports the share of flagged series but never blocks.
     """
+    from scipy import stats  # local import keeps module load cheap
     diffed = first_difference(series)
     _, v = diffed.present()
     if len(v) < 4:

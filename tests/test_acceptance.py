@@ -45,7 +45,7 @@ class TestCriterion1WeightedShortestPaths:
     def test_shortest_paths_and_bridging(self):
         start = time.perf_counter()
         net = detour_net()
-        dist, _, _, _ = weighted_paths(net, [net.index["D"]])
+        dist, _, _ = weighted_paths(net, [net.index["D"]])
         assert abs(dist[0, net.index["A"]] - 0.5) <= 1e-12
         assert abs(dist[0, net.index["B"]] - 0.51) <= 1e-12
         assert abs(dist[0, net.index["C"]] - 0.52) <= 1e-12

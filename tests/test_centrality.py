@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from collabnet.centrality import (
 )
 from collabnet.errors import ConvergenceError, DataError
 from collabnet.pipeline import SliceAnalysis
+from collabnet.synth import checkpoint_counts, generate_fitness, standard_run_config
 from conftest import arpack_fails, make_net
-from oracles import enum_betweenness, random_connected_graph
+from oracles import dense_weighted_betweenness, dense_weighted_paths, enum_betweenness, random_connected_graph, random_graph
 
 
 def path3():
@@ -104,6 +107,63 @@ class TestBetweenness:
         # every oracle graph has at most 9 nodes, so blocks of 2 make both kernels accumulate over several
         monkeypatch.setattr(paths, "SOURCE_BLOCK", 2)
         self.test_matches_enumeration_oracle()
+
+
+class TestWeightedKernel:
+    """The sparse predecessor-DAG kernel against the dense [block, n, n] one it replaced."""
+
+    @staticmethod
+    def random_nets(seed, weight, count=40):
+        rng = random.Random(seed)
+        for _ in range(count):
+            nodes, edges = random_graph(rng, rng.randint(2, 30))
+            yield make_net([(a, b, weight(rng)) for a, b in edges], nodes=nodes)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 16])
+    @pytest.mark.parametrize("weights", ["ties", "counts"])
+    def test_bytes_equal_to_dense_reference(self, monkeypatch, block, weights):
+        # weights from {1, 2, 4} make exact ties; counts from 1 to 29 make float sums that nearly tie
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        weight = (lambda rng: rng.choice([1, 2, 4])) if weights == "ties" else (lambda rng: rng.randint(1, 29))
+        for net in self.random_nets(block, weight):
+            np.testing.assert_array_equal(betweenness(net, weighted=True).array, dense_weighted_betweenness(net))
+            sources = np.arange(min(block, net.n))
+            dist, sigma, _ = paths.weighted_paths(net, sources)
+            ref_dist, ref_sigma, _, _ = dense_weighted_paths(net, sources)
+            np.testing.assert_array_equal(dist, ref_dist)
+            np.testing.assert_array_equal(sigma, ref_sigma)
+
+    def test_degenerate_edge_finishes_with_tree_betweenness(self):
+        # d(B, C) = 1e-13 lies within the tie tolerance of every path through it, so B and C
+        # would each count as the other's predecessor; the DAG keeps only B -> C from sources
+        # nearer B (and C -> B from those nearer C), so this tree gets its exact betweenness:
+        # B and C each separate 7 pairs. The dense kernel credited each with 12.
+        net = make_net([("A", "B", 1), ("B", "C", 1e13), ("C", "D", 1), ("B", "E", 1), ("C", "F", 1)])
+        start = time.perf_counter()
+        bcw = betweenness(net, weighted=True).array
+        assert time.perf_counter() - start < 1.0
+        assert bcw.tolist() == [0.0, 7.0, 7.0, 0.0, 0.0, 0.0]
+        assert dense_weighted_betweenness(net).tolist() == [0.0, 12.0, 12.0, 0.0, 0.0, 0.0]
+
+    def test_degenerate_weights_keep_sigma_and_finish(self):
+        for net in self.random_nets(5, lambda rng: rng.choice([1, 1e13])):
+            sources = np.arange(net.n)
+            np.testing.assert_array_equal(paths.weighted_paths(net, sources)[1], dense_weighted_paths(net, sources)[1])
+            assert np.isfinite(betweenness(net, weighted=True).array).all()
+
+    def test_memory_on_final_standard_graph(self):
+        # the dense kernel peaked at 406 MiB traced here; unit weights make bcw topological BC
+        config = standard_run_config(1)
+        net = generate_fitness(config).graph_at(checkpoint_counts(config)[-1])
+        net.distance_csr  # cached before tracing: the network's own form, not the kernel's
+        tracemalloc.start()
+        try:
+            bcw = betweenness(net, weighted=True).array
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        np.testing.assert_allclose(bcw, betweenness(net).array, rtol=1e-12, atol=0.0)
 
 
 class TestNormalizeBC:

@@ -156,11 +156,11 @@ class TestNormalizeWeights:
 
 
 class TestToDistance:
-    """The inverse-weight distance transform, built once in CollabNetwork.distance_matrix."""
+    """The inverse-weight distance transform, built once in CollabNetwork.distance_csr."""
 
     @staticmethod
     def distance(net, a, b):
-        return net.distance_matrix[net.index[a], net.index[b]]
+        return net.distance_csr[net.index[a], net.index[b]]
 
     @pytest.mark.parametrize("w,d", [(100, 0.01), (1, 1.0), (2, 0.5)])
     def test_inverse_weight(self, w, d):
@@ -176,6 +176,7 @@ class TestToDistance:
 
     def test_non_edges_are_unreachable(self):
         net = make_net([("A", "B", 1)], nodes=["A", "B", "C"])
-        assert self.distance(net, "A", "C") == math.inf
-        assert np.all(net.distance_matrix[net.index["C"]] == math.inf)
-        assert weighted_paths(net, [net.index["A"]])[0][0, net.index["C"]] == math.inf
+        D, a, c = net.distance_csr, net.index["A"], net.index["C"]
+        assert c not in D.indices[D.indptr[a]:D.indptr[a + 1]]  # no A-C entry
+        assert D.indptr[c] == D.indptr[c + 1]  # C's row stores no entry at all
+        assert weighted_paths(net, [a])[0][0, c] == math.inf

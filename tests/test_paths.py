@@ -47,7 +47,7 @@ class TestHopLevels:
 class TestShortestPathInfo:
     def test_worked_distances(self):
         net = detour_net()
-        dist, sigma, _, _ = weighted_paths(net, [net.index["D"]])
+        dist, sigma, _ = weighted_paths(net, [net.index["D"]])
         assert dist[0, net.index["A"]] == pytest.approx(0.5, abs=1e-12)
         assert dist[0, net.index["B"]] == pytest.approx(0.51, abs=1e-12)
         assert dist[0, net.index["C"]] == pytest.approx(0.52, abs=1e-12)
@@ -55,13 +55,13 @@ class TestShortestPathInfo:
 
     def test_unreachable_is_infinite(self):
         net = make_net([("A", "B", 1)], nodes=["C"])
-        dist, _, _, _ = weighted_paths(net, [net.index["A"]])
+        dist, _, _ = weighted_paths(net, [net.index["A"]])
         assert math.isinf(dist[0, net.index["C"]])
 
     def test_counts_comimal_paths(self):
         # two equal-cost routes A-B-D and A-C-D
         net = make_net([("A", "B", 2), ("B", "D", 2), ("A", "C", 2), ("C", "D", 2)])
-        _, sigma, _, _ = weighted_paths(net, [net.index["A"]])
+        _, sigma, _ = weighted_paths(net, [net.index["A"]])
         assert sigma[0, net.index["D"]] == 2.0
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import random
 import shutil
 import string
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from collabnet import centrality, cli, paths, structure
+from collabnet import ingest as ingest_mod
 from collabnet.chart import emit_chart
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork
@@ -336,6 +339,66 @@ class TestWindowLoading:
         path.write_text("\n".join([header, first, *rest]) + "\n")
         assert cli.main(self.COMMANDS[command]) == 2
         assert "bad edge row" in capsys.readouterr().err
+
+    def test_ingest_threshold_is_not_reapplied(self, store, monkeypatch):
+        # the stored edges already hold the ingest threshold (5); only a higher one filters again
+        calls = []
+        real = ingest_mod.filter_countries
+        monkeypatch.setattr(ingest_mod, "filter_countries", lambda el, stats, t: calls.append(t) or real(el, stats, t))
+        assert cli.main(self.COMMANDS[0]) == 0
+        assert calls == []
+        assert cli.main([arg if arg != "5" else "6" for arg in self.COMMANDS[0]]) == 0
+        assert set(calls) == {6}
+
+    @pytest.mark.parametrize("threshold", ["5", "6"], ids=["ingest", "above"])
+    def test_edge_country_without_stats_is_a_data_error(self, store, threshold, capsys):
+        path = store / "stats_2010_all.csv"
+        path.write_text("".join(line for line in path.read_text().splitlines(True) if ",US," not in line))
+        assert cli.main([arg if arg != "5" else threshold for arg in self.COMMANDS[0]]) == 2
+        assert "country US appears in edges but is missing from stats 2010/all" in capsys.readouterr().err
+
+
+COLD_START = """
+import sys
+from pathlib import Path
+
+from collabnet import cli
+
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+    return "scipy.stats" in sys.modules
+
+out = Path(sys.argv[1])
+assert "scipy.stats" not in sys.modules
+assert not run("synth", "--experiment", "--n", "60", "--m", "2", "--arrival", "20", "--checkpoints", "20",
+               "--seed", "3", "--out", str(out / "exp.json"))
+assert not run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0")
+assert not run("series", "--corpus", str(out / "corpus"), "--out", str(out / "series"), "--threshold", "0",
+               "--countries", "US,CN", "--bridge", "CN:US")
+assert run("granger", "--corpus", str(out / "corpus"), "--iv", "CN", "--threshold", "0",
+           "--metrics", "clustering", "--max-lag", "1", "--out", str(out / "granger.csv"))
+print("ok")
+"""
+
+
+class TestColdStart:
+    """Only the commands that run a statistical test load scipy.stats. Run in a
+    fresh interpreter, because this test session has imported it already."""
+
+    def test_scipy_stats_loads_only_for_statistics(self, tmp_path):
+        rng = random.Random(4)
+        rows = ["year,field,country_a,country_b,weight"]
+        for year in range(2001, 2013):
+            for a, b in combinations(["CN", "DE", "FR", "GB", "JP", "KR", "US"], 2):
+                if rng.random() < 0.6:
+                    rows.append(f"{year},all,{a},{b},{rng.randint(1, 9)}")
+        (tmp_path / "edges.csv").write_text("\n".join(rows) + "\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "ok"
 
 
 class TestSeriesCsv:
