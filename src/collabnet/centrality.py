@@ -8,7 +8,9 @@ cannot split genuinely co-minimal routes.
 
 Both variants run Brandes' dependency accumulation over blocks of
 `paths.SOURCE_BLOCK` sources: the topological one inside the cached
-`CollabNetwork.hop_sweep`, the weighted one here over `paths.weighted_paths`.
+`CollabNetwork.hop_sweep`, the weighted one here over `paths.weighted_paths`,
+whose distance rows and candidate predecessor edges come from the cached
+`CollabNetwork.geodesics`, one Dijkstra per network that bridging shares.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .graph import CollabNetwork
 
 EV_TOLERANCE = 1e-10  # max |Ax - lambda x| at which power iteration stops
 EV_MAX_ITERATIONS = 10_000
+EV_STRETCH = 100  # power steps over which the residual's geometric rate is measured
 
 
 @dataclass
@@ -59,6 +62,8 @@ def _betweenness_weighted(network: CollabNetwork) -> np.ndarray:
     delta <- M ((1 + delta) / sigma) until it settles, where M[u, v] = sigma_u
     on each DAG edge u -> v. M's rows keep `succ`'s last-finalized-first
     order, so each delta_u sums its terms in the order of Brandes' pass.
+    Every block reads its distances from the network's cached `geodesics`.
+    On degenerate weights the result depends on node order (see `weighted_paths`).
     """
     n = network.n
     bc = np.zeros(n)
@@ -104,10 +109,13 @@ def eigenvector_centrality(network: CollabNetwork) -> CentralityVector:
 
     Disconnected networks are scored on the largest component (ties broken
     by smallest member label) with the remaining nodes at 0 and a warning.
-    Iteration runs on A + I so bipartite components cannot oscillate. If
-    the power iteration has not converged after EV_MAX_ITERATIONS steps,
-    ARPACK's eigsh solves A + I instead; ConvergenceError only if that
-    misses EV_TOLERANCE too.
+    Iteration runs on A + I so bipartite components cannot oscillate. Every
+    EV_STRETCH steps the residual's geometric rate over the last stretch
+    predicts the residual at EV_MAX_ITERATIONS; when that misses
+    EV_TOLERANCE (a long chain's small spectral gap, say), ARPACK's eigsh
+    solves A + I instead, and ConvergenceError is raised only if that
+    misses EV_TOLERANCE too. meta holds the eigenvalue, the solver
+    ("power" or "eigsh") and the power steps run.
     """
     if network.n < 1:
         raise DataError("eigenvector centrality needs at least 1 node")
@@ -127,28 +135,31 @@ def eigenvector_centrality(network: CollabNetwork) -> CentralityVector:
     n = network.n
     A = network.adjacency
     x = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    residual = math.inf
     ax = A @ x
-    for _ in range(EV_MAX_ITERATIONS):
+    for step in range(1, EV_MAX_ITERATIONS + 1):
         nxt = ax + x  # shift by identity: same eigenvectors, spectrum moved off +/- pairs
         x = nxt / np.linalg.norm(nxt)
         ax = A @ x
         lam = float(x @ ax)
         residual = float(np.max(np.abs(ax - lam * x)))
         if residual <= EV_TOLERANCE:
-            break
-    else:
-        # a small spectral gap (a long chain, say) stalls the power iteration; Lanczos does not
-        x, lam, eigsh_residual = _principal_eigsh(A)
-        if eigsh_residual > EV_TOLERANCE:
-            residual = min(residual, eigsh_residual)
-            raise ConvergenceError(
-                f"eigenvector centrality did not converge in {EV_MAX_ITERATIONS} iterations "
-                f"nor with eigsh (residual {residual:.3e})",
-                residual=residual,
-            )
-    return CentralityVector("ev", network.nodes, x, {"eigenvalue": lam})
+            return CentralityVector("ev", network.nodes, x, {"eigenvalue": lam, "solver": "power", "iterations": step})
+        if step % EV_STRETCH == 0:
+            # the residual shrinks by anchor / residual per stretch; over the steps left, does it reach the tolerance?
+            if step > EV_STRETCH and math.log(residual / EV_TOLERANCE) > (
+                    math.log(anchor / residual) * (EV_MAX_ITERATIONS - step) / EV_STRETCH):
+                break
+            anchor = residual  # the residual one stretch ago, at the next check
+    # a small spectral gap stalls the power iteration; Lanczos does not
+    x, lam, eigsh_residual = _principal_eigsh(A)
+    if eigsh_residual > EV_TOLERANCE:
+        residual = min(residual, eigsh_residual)
+        raise ConvergenceError(
+            f"eigenvector centrality did not converge in {step} power iterations "
+            f"nor with eigsh (residual {residual:.3e})",
+            residual=residual,
+        )
+    return CentralityVector("ev", network.nodes, x, {"eigenvalue": lam, "solver": "eigsh", "iterations": step})
 
 
 def _principal_eigsh(A) -> tuple[np.ndarray, float, float]:

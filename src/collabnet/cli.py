@@ -309,7 +309,7 @@ def _cmd_granger(args) -> int:
     extra = f", residual trend flagged in {share:.1%} of series" if share is not None else ""
     skipped = diagnostics["skipped_cells"]
     if skipped:
-        extra += f"; {len(skipped)} skipped: {', '.join(skipped)}"
+        extra += f"; {len(skipped)} skipped: {', '.join(f'{cell} ({why})' for cell, why in skipped.items())}"
     print(f"wrote {args.out} ({len(results)} cells{extra})")
     return 0
 

@@ -8,7 +8,10 @@ weighted shortest-path metric are the inverse edge weights
 (`CollabNetwork.distance_csr`, a CSR beside `adjacency`), so heavily
 collaborating country pairs are close.
 Hop metrics share `hop_sweep`: the topological betweenness and hop
-distances of one `paths.hop_levels` pass.
+distances of one `paths.hop_levels` pass. Weighted metrics share
+`geodesics`: one all-sources Dijkstra over `distance_csr` (an n x n float
+matrix, 8 MB at n = 1,000) and the CSR entries that can end a co-minimal
+path, from `paths.geodesics`.
 Treat a constructed CollabNetwork as immutable: metric code only reads it,
 and the cached forms assume the edge dict never changes after construction.
 """
@@ -108,6 +111,12 @@ class CollabNetwork:
         """`paths.hop_levels` of this network, (topological betweenness, hop distances), run once and shared."""
         from . import paths  # paths imports this module
         return paths.hop_levels(self)
+
+    @cached_property
+    def geodesics(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """`paths.geodesics` of this network, (all-pairs distances, kept (tail, head, length) entries), run once and shared."""
+        from . import paths  # paths imports this module
+        return paths.geodesics(self)
 
     def neighbors(self, node: str) -> list[str]:
         if node not in self.index:

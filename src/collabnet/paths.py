@@ -9,8 +9,14 @@ Every path metric reads one of two kernels:
   divides only there, and a block stops once it has reached every node.
   It runs once per network, cached as `CollabNetwork.hop_sweep`, so
   topological betweenness and hop efficiency share one pass.
-- `weighted_paths` runs scipy's Dijkstra from a block of sources over the
-  cached inverse-weight CSR `CollabNetwork.distance_csr`, tests each CSR
+- `geodesics` runs scipy's Dijkstra once from every source over the
+  cached inverse-weight CSR `CollabNetwork.distance_csr`, cached as
+  `CollabNetwork.geodesics`: the n x n distance matrix, and the CSR entries
+  that can end a co-minimal path from some source. An entry longer than
+  the distance between its own endpoints (beyond the tie and rounding
+  slack) ends none, the "essential subgraph" of Karger, Koller & Phillips
+  (1993); in dense weighted windows only a few percent of entries remain.
+- `weighted_paths` reads a block of those distance rows, tests each kept
   entry as the last step of a co-minimal path, and returns the distances,
   the path counts and those predecessor edges as one sparse DAG, the
   recursion of Brandes (2001) as fixed points of sparse products.
@@ -37,7 +43,7 @@ from .errors import DataError
 from .graph import CollabNetwork
 
 TIE_TOLERANCE = 1e-12  # relative, on accumulated path distances
-SOURCE_BLOCK = 16  # sources per block; weighted_paths' temporaries are block x nnz
+SOURCE_BLOCK = 16  # sources per block; weighted_paths' temporaries are block x kept entries
 
 
 def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -81,6 +87,36 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
     return (bc - own) / 2.0, hops
 
 
+def geodesics(network: CollabNetwork) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """All-pairs inverse-weight distances and the CSR entries that can end a co-minimal path.
+
+    Returns (dist, (tail, head, length)): dist, one Dijkstra over all sources
+    (inf where unreachable), and in CSR order the entries u -> v of
+    `distance_csr` with length - dist[u, v] <= slack, where
+    slack = 8 * (TIE_TOLERANCE + n * eps) * (scale + length) and scale is
+    the largest finite distance.
+
+    A dropped entry fails `weighted_paths`' test, through = dist[s, u] +
+    length <= dist[s, v] + TIE_TOLERANCE * through, from every source s.
+    Each computed distance is a float sum along a path of at most n - 1
+    edges, no larger than the float sum along an exact shortest path, so it
+    is within a factor 1 +/- g, g ~ n * eps, of the exact distance, and
+    dist[u, v] <= length. With the exact d(s, v) <= d(s, u) + d(u, v) and
+    one rounding per operation, a passing test gives, to first order,
+    length - dist[u, v] <= 2 (eps + g) (dist[s, u] + length) + TIE_TOLERANCE * through
+    <= 2 * (TIE_TOLERANCE + n * eps) * (scale + length): a quarter of the
+    slack, the rest covering the prune's own rounding. On unit weights every
+    entry is kept; on degenerate weights (1e13 beside 1) every short one is.
+    """
+    D = network.distance_csr
+    dist = csgraph.dijkstra(D)
+    tail, head, length = np.repeat(np.arange(network.n), network.degrees), D.indices, D.data
+    scale = dist.max(where=np.isfinite(dist), initial=0.0)
+    slack = 8.0 * (TIE_TOLERANCE + network.n * np.finfo(float).eps) * (scale + length)
+    kept = length - dist[tail, head] <= slack
+    return dist, (tail[kept], head[kept], length[kept])
+
+
 def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndarray, sp.csr_array]:
     """Co-minimal inverse-weight paths from a block of source indices.
 
@@ -89,24 +125,31 @@ def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndar
     number of co-minimal paths. succ is the block's predecessor DAG, a 0/1
     matrix over the (source, node) pairs b * n + v: row b * n + u lists
     b * n + v for each edge u -> v that ends a co-minimal path to v, the v
-    that Dijkstra finalizes last first. Dijkstra finalizes nodes by
-    distance, ties by index; an edge is kept only if it finalizes u before
-    v, which on a non-degenerate network drops nothing and always leaves
-    the DAG acyclic.
+    that Dijkstra finalizes last first. Only the entries `geodesics` keeps
+    are tested; the rest fail the test from every source. Dijkstra
+    finalizes nodes by distance, ties by index; an edge is kept only if it
+    finalizes u before v, which on a non-degenerate network drops nothing
+    and always leaves the DAG acyclic.
+
+    The tie test is relative to each path's own length, so "co-minimal" is
+    not transitive: where an edge is shorter than TIE_TOLERANCE times a
+    path through it (weights 1e13 beside 1), which co-minimal routes the
+    DAG keeps follows Dijkstra's index tie-break, and weighted betweenness
+    then depends on node order, not only on the graph.
     """
     sources = np.asarray(sources)
     n, blocks = network.n, len(sources)
-    D = network.distance_csr
-    dist = csgraph.dijkstra(D, indices=sources)
-    # [nnz, block] arrays, one row per CSR entry u -> v: gathering rows of dist.T keeps them contiguous
-    tail, dist_t = np.repeat(np.arange(n), network.degrees), np.ascontiguousarray(dist.T)
-    through = np.take(dist_t, tail, axis=0) + D.data[:, None]  # dist(s, u) + d(u, v)
-    bound = np.take(dist_t, D.indices, axis=0)
+    all_dist, (tail, head, length) = network.geodesics
+    dist = all_dist[sources]
+    # [kept, block] arrays, one row per kept entry u -> v: gathering rows of dist.T keeps them contiguous
+    dist_t = np.ascontiguousarray(dist.T)
+    through = np.take(dist_t, tail, axis=0) + length[:, None]  # dist(s, u) + d(u, v)
+    bound = np.take(dist_t, head, axis=0)
     bound += TIE_TOLERANCE * through
     hits = np.flatnonzero(through <= bound)
     hits = hits[np.isfinite(through.ravel()[hits])]  # inf <= inf would make every unreachable pair a tie
     k, b = np.divmod(hits, blocks)
-    u, v = b * n + tail[k], b * n + D.indices[k]  # as (source, node) pairs
+    u, v = b * n + tail[k], b * n + head[k]  # as (source, node) pairs
     rank = np.argsort(np.argsort(dist, axis=1, kind="stable"), axis=1).ravel()  # Dijkstra's finalize order
     keep = rank[u] < rank[v]
     u, v = u[keep], v[keep]
@@ -116,7 +159,8 @@ def weighted_paths(network: CollabNetwork, sources) -> tuple[np.ndarray, np.ndar
 
     seed = np.zeros(succ.shape[0])
     seed[np.arange(blocks) * n + sources] = 1.0
-    sigma = settle(lambda sigma: seed + succ.T @ sigma, seed, n)  # sigma <- e + P sigma
+    P = succ.T  # once: .T builds a new matrix each time it is taken
+    sigma = settle(lambda sigma: seed + P @ sigma, seed, n)  # sigma <- e + P sigma
     return dist, sigma.reshape(dist.shape), succ
 
 

@@ -354,13 +354,15 @@ def granger_panel(config: PipelineConfig, iv_country: str, max_lag: int = 6) -> 
 
     Participation is `ingest.participation` of the year's stats, over the
     manifest's slice pub count when the corpus was ingested from publication
-    records.
+    records. diagnostics["skipped_cells"] maps the name of each untested
+    cell ("field:metric", or "field:*" for a field with no window) to why
+    it was skipped, the message of the DataError that stopped its test.
     """
     annual = replace(config, window=1, normalize="raw")
     slice_counts = CorpusStore(config.corpus).manifest().get("slice_counts") or {}
 
     results: list[GrangerResult] = []
-    diagnostics = {"nonstationary_share": None, "skipped_cells": []}
+    diagnostics = {"nonstationary_share": None, "skipped_cells": {}}
     flagged_trend = 0
     total_series = 0
 
@@ -374,7 +376,7 @@ def granger_panel(config: PipelineConfig, iv_country: str, max_lag: int = 6) -> 
             pubs = slice_counts.get(f"{year}/{fld}", {}).get("pubs")
             shares.append((year, None if stats is None else participation(stats, iv_country, pubs)))
         if not per_year:
-            diagnostics["skipped_cells"].append(f"{fld}:*")
+            diagnostics["skipped_cells"][f"{fld}:*"] = "no window of the field has a network"
             continue
         iv = MetricSeries.from_pairs(f"participation:{iv_country}", shares, unit="share")
         for metric in config.metrics:
@@ -385,8 +387,8 @@ def granger_panel(config: PipelineConfig, iv_country: str, max_lag: int = 6) -> 
                 flagged_trend += 1
             try:
                 test = granger_test(*contiguous_overlap(iv, target), max_lag=max_lag)
-            except DataError:
-                diagnostics["skipped_cells"].append(f"{fld}:{metric}")
+            except DataError as exc:
+                diagnostics["skipped_cells"][f"{fld}:{metric}"] = str(exc)
                 continue
             results.append(GrangerResult(fld, metric, test.pvalues, test.aic, test.optimal_lag))
 

@@ -119,19 +119,40 @@ class TestWeightedKernel:
             nodes, edges = random_graph(rng, rng.randint(2, 30))
             yield make_net([(a, b, weight(rng)) for a, b in edges], nodes=nodes)
 
+    @staticmethod
+    def assert_bytes_equal_to_dense_reference(net, block):
+        np.testing.assert_array_equal(betweenness(net, weighted=True).array, dense_weighted_betweenness(net))
+        sources = np.arange(min(block, net.n))
+        dist, sigma, _ = paths.weighted_paths(net, sources)
+        ref_dist, ref_sigma, _, _ = dense_weighted_paths(net, sources)
+        np.testing.assert_array_equal(dist, ref_dist)
+        np.testing.assert_array_equal(sigma, ref_sigma)
+
     @pytest.mark.parametrize("block", [1, 2, 3, 16])
-    @pytest.mark.parametrize("weights", ["ties", "counts"])
+    @pytest.mark.parametrize("weights", ["ties", "counts", "uniform"])
     def test_bytes_equal_to_dense_reference(self, monkeypatch, block, weights):
-        # weights from {1, 2, 4} make exact ties; counts from 1 to 29 make float sums that nearly tie
+        # weights from {1, 2, 4} make exact ties; counts from 1 to 29 make float sums that nearly tie;
+        # uniform reals leave most entries off every shortest path, so the prune drops them
         monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
-        weight = (lambda rng: rng.choice([1, 2, 4])) if weights == "ties" else (lambda rng: rng.randint(1, 29))
+        weight = {
+            "ties": lambda rng: rng.choice([1, 2, 4]),
+            "counts": lambda rng: rng.randint(1, 29),
+            "uniform": lambda rng: rng.uniform(0.1, 10.0),
+        }[weights]
         for net in self.random_nets(block, weight):
-            np.testing.assert_array_equal(betweenness(net, weighted=True).array, dense_weighted_betweenness(net))
-            sources = np.arange(min(block, net.n))
-            dist, sigma, _ = paths.weighted_paths(net, sources)
-            ref_dist, ref_sigma, _, _ = dense_weighted_paths(net, sources)
-            np.testing.assert_array_equal(dist, ref_dist)
-            np.testing.assert_array_equal(sigma, ref_sigma)
+            self.assert_bytes_equal_to_dense_reference(net, block)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_disconnected_bytes_equal_to_dense_reference(self, monkeypatch, block):
+        # two or three components side by side, so whole blocks of pairs are unreachable
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        rng = random.Random(100 + block)
+        for _ in range(30):
+            edges = []
+            for part in range(rng.randint(2, 3)):
+                _, part_edges = random_connected_graph(rng, rng.randint(2, 12))
+                edges += [(f"{part}{a}", f"{part}{b}", rng.uniform(0.1, 10.0)) for a, b in part_edges]
+            self.assert_bytes_equal_to_dense_reference(make_net(edges), block)
 
     def test_degenerate_edge_finishes_with_tree_betweenness(self):
         # d(B, C) = 1e-13 lies within the tie tolerance of every path through it, so B and C
@@ -144,6 +165,14 @@ class TestWeightedKernel:
         assert time.perf_counter() - start < 1.0
         assert bcw.tolist() == [0.0, 7.0, 7.0, 0.0, 0.0, 0.0]
         assert dense_weighted_betweenness(net).tolist() == [0.0, 12.0, 12.0, 0.0, 0.0, 0.0]
+
+    def test_degenerate_weights_make_bcw_depend_on_node_order(self):
+        # swapping A with D and B with C maps this graph onto itself, so exact betweenness would give
+        # each pair equal scores; the relative tie test is not transitive once B-C is 1e-13 long, and
+        # Dijkstra's index tie-break then picks the predecessors. Pinned so a fix moves them on purpose.
+        net = make_net([("A", "B", 1), ("B", "C", 1e13), ("C", "D", 1), ("A", "E", 1), ("E", "D", 1)])
+        assert betweenness(net, weighted=True).scores == {"A": 1.25, "B": 2.0, "C": 1.75, "D": 0.75, "E": 0.5}
+        assert len(net.geodesics[1][0]) == net.adjacency.nnz  # the prune keeps every entry here
 
     def test_degenerate_weights_keep_sigma_and_finish(self):
         for net in self.random_nets(5, lambda rng: rng.choice([1, 1e13])):
@@ -252,12 +281,25 @@ class TestEigenvector:
         assert vec.scores["B"] > 0.0
 
     def test_long_path_does_not_converge(self, monkeypatch):
-        # the shifted power iteration closes the spectral gap of a 180-node path too slowly;
-        # with eigsh failing too, the error carries the power iteration's residual
+        # the shifted power iteration closes the spectral gap of a 180-node path too slowly and hands
+        # over at step 900; with eigsh failing too, the error carries the power iteration's residual
         monkeypatch.setattr(centrality, "eigsh", arpack_fails)
-        with pytest.raises(ConvergenceError, match="did not converge") as info:
+        with pytest.raises(ConvergenceError, match="did not converge in 900 power iterations") as info:
             eigenvector_centrality(long_path())
-        assert info.value.residual == pytest.approx(2.73e-8, rel=1e-2)
+        assert info.value.residual == pytest.approx(5.05e-5, rel=1e-2)
+
+    @pytest.mark.parametrize("n", [180, 1000])
+    def test_long_path_hands_over_early(self, n):
+        # the residual's rate over the last stretch predicts a miss long before EV_MAX_ITERATIONS
+        meta = eigenvector_centrality(long_path(n)).meta
+        assert meta["solver"] == "eigsh" and meta["iterations"] < 2000
+
+    def test_converging_iteration_never_hands_over(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            nodes, edges = random_connected_graph(rng, rng.randint(3, 30))
+            meta = eigenvector_centrality(make_net([(a, b, w) for (a, b), w in edges.items()])).meta
+            assert meta["solver"] == "power" and meta["iterations"] < centrality.EV_MAX_ITERATIONS
 
     def test_long_path_converges_through_eigsh(self):
         net = long_path()
@@ -274,7 +316,7 @@ class TestEigenvector:
 
 
 def long_path(n=180):
-    return make_net([(f"N{i:03d}", f"N{i + 1:03d}", 1) for i in range(n - 1)])
+    return make_net([(f"N{i:04d}", f"N{i + 1:04d}", 1) for i in range(n - 1)])
 
 
 class TestDegreeCentrality:

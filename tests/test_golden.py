@@ -170,8 +170,13 @@ def build_snapshot(workdir: Path) -> dict:
 
 
 @pytest.fixture(scope="module")
-def snapshot(tmp_path_factory):
-    return build_snapshot(tmp_path_factory.mktemp("golden"))
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def snapshot(workdir):
+    return build_snapshot(workdir)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +202,12 @@ def test_output_hashes(golden, snapshot):
     old, new = golden["hashes"], snapshot["hashes"]
     changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     assert not changed, f"outputs changed: {changed}\nnamed values:\n" + _moved(golden, snapshot)
+
+
+def test_dense_window_prune(snapshot, workdir):
+    """The 2024 all-fields window keeps only the CSR entries that can end a co-minimal path."""
+    net = CollabNetwork.load(workdir / "net.json")
+    assert (net.n, net.adjacency.nnz, len(net.geodesics[1][0])) == (164, 5742, 902)
 
 
 def _first_last(values: dict, label: str) -> tuple[float, float]:

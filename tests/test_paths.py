@@ -8,7 +8,7 @@ from scipy.sparse import csgraph
 from collabnet import paths
 from collabnet.errors import DataError
 from collabnet.paths import bridging_fraction, hop_levels, weighted_paths
-from collabnet.pipeline import bridge_value
+from collabnet.pipeline import SliceAnalysis, bridge_value
 from collabnet.synth import checkpoint_counts, generate_fitness, standard_run_config
 from conftest import make_net
 from oracles import random_connected_graph, random_graph
@@ -42,6 +42,86 @@ class TestHopLevels:
         for count in checkpoint_counts(config):
             net = traj.graph_at(count)
             np.testing.assert_array_equal(hop_levels(net)[1], hop_oracle(net))
+
+
+WEIGHT_CLASSES = {
+    "ties": lambda rng: rng.choice([1, 2, 4]),
+    "counts": lambda rng: rng.randint(1, 29),
+    # 1/3 + 1/6 = 1/2 and 1/4 + 1/12 = 1/3 are ties whose float sums miss the direct edge by an ulp
+    "harmonic": lambda rng: rng.choice([2, 3, 4, 6, 12]),
+    "degenerate": lambda rng: rng.choice([1, 1e13]),
+    "uniform": lambda rng: rng.uniform(0.1, 10.0),
+}
+
+
+def weighted_random_net(rng, weight, n):
+    """`random_graph` (isolated nodes, several components or no edges) with weights drawn by `weight`."""
+    nodes, edges = random_graph(rng, n)
+    return make_net([(a, b, weight(rng)) for a, b in edges], nodes=nodes)
+
+
+def entries(net):
+    """Every CSR entry of `distance_csr` as (tail, head) pairs."""
+    D = net.distance_csr
+    return set(zip(np.repeat(np.arange(net.n), net.degrees).tolist(), D.indices.tolist()))
+
+
+class TestGeodesics:
+    @pytest.mark.parametrize("weights", sorted(WEIGHT_CLASSES))
+    def test_prune_keeps_every_entry_the_test_accepts(self, weights):
+        # the reference runs the predecessor test on every entry from every source, one Dijkstra per source
+        rng = random.Random(41)
+        for _ in range(40):
+            net = weighted_random_net(rng, WEIGHT_CLASSES[weights], rng.randint(2, 30))
+            D = net.distance_csr
+            tail = np.repeat(np.arange(net.n), net.degrees)
+            accepted = set()
+            for s in range(net.n):
+                dist = csgraph.dijkstra(D, indices=s)
+                through = dist[tail] + D.data
+                ok = np.isfinite(through) & (through <= dist[D.indices] + paths.TIE_TOLERANCE * through)
+                accepted |= set(zip(tail[ok].tolist(), D.indices[ok].tolist()))
+            all_dist, (kept_tail, kept_head, kept_length) = net.geodesics
+            kept = set(zip(kept_tail.tolist(), kept_head.tolist()))
+            assert accepted <= kept <= entries(net)
+            np.testing.assert_array_equal(all_dist, csgraph.dijkstra(D))
+            np.testing.assert_array_equal(kept_length, D.toarray()[kept_tail, kept_head])
+
+    def test_near_tie_within_tolerance_is_kept(self):
+        # A-B is 5e-14 longer than A-C-B: outside float rounding, inside TIE_TOLERANCE, so both routes count
+        net = make_net([("A", "B", 1.0 / (0.5 + 5e-14)), ("A", "C", 4), ("C", "B", 4)])
+        assert len(net.geodesics[1][0]) == net.adjacency.nnz
+        assert weighted_paths(net, [net.index["A"]])[1][0, net.index["B"]] == 2.0
+
+    def test_unit_weights_keep_every_entry(self):
+        net = weighted_random_net(random.Random(3), lambda rng: 1.0, 30)
+        assert net.m and set(zip(*(a.tolist() for a in net.geodesics[1][:2]))) == entries(net)
+
+    def test_detour_entry_is_dropped(self):
+        # A-C (1/1) is far longer than A-B-C (1/100 + 1/100); every other entry is a shortest path
+        net = detour_net()
+        a, c = net.index["A"], net.index["C"]
+        assert set(zip(*(x.tolist() for x in net.geodesics[1][:2]))) == entries(net) - {(a, c), (c, a)}
+
+    def test_one_dijkstra_per_network(self, monkeypatch):
+        calls = []
+
+        def counting_dijkstra(*args, **kwargs):
+            calls.append(kwargs.get("indices"))
+            return dijkstra(*args, **kwargs)
+
+        dijkstra = paths.csgraph.dijkstra
+        monkeypatch.setattr(paths.csgraph, "dijkstra", counting_dijkstra)
+        rng = random.Random(8)
+        nodes, edges = random_connected_graph(rng, 12)
+        net = make_net([(a, b, w) for (a, b), w in edges.items()])
+        analysis = SliceAnalysis(net)
+        for country in nodes[:3]:
+            analysis.bcw[country]
+        for source, via in ((nodes[0], nodes[1]), (nodes[2], nodes[0])):
+            for mode in ("any", "sigma"):
+                bridge_value(net, source, via, mode)
+        assert calls == [None]
 
 
 class TestShortestPathInfo:

@@ -426,6 +426,14 @@ class TestGrangerPanel:
             assert res.flagged == (res.min_p_adj <= 0.05)
         assert diagnostics["nonstationary_share"] is not None
 
+    def test_skipped_cells_keep_their_reasons(self, corpus, tmp_path):
+        # a field with no records has no window; the all-fields cells are testable
+        config = PipelineConfig(corpus=str(corpus), out=str(tmp_path), window=1, threshold=5,
+                                metrics=("clustering", "efficiency"), fields=("all", "Astronomy"))
+        results, diagnostics = granger_panel(config, "CN", max_lag=1)
+        assert [(res.field, res.metric) for res in results] == [("all", "clustering"), ("all", "efficiency")]
+        assert diagnostics["skipped_cells"] == {"Astronomy:*": "no window of the field has a network"}
+
     def test_unknown_metric_cells_skipped(self, corpus, tmp_path):
         with pytest.raises(DataError):
             config = PipelineConfig(corpus=str(corpus), out=str(tmp_path), window=1, threshold=5,
@@ -652,7 +660,8 @@ class TestCli:
                         "--fields", "all,Physics", "--metrics", "clustering", "--max-lag", "1",
                         "--out", str(out)) == 0
         summary = capsys.readouterr().out
-        assert "(1 cells, " in summary and summary.rstrip().endswith("; 1 skipped: Physics:clustering)")
+        assert "(1 cells, " in summary and summary.rstrip().endswith(
+            "; 1 skipped: Physics:clustering (target series has no variation after differencing))")
         assert {row.split(",")[0] for row in out.read_text().splitlines()[2:]} == {"all"}
 
     def test_config_file_supplies_defaults(self, corpus, tmp_path):
