@@ -3,8 +3,10 @@
 A small seeded `pubgen` corpus (the benchmark's generator, imported
 through sys.path) is ingested and run through `series`, `build`,
 `metrics` and `granger` (the last two also once with every metric they
-know), and through `bridge` twice and `build` and `series` once more with
-other windows, years and normalizations; bridging in both modes, a shortened
+know), through `bridge` twice and `build` and `series` once more with
+other windows, years and normalizations, and through `forecast` of one
+all-fields series and a `chart` of two series with that forecast as its
+band; bridging in both modes, a shortened
 hole-closure run and the standard 1,000-node run of seed 1 (whose CNM
 merges meet many tied gains) are computed in-process. Each output is hashed
 (sha256) and compared with tests/golden.json. Three corpus layouts are
@@ -128,10 +130,14 @@ def build_snapshot(workdir: Path) -> dict:
         _cli("build", "--corpus", "corpus", "--year", "2003", "--normalize", "salton", "--out", "net_salton.json")
         _cli("series", "--corpus", "corpus", "--out", "results_jaccard", "--fields", "Physics", "--window", "2",
              "--normalize", "jaccard", "--countries", "US")
+        # the forecast writer, and the series and forecast readers behind a chart with a band
+        _cli("forecast", "--series", "results/series/clustering__all.csv", "--out", "forecast.csv")
+        _cli("chart", "--series", "results/series/bc_US__all.csv", "results/series/bcw_US__all.csv",
+             "--forecast", "forecast.csv", "--out", "chart.svg")
 
         hashes = {f"series/{p.name}": _sha(p.read_bytes()) for p in sorted(Path("results/series").iterdir())}
         for name in ("results/summary.json", "metrics.csv", "granger.csv", "granger_all.csv", "bridge.csv",
-                     "bridge_sigma.csv", "net_salton.json"):
+                     "bridge_sigma.csv", "net_salton.json", "forecast.csv", "chart.svg"):
             hashes[Path(name).name] = _sha(Path(name).read_bytes())
 
         net = CollabNetwork.load("net.json")
