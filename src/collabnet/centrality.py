@@ -28,7 +28,7 @@ from . import paths
 from .errors import ConvergenceError, DataError
 from .graph import CollabNetwork
 
-EV_TOLERANCE = 1e-10  # max |Ax - lambda x| at which power iteration stops
+EV_TOLERANCE = 1e-10  # max |Ax - lambda x| of the power iteration; of eigsh, times max(1, |lambda|)
 EV_MAX_ITERATIONS = 10_000
 EV_STRETCH = 100  # power steps over which the residual's geometric rate is measured
 
@@ -114,8 +114,8 @@ def eigenvector_centrality(network: CollabNetwork) -> CentralityVector:
     predicts the residual at EV_MAX_ITERATIONS; when that misses
     EV_TOLERANCE (a long chain's small spectral gap, say), ARPACK's eigsh
     solves A + I instead, and ConvergenceError is raised only if that
-    misses EV_TOLERANCE too. meta holds the eigenvalue, the solver
-    ("power" or "eigsh") and the power steps run.
+    misses EV_TOLERANCE * max(1, |lambda|) too. meta holds the eigenvalue,
+    the solver ("power" or "eigsh") and the power steps run.
     """
     if network.n < 1:
         raise DataError("eigenvector centrality needs at least 1 node")
@@ -152,7 +152,7 @@ def eigenvector_centrality(network: CollabNetwork) -> CentralityVector:
             anchor = residual  # the residual one stretch ago, at the next check
     # a small spectral gap stalls the power iteration; Lanczos does not
     x, lam, eigsh_residual = _principal_eigsh(A)
-    if eigsh_residual > EV_TOLERANCE:
+    if eigsh_residual > EV_TOLERANCE * max(1.0, abs(lam)):
         residual = min(residual, eigsh_residual)
         raise ConvergenceError(
             f"eigenvector centrality did not converge in {step} power iterations "

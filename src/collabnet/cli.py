@@ -8,7 +8,6 @@ synth, chart. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from . import structure, synth
 from .centrality import centralization
 from .errors import DataError, NumericError
 from .graph import CollabNetwork
-from .ingest import ALL_FIELDS, ingest_publications
+from .ingest import ALL_FIELDS, ingest_publications, read_json, write_json
 from .timeseries import forecast as fit_forecast
 
 
@@ -143,15 +142,9 @@ def _apply_config_file(parser: _Parser, args: argparse.Namespace, argv: list[str
     """Re-parse with the file's values as defaults; command-line flags still win."""
     if not args.config:
         return args
-    path = Path(args.config)
-    if not path.exists():
-        raise DataError(f"config file {path} does not exist")
-    try:
-        defaults = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataError(f"bad config JSON in {path}: {exc}") from exc
+    defaults = read_json(args.config, f"config file {args.config}")
     if not isinstance(defaults, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
+        raise DataError(f"config file {args.config} must hold a JSON object")
     command = parser.commands[args.command]
     for key, value in defaults.items():
         attr = key.replace("-", "_")
@@ -241,7 +234,7 @@ def _cmd_metrics(args) -> int:
             fh.write(f"{metric},{node},{value!r}\n")
     if communities_out is not None:
         cpath = out.with_suffix(".communities.json")
-        cpath.write_text(json.dumps(communities_out, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(cpath, communities_out)
         print(f"wrote {cpath}")
     print(f"wrote {out} ({len(rows)} rows)")
     return 0

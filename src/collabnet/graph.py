@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import DataError
-from .ingest import EdgeList
+from .ingest import EdgeList, read_json
 
 NORM_SCHEMES = ("raw", "log", "salton", "jaccard")
 
@@ -149,9 +149,11 @@ class CollabNetwork:
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "CollabNetwork":
+    def from_json(cls, payload) -> "CollabNetwork":
+        """The network of a `to_json` document, given as its text or already parsed."""
         try:
-            payload = json.loads(text)
+            if isinstance(payload, str):
+                payload = json.loads(payload)
             nodes = tuple(payload["nodes"])
             edges = {}
             for a, b, w in payload["edges"]:
@@ -170,10 +172,7 @@ class CollabNetwork:
 
     @classmethod
     def load(cls, path: str | Path) -> "CollabNetwork":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"network file {path} does not exist")
-        return cls.from_json(path.read_text(encoding="utf-8"))
+        return cls.from_json(read_json(path, f"network file {path}"))
 
 
 def rolling_window(edge_lists: list[EdgeList]) -> CollabNetwork:

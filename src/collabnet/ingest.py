@@ -4,6 +4,9 @@ Full counting means each unordered country pair on a publication adds
 exactly one unit to that pair's edge weight, regardless of author counts.
 The corpus store is a directory of per-(year, field) CSV edge lists plus
 country-year statistics and a JSON manifest.
+
+Every stored CSV table and JSON document is written and read through
+`write_table`/`read_table` and `write_json`/`read_json`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import re
 from array import array
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -33,7 +37,6 @@ ALL_FIELDS = "all"
 class PublicationRecord:
     """One document: its year, field label, and the set of contributing countries."""
 
-    id: str
     year: int
     field: str
     countries: frozenset[str]
@@ -128,7 +131,8 @@ def parse_publications(lines) -> ParseResult:
     Country codes are uppercased and deduplicated; records with no usable
     country are dropped (they also count as skipped). A year that is not an
     integer or a string of one, or a country or field that is not a string,
-    makes the line malformed; a missing or blank field means all fields.
+    makes the line malformed; a missing or blank field means all fields. An
+    `id` key is allowed and ignored.
     """
     records: list[PublicationRecord] = []
     skipped = 0
@@ -141,7 +145,6 @@ def parse_publications(lines) -> ParseResult:
             year = _year(obj["year"])
             countries = _clean_countries(obj["countries"])
             fld = _field(obj.get("field", ALL_FIELDS))
-            rid = str(obj.get("id", f"line{lineno}"))
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("skipping malformed line %d: %s", lineno, exc)
             skipped += 1
@@ -149,7 +152,7 @@ def parse_publications(lines) -> ParseResult:
         if not countries:
             skipped += 1
             continue
-        records.append(PublicationRecord(rid, year, fld, countries))
+        records.append(PublicationRecord(year, fld, countries))
     return ParseResult(records, skipped)
 
 
@@ -160,6 +163,8 @@ def parse_publications_file(path: str | Path) -> ParseResult:
             return parse_publications(fh)
     except OSError as exc:
         raise DataError(f"cannot read publication file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"publication file {path} is not UTF-8: {exc}") from exc
 
 
 def _matches(record: PublicationRecord, year: int, fld: str) -> bool:
@@ -232,11 +237,83 @@ def filter_countries(edge_list: EdgeList, stats: dict[str, CountryYearStats], th
 
 
 # ---------------------------------------------------------------------------
+# Stored tables and documents
+
+
+@contextmanager
+def write_table(path: str | Path, header: list[str], comments=()):
+    """Write a stored CSV table, its parent made if needed: a `# key=value`
+    line per item of `comments`, the header, then the yielded writer's rows."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in dict(comments).items())
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer
+
+
+@contextmanager
+def read_table(path: str | Path, names: tuple[str, ...], what: str, comments: dict | None = None):
+    """Read a stored CSV table: yields (its non-blank rows, the header position
+    of each named column), and fills `comments` from the `#` lines before the
+    header. A DataError names the file if it cannot be read, is not UTF-8 or
+    lacks a named column, and the line too if a row is short (an IndexError)
+    or a ValueError is raised inside the block."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            line, before = fh.readline(), 1  # `before`: the comment and header lines
+            while line.startswith("#"):
+                if comments is not None:
+                    key, _, value = line[1:].partition("=")
+                    comments[key.strip()] = value.strip()
+                line, before = fh.readline(), before + 1
+            header = next(csv.reader([line]), [])
+            missing = [name for name in names if name not in header]
+            if missing:
+                raise DataError(f"{path} has no {', '.join(missing)} column")
+            rows = csv.reader(fh)
+            try:
+                yield filter(None, rows), [header.index(name) for name in names]
+            except UnicodeDecodeError:
+                raise
+            except (IndexError, ValueError, csv.Error) as exc:
+                reason = "short row" if isinstance(exc, IndexError) else str(exc)
+                raise DataError(f"bad {what} row in {path} at line {before + rows.line_num}: {reason}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file {path} is not UTF-8: {exc}") from exc
+
+
+def finite(text: str) -> float:
+    """The float that `text` spells; ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write a stored JSON document, its parent made if needed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document at `path`; a DataError naming it as `what` if it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise DataError(f"{what} is not UTF-8 JSON: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Corpus store: edges_<year>_<field>.csv, stats_<year>_<field>.csv, manifest.json
-
-EDGE_HEADER = ["year", "field", "country_a", "country_b", "weight"]
-STATS_HEADER = ["year", "field", "country", "intl_pubs", "total_pubs"]
-
 
 def field_slug(fld: str) -> str:
     slug = re.sub(r"[^A-Za-z0-9]+", "_", fld).strip("_").lower()
@@ -249,18 +326,8 @@ class CorpusStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
 
-    def _manifest_path(self) -> Path:
-        return self.root / "manifest.json"
-
     def manifest(self) -> dict:
-        path = self._manifest_path()
-        if not path.exists():
-            raise DataError(f"no manifest.json under {self.root}")
-        try:
-            with path.open("r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"manifest.json under {self.root} is not JSON: {exc}") from exc
+        manifest = read_json(self.root / "manifest.json", f"manifest.json under {self.root}")
         if not isinstance(manifest, dict) or not {"years", "threshold"} <= manifest.keys():
             raise DataError(f"manifest.json under {self.root} lacks its years or threshold")
         return manifest
@@ -271,31 +338,22 @@ class CorpusStore:
     def stats_path(self, year: int, fld: str) -> Path:
         return self.root / f"stats_{year}_{field_slug(fld)}.csv"
 
-    def write_edges(self, edge_list: EdgeList) -> Path:
-        path = self.edge_path(edge_list.year, edge_list.field)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EDGE_HEADER)
+    def write_edges(self, edge_list: EdgeList) -> None:
+        year, fld = edge_list.year, edge_list.field
+        with write_table(self.edge_path(year, fld), ["year", "field", "country_a", "country_b", "weight"]) as writer:
             for (a, b), w in sorted(edge_list.edges.items()):
-                writer.writerow([edge_list.year, edge_list.field, a, b, repr(float(w))])
-        return path
+                writer.writerow([year, fld, a, b, repr(float(w))])
 
-    def write_stats(self, year: int, fld: str, stats: dict[str, CountryYearStats]) -> Path:
-        path = self.stats_path(year, fld)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(STATS_HEADER)
-            for c in sorted(stats):
-                s = stats[c]
+    def write_stats(self, year: int, fld: str, stats: dict[str, CountryYearStats]) -> None:
+        with write_table(self.stats_path(year, fld), ["year", "field", "country", "intl_pubs", "total_pubs"]) as writer:
+            for c, s in sorted(stats.items()):
                 writer.writerow([year, fld, c, s.intl_pubs, s.total_pubs])
-        return path
 
     def write(self, slices, manifest: dict) -> dict:
         """Write every (edges, stats) slice, edges already thresholded at the
         manifest's `threshold` and stats unfiltered, then the manifest with
         its `years`, `field_slugs` and `edge_counts` filled in; returns the
         manifest."""
-        self.root.mkdir(parents=True, exist_ok=True)
         years, edge_counts = set(), {}
         for edges, stats in slices:
             years.add(edges.year)
@@ -304,52 +362,23 @@ class CorpusStore:
             edge_counts[f"{edges.year}/{edges.field}"] = len(edges.edges)
         manifest.update(years=sorted(years), field_slugs={f: field_slug(f) for f in manifest["fields"]},
                         edge_counts=edge_counts)
-        with self._manifest_path().open("w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.root / "manifest.json", manifest)
         return manifest
 
     def read_edges(self, year: int, fld: str) -> EdgeList:
-        path = self.edge_path(year, fld)
-        if not path.exists():
-            raise DataError(f"no edge list for {year}/{fld} under {self.root}")
         out = EdgeList(year, fld)
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = csv.reader(fh)
-            a, b, w = _columns(next(rows, []), ("country_a", "country_b", "weight"), path)
+        with read_table(self.edge_path(year, fld), ("country_a", "country_b", "weight"), "edge") as (rows, (a, b, w)):
             for row in rows:
-                if not row:  # a blank line
-                    continue
-                try:
-                    out.add(row[a], row[b], float(row[w]))
-                except (IndexError, ValueError) as exc:  # IndexError: a short row
-                    raise DataError(f"bad edge row in {path}: {row}") from exc
+                out.add(row[a], row[b], float(row[w]))
         return out
 
     def read_stats(self, year: int, fld: str) -> dict[str, CountryYearStats]:
-        path = self.stats_path(year, fld)
-        if not path.exists():
-            raise DataError(f"no stats for {year}/{fld} under {self.root}")
         out: dict[str, CountryYearStats] = {}
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = csv.reader(fh)
-            c, y, f, i, t = _columns(next(rows, []), ("country", "year", "field", "intl_pubs", "total_pubs"), path)
+        names = ("country", "year", "field", "intl_pubs", "total_pubs")
+        with read_table(self.stats_path(year, fld), names, "stats") as (rows, (c, y, f, i, t)):
             for row in rows:
-                if not row:  # a blank line
-                    continue
-                try:
-                    out[row[c]] = CountryYearStats(row[c], int(row[y]), row[f], int(row[i]), int(row[t]))
-                except (IndexError, ValueError) as exc:  # IndexError: a short row
-                    raise DataError(f"bad stats row in {path}: {row}") from exc
+                out[row[c]] = CountryYearStats(row[c], int(row[y]), row[f], int(row[i]), int(row[t]))
         return out
-
-
-def _columns(header: list[str], names: tuple[str, ...], path: Path) -> list[int]:
-    """The position of each named column in a stored CSV's header row."""
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise DataError(f"{path} has no {', '.join(missing)} column")
-    return [header.index(name) for name in names]
 
 
 def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: int = 10) -> dict:

@@ -6,15 +6,14 @@ truncated windows at the start of the range, labeled in the summary);
 Granger panels always rebuild plain annual networks because smoothing
 would distort the temporal precedence the test looks for. Every output
 embeds the sha256 hash of the canonical config, and reruns with an equal
-config are byte-identical.
+config are byte-identical. Its CSVs and `summary.json` are stored through
+ingest's table and JSON helpers.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -24,7 +23,7 @@ from . import structure
 from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
 from .graph import CollabNetwork, normalize_weights, rolling_window
-from .ingest import ALL_FIELDS, CorpusStore, field_slug, participation
+from .ingest import ALL_FIELDS, CorpusStore, field_slug, finite, participation, read_table, write_json, write_table
 from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
     Forecast,
@@ -147,46 +146,23 @@ class PipelineConfig:
 
 
 def write_series_csv(series: MetricSeries, path: str | Path, config_hash: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# name={series.name}\n")
-        fh.write(f"# unit={series.unit}\n")
-        fh.write(f"# config={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["year", "value"])
+    comments = {"name": series.name, "unit": series.unit, "config": config_hash}
+    with write_table(path, ["year", "value"], comments) as writer:
         for year, value in zip(series.years, series.values):
             writer.writerow([year, "" if value is None else repr(value)])
 
 
 def read_series_csv(path: str | Path) -> MetricSeries:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"series file {path} does not exist")
-    name, unit = path.stem, ""
+    """A series CSV; its name and unit come from its comments, the name
+    defaulting to the file's stem. An empty value cell is a missing year."""
+    comments = {"name": Path(path).stem, "unit": ""}
     pairs: list[tuple[int, float | None]] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                if key.strip() == "name":
-                    name = val.strip()
-                elif key.strip() == "unit":
-                    unit = val.strip()
-                continue
-            rows.append(line)
-        for row in csv.DictReader(rows):
-            try:
-                value = float(row["value"]) if row["value"] else None
-                pairs.append((int(row["year"]), value))
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"bad series row in {path}: {row}") from exc
-            if value is not None and not math.isfinite(value):
-                raise DataError(f"non-finite value in series row of {path}: {row}")
+    with read_table(path, ("year", "value"), "series", comments) as (rows, (y, v)):
+        for row in rows:
+            pairs.append((int(row[y]), finite(row[v]) if row[v] else None))
     if not pairs:
         raise DataError(f"series file {path} has no rows")
-    return MetricSeries.from_pairs(name, pairs, unit)
+    return MetricSeries.from_pairs(comments["name"], pairs, comments["unit"])
 
 
 def _load_window_network(
@@ -319,10 +295,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     summary["missing"].sort()
     summary["truncated_windows"].sort()
     summary["series_files"].sort()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "summary.json").open("w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -412,53 +385,26 @@ def granger_panel(config: PipelineConfig, iv_country: str, max_lag: int = 6) -> 
 
 
 def write_granger_csv(results: list[GrangerResult], path: str | Path, config_hash: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["field", "metric", "lag", "p_raw", "aic", "p_adj", "min_p_adj", "flag"])
+    header = ["field", "metric", "lag", "p_raw", "aic", "p_adj", "min_p_adj", "flag"]
+    with write_table(path, header, {"config": config_hash}) as writer:
         for res in sorted(results, key=lambda r: (r.field, r.metric)):
             for lag in sorted(res.pvalues):
-                writer.writerow([
-                    res.field,
-                    res.metric,
-                    lag,
-                    repr(res.pvalues[lag]),
-                    repr(res.aic[lag]),
-                    repr(res.adjusted.get(lag, float("nan"))),
-                    "" if res.min_p_adj is None else repr(res.min_p_adj),
-                    int(res.flagged),
-                ])
+                writer.writerow([res.field, res.metric, lag, repr(res.pvalues[lag]), repr(res.aic[lag]),
+                                 repr(res.adjusted.get(lag, float("nan"))),
+                                 "" if res.min_p_adj is None else repr(res.min_p_adj), int(res.flagged)])
 
 
 def write_forecast_csv(fc: Forecast, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# model={fc.model}\n")
-        fh.write(f"# level={fc.level}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["year", "point", "lower", "upper"])
+    with write_table(path, ["year", "point", "lower", "upper"], {"model": fc.model, "level": fc.level}) as writer:
         for year, p, lo, hi in zip(fc.years, fc.points, fc.lower, fc.upper):
             writer.writerow([year, repr(p), repr(lo), repr(hi)])
 
 
 def read_forecast_csv(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"forecast file {path} does not exist")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
     parsed = []
-    for row in csv.DictReader(lines):
-        try:
-            values = (int(row["year"]), float(row["point"]), float(row["lower"]), float(row["upper"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"bad forecast row in {path}: {row}") from exc
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"non-finite value in forecast row of {path}: {row}")
-        parsed.append(values)
+    with read_table(path, ("year", "point", "lower", "upper"), "forecast") as (rows, (y, p, lo, hi)):
+        for row in rows:
+            parsed.append((int(row[y]), finite(row[p]), finite(row[lo]), finite(row[hi])))
     if not parsed:
         raise DataError(f"forecast file {path} has no rows")
     years, points, lower, upper = (list(column) for column in zip(*parsed))

@@ -305,10 +305,12 @@ def trend_diagnostic(series: MetricSeries) -> float:
 
     Small values signal residual non-stationarity after differencing; the
     Granger pipeline reports the share of flagged series but never blocks.
+    Under two years or four present differences it reads 1.0.
     """
     from scipy import stats  # local import keeps module load cheap
-    diffed = first_difference(series)
-    _, v = diffed.present()
+    if len(series) < 2:
+        return 1.0
+    _, v = first_difference(series).present()
     if len(v) < 4:
         return 1.0
     t = np.arange(len(v), dtype=float)

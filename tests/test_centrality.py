@@ -314,6 +314,52 @@ class TestEigenvector:
         # the fallback starts from a fixed vector, so reruns are byte-identical
         assert eigenvector_centrality(long_path()).array.tobytes() == x.tobytes()
 
+    @staticmethod
+    def dense_window(scale):
+        """A dense 40-country window with counts 1-29, every weight times `scale`."""
+        rng = random.Random(100)
+        nodes = [f"C{i:02d}" for i in range(40)]
+        return make_net([(a, b, rng.randint(1, 29) * scale) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+                         if rng.random() < 0.7])
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_large_eigenvalue_converges(self, scale):
+        # lambda is about 4e6 at scale 1e4: no answer's absolute residual reaches EV_TOLERANCE, so eigsh's is relative
+        net = self.dense_window(scale)
+        vec = eigenvector_centrality(net)
+        vals, vecs = np.linalg.eigh(net.adjacency.toarray())
+        assert vec.meta["solver"] == "eigsh"
+        assert np.max(np.abs(vec.array - np.abs(vecs[:, -1]))) <= 1e-9
+        assert vec.meta["eigenvalue"] == pytest.approx(vals[-1], rel=1e-12)
+
+    def test_heavy_and_unit_weights_converge(self):
+        # weights from {1, 1e13}; where the top two eigenvalues lie within a relative 1e-6 of each other,
+        # the eigenvector is not determined to 1e-9 in double precision, so only its residual is checked
+        rng = random.Random(0)
+        compared = 0
+        for _ in range(99):
+            nodes, edges = random_connected_graph(rng, rng.randint(3, 40))
+            net = make_net([(a, b, rng.choice([1.0, 1e13])) for a, b in edges])
+            vec = eigenvector_centrality(net)
+            x, lam = vec.array, vec.meta["eigenvalue"]
+            assert np.max(np.abs(net.adjacency @ x - lam * x)) <= centrality.EV_TOLERANCE * lam
+            vals, vecs = np.linalg.eigh(net.adjacency.toarray())
+            if vals[-1] - vals[-2] >= 1e-6 * vals[-1]:
+                assert np.max(np.abs(x - np.abs(vecs[:, -1]))) <= 1e-9
+                compared += 1
+        assert compared >= 90
+
+    def test_eigsh_beyond_relative_tolerance_raises(self, monkeypatch):
+        def eigsh_off(*args, **kwargs):
+            vals, vecs = real_eigsh(*args, **kwargs)
+            vecs[0] *= 1 + 1e-6
+            return vals, vecs
+
+        real_eigsh = centrality.eigsh
+        monkeypatch.setattr(centrality, "eigsh", eigsh_off)
+        with pytest.raises(ConvergenceError, match="nor with eigsh"):
+            eigenvector_centrality(self.dense_window(1e4))
+
 
 def long_path(n=180):
     return make_net([(f"N{i:04d}", f"N{i + 1:04d}", 1) for i in range(n - 1)])

@@ -21,6 +21,7 @@ from collabnet.ingest import (
     parse_publications,
     participation,
 )
+from collabnet.pipeline import read_forecast_csv, read_series_csv
 from oracles import participation_series
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -91,6 +92,11 @@ class TestParsePublications:
     def test_international_flag(self):
         result = parse_publications([rec_line(2010, ["US"]), rec_line(2010, ["US", "CN"])])
         assert [r.international for r in result.records] == [False, True]
+
+    def test_id_key_is_ignored(self):
+        with_id, without = parse_publications([rec_line(2010, ["US", "CN"], rid="W1"),
+                                                '{"year": 2010, "countries": ["US", "CN"]}']).records
+        assert with_id == without
 
 
 class TestBuildAnnualEdges:
@@ -307,6 +313,85 @@ class TestCorpusStore:
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(DataError):
             ingest_publications(tmp_path / "nope.jsonl", tmp_path / "corpus")
+
+
+# each stored table a reader reads back: (file name, reader, lines of a valid
+# file, the value it reads, a row short of a named column)
+STORED_TABLES = {
+    "edge": ("edges_2001_all.csv", lambda path: CorpusStore(path.parent).read_edges(2001, ALL_FIELDS).edges,
+             ["year,field,country_a,country_b,weight", "2001,all,CN,US,2.0", "2001,all,GB,US,1.5"],
+             {("CN", "US"): 2.0, ("GB", "US"): 1.5}, "2001,all,FR"),
+    "stats": ("stats_2001_all.csv", lambda path: CorpusStore(path.parent).read_stats(2001, ALL_FIELDS),
+              ["year,field,country,intl_pubs,total_pubs", "2001,all,CN,2,3", "2001,all,US,3,3"],
+              {"CN": (2, 3), "US": (3, 3)}, "2001,all,FR"),
+    "series": ("s.csv", lambda path: read_series_csv(path).values,
+               ["# name=s", "# unit=share", "year,value", "2001,0.5", "2002,", "2003,0.25"],
+               (0.5, None, 0.25), "2004"),
+    "forecast": ("fc.csv", read_forecast_csv,
+                 ["# model=ar1+drift", "# level=0.95", "year,point,lower,upper", "2013,0.5,0.1,0.9", "2014,0.6,0.2,1.0"],
+                 {"years": [2013, 2014], "points": [0.5, 0.6], "lower": [0.1, 0.2], "upper": [0.9, 1.0]},
+                 "2015,0.7,0.3"),
+}
+
+
+@pytest.mark.parametrize("what", list(STORED_TABLES))
+class TestStoredTables:
+    """The four stored tables read back through `read_table`."""
+
+    def read(self, tmp_path, what, lines):
+        name, reader, *_ = STORED_TABLES[what]
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        value = reader(path)
+        return {c: (s.intl_pubs, s.total_pubs) for c, s in value.items()} if what == "stats" else value
+
+    def header_at(self, what) -> int:
+        """The index of the header in the valid lines."""
+        return next(i for i, line in enumerate(STORED_TABLES[what][2]) if not line.startswith("#"))
+
+    def test_valid_file(self, tmp_path, what):
+        _, _, lines, expected, _ = STORED_TABLES[what]
+        assert self.read(tmp_path, what, lines) == expected
+
+    def test_blank_line_is_skipped(self, tmp_path, what):
+        _, _, lines, expected, _ = STORED_TABLES[what]
+        assert self.read(tmp_path, what, lines[:-1] + [""] + lines[-1:]) == expected
+
+    def test_short_row_names_its_line(self, tmp_path, what):
+        _, _, lines, _, short = STORED_TABLES[what]
+        with pytest.raises(DataError, match=f"bad {what} row in .* at line {len(lines) + 2}: short row"):
+            self.read(tmp_path, what, lines + ["", short])
+
+    def test_missing_column_is_named(self, tmp_path, what):
+        lines = list(STORED_TABLES[what][2])
+        k = self.header_at(what)
+        *kept, dropped = lines[k].split(",")
+        lines[k] = ",".join(kept)
+        with pytest.raises(DataError, match=f"has no {dropped} column"):
+            self.read(tmp_path, what, lines)
+
+    def test_comment_after_header_is_a_bad_row(self, tmp_path, what):
+        lines = list(STORED_TABLES[what][2])
+        k = self.header_at(what)
+        with pytest.raises(DataError, match=f"bad {what} row in .* at line {k + 2}:"):
+            self.read(tmp_path, what, lines[:k + 1] + ["# a note"] + lines[k + 1:])
+
+    def test_bad_byte_past_the_first_chunk_is_not_utf8(self, tmp_path, what):
+        # the decoder reads 8 KiB at a time, so this byte fails inside the reading loop
+        _, _, lines, _, _ = STORED_TABLES[what]
+        body = "".join(line + "\n" for line in lines) + "\n" * 10_000
+        path = tmp_path / STORED_TABLES[what][0]
+        path.write_bytes(body.encode() + b"\xff\n")
+        with pytest.raises(DataError, match=f"{what} file .* is not UTF-8"):
+            STORED_TABLES[what][1](path)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file(self, tmp_path, what, kind):
+        path = tmp_path / STORED_TABLES[what][0]
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=f"cannot read {what} file"):
+            STORED_TABLES[what][1](path)
 
 
 class TestOnePassIngest:

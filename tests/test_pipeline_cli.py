@@ -381,6 +381,52 @@ print("ok")
 """
 
 
+class TestUnreadableInputs:
+    """A directory, or a file holding a 0xff byte, in place of one stored
+    input at a time ends as a data error (exit 2), never a traceback."""
+
+    FILES = {"series": "s.csv", "forecast": "fc.csv", "net": "net.json", "config": "cfg.json",
+             "manifest": "corpus/manifest.json", "edges": "corpus/edges_2005_all.csv",
+             "stats": "corpus/stats_2005_all.csv", "pubs": "pubs.jsonl"}
+    SERIES = ["series", "--corpus", "{corpus}", "--threshold", "5", "--out", "{out}"]
+    # the command line that reads each input; {name} stands for the path of FILES[name]
+    COMMANDS = {
+        "series": ["forecast", "--series", "{series}", "--out", "{out}/fc.csv"],
+        "forecast": ["chart", "--series", "{series}", "--forecast", "{forecast}", "--out", "{out}/c.svg"],
+        "net": ["metrics", "--net", "{net}", "--metric", "bc", "--out", "{out}/m.csv"],
+        "config": ["--config", "{config}", "forecast", "--series", "{series}", "--out", "{out}/fc.csv"],
+        "manifest": SERIES, "edges": SERIES, "stats": SERIES,
+        "pubs": ["ingest", "--pubs", "{pubs}", "--out", "{out}"],
+    }
+
+    @pytest.fixture
+    def inputs(self, corpus, tmp_path):
+        shutil.copytree(corpus, tmp_path / "corpus")
+        (tmp_path / "s.csv").write_text("# name=s\nyear,value\n" + "".join(f"{2001 + i},{i % 4}\n" for i in range(12)))
+        assert cli.main(["forecast", "--series", str(tmp_path / "s.csv"), "--out", str(tmp_path / "fc.csv")]) == 0
+        CollabNetwork(("A", "B", "C"), {("A", "B"): 1.0, ("B", "C"): 2.0}).save(tmp_path / "net.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"horizon": 3}))
+        (tmp_path / "pubs.jsonl").write_text("".join(
+            json.dumps({"year": 2001, "countries": ["US", c]}) + "\n" for c in ("CN", "GB", "DE")))
+        return tmp_path
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("case", list(FILES))
+    def test_data_error_not_traceback(self, inputs, case, kind, capsys):
+        target = inputs / self.FILES[case]
+        if kind == "directory":
+            target.unlink()
+            target.mkdir()
+        else:
+            data = target.read_bytes()
+            target.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        paths = {"corpus": inputs / "corpus", "out": inputs / "out", **{k: inputs / v for k, v in self.FILES.items()}}
+        capsys.readouterr()
+        assert cli.main([arg.format_map(paths) for arg in self.COMMANDS[case]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("collabnet: data error:") and "Traceback" not in err, err
+
+
 class TestColdStart:
     """Only the commands that run a statistical test load scipy.stats. Run in a
     fresh interpreter, because this test session has imported it already."""
@@ -663,6 +709,26 @@ class TestCli:
         assert "(1 cells, " in summary and summary.rstrip().endswith(
             "; 1 skipped: Physics:clustering (target series has no variation after differencing))")
         assert {row.split(",")[0] for row in out.read_text().splitlines()[2:]} == {"all"}
+
+    def test_granger_skips_field_with_one_year(self, tmp_path, capsys):
+        # twelve years of all-fields rows and one year of Physics rows: the Physics cells are skipped, not fatal
+        rng = random.Random(8)
+        rows = ["year,field,country_a,country_b,weight"]
+        for year in range(2001, 2013):
+            rows += [f"{year},,{a},{b},{rng.randint(1, 9)}"
+                     for a, b in combinations(["CN", "DE", "FR", "GB", "JP", "KR", "US"], 2) if rng.random() < 0.6]
+        rows += ["2006,Physics,CN,US,3", "2006,Physics,GB,US,2", "2006,Physics,CN,GB,1"]
+        (tmp_path / "edges.csv").write_text("\n".join(rows) + "\n")
+        corpus = str(tmp_path / "corpus")
+        assert self.run("ingest", "--pubs", str(tmp_path / "edges.csv"), "--out", corpus, "--threshold", "0") == 0
+        for fields in ("all", "all,Physics"):
+            capsys.readouterr()
+            assert self.run("granger", "--corpus", corpus, "--iv", "CN", "--threshold", "0", "--fields", fields,
+                            "--metrics", "clustering,efficiency", "--max-lag", "1",
+                            "--out", str(tmp_path / "granger.csv")) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.rstrip().endswith(
+            "(2 cells, residual trend flagged in 0.0% of series; 2 skipped: "
+            "Physics:clustering (series too short to difference), Physics:efficiency (series too short to difference))")
 
     def test_config_file_supplies_defaults(self, corpus, tmp_path):
         cfg = tmp_path / "cfg.json"

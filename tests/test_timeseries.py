@@ -235,6 +235,11 @@ class TestForecast:
 
 
 class TestTrendDiagnostic:
+    def test_too_short_to_test_reads_one(self):
+        # one year cannot be differenced; two to four years leave fewer than four differences
+        for n in range(1, 5):
+            assert trend_diagnostic(series([0.1 * i * i for i in range(n)])) == 1.0
+
     def test_strong_trend_flagged(self):
         vals = [0.1 * i * i for i in range(20)]
         assert trend_diagnostic(series(vals)) < 0.05
