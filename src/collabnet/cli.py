@@ -8,6 +8,7 @@ synth, chart. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
@@ -229,9 +230,9 @@ def _cmd_metrics(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("metric,node,value\n")
-        for metric, node, value in rows:
-            fh.write(f"{metric},{node},{value!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["metric", "node", "value"])
+        writer.writerows((metric, node, repr(value)) for metric, node, value in rows)
     if communities_out is not None:
         cpath = out.with_suffix(".communities.json")
         write_json(cpath, communities_out)
@@ -280,15 +281,16 @@ def _cmd_bridge(args) -> int:
         # a missing window keeps its row, with an empty fraction and no targets
         value = None if net is None else pl.bridge_value(net, source, via, args.mode)
         targets = 0 if net is None else max(net.n - 2, 0)
-        rows.append(f"{year},{source},{via},{'' if value is None else repr(value)},{targets}\n")
+        rows.append((year, source, via, "" if value is None else repr(value), targets))
         found = found or net is not None
     if not found:
         raise DataError(f"no networks buildable for {args.field}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("year,source,via,fraction,targets\n")
-        fh.writelines(rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["year", "source", "via", "fraction", "targets"])
+        writer.writerows(rows)
     print(f"wrote {out} ({len(rows)} years)")
     return 0
 

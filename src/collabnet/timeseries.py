@@ -119,7 +119,7 @@ def fit_restricted_unrestricted(y, x, lag: int) -> LagFit:
     T_eff * ln(RSS/T_eff) + 2k with k counting all estimated coefficients
     of the unrestricted model (intercept plus 2*lag slopes).
     """
-    from scipy import stats  # local import keeps module load cheap
+    from scipy import special  # loaded on the first F test; fdtrc is what scipy.stats' F tail calls
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
@@ -151,7 +151,7 @@ def fit_restricted_unrestricted(y, x, lag: int) -> LagFit:
         f_stat = math.inf
     else:
         f_stat = max(0.0, (rss_r - rss_u) / lag / (rss_u / dof[1]))
-    p_value = float(stats.f.sf(f_stat, *dof)) if math.isfinite(f_stat) else 0.0
+    p_value = float(special.fdtrc(*dof, f_stat)) if math.isfinite(f_stat) else 0.0
 
     return LagFit(lag, rss_r, rss_u, aic, dof, f_stat, p_value)
 
@@ -243,7 +243,7 @@ def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecas
     the propagated innovation variance (psi-weight recursion), so they are
     non-decreasing with the horizon.
     """
-    from scipy import stats  # local import keeps module load cheap
+    from scipy import special  # loaded on first forecast; ndtri is scipy.stats' normal quantile
     if horizon < 1:
         raise DataError("horizon must be at least 1")
     if not 0.0 < level < 1.0:
@@ -289,7 +289,7 @@ def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecas
     psi = [1.0]
     for j in range(1, horizon):
         psi.append(sum(phi[i] * psi[j - 1 - i] for i in range(min(j, order))))
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = float(special.ndtri(0.5 + level / 2.0))
     cum = np.cumsum(np.asarray(psi) ** 2)
     half = z * np.sqrt(sigma2 * cum)
     lower = tuple(float(p - h) for p, h in zip(points, half))
@@ -307,7 +307,7 @@ def trend_diagnostic(series: MetricSeries) -> float:
     Granger pipeline reports the share of flagged series but never blocks.
     Under two years or four present differences it reads 1.0.
     """
-    from scipy import stats  # local import keeps module load cheap
+    from scipy import special  # loaded on first use; stdtr(df, -|t|) is scipy.stats' t tail
     if len(series) < 2:
         return 1.0
     _, v = first_difference(series).present()
@@ -322,4 +322,4 @@ def trend_diagnostic(series: MetricSeries) -> float:
     sigma2 = rss / dof
     cov = sigma2 * np.linalg.inv(design.T @ design)
     t_stat = beta[1] / math.sqrt(cov[1, 1])
-    return float(2.0 * stats.t.sf(abs(t_stat), dof))
+    return float(2.0 * special.stdtr(dof, -abs(t_stat)))

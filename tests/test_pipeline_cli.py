@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -366,17 +367,20 @@ from collabnet import cli
 
 def run(*argv):
     assert cli.main(list(argv)) == 0, argv
-    return "scipy.stats" in sys.modules
+    assert "scipy.stats" not in sys.modules, argv
 
 out = Path(sys.argv[1])
 assert "scipy.stats" not in sys.modules
-assert not run("synth", "--experiment", "--n", "60", "--m", "2", "--arrival", "20", "--checkpoints", "20",
-               "--seed", "3", "--out", str(out / "exp.json"))
-assert not run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0")
-assert not run("series", "--corpus", str(out / "corpus"), "--out", str(out / "series"), "--threshold", "0",
-               "--countries", "US,CN", "--bridge", "CN:US")
-assert run("granger", "--corpus", str(out / "corpus"), "--iv", "CN", "--threshold", "0",
-           "--metrics", "clustering", "--max-lag", "1", "--out", str(out / "granger.csv"))
+run("synth", "--experiment", "--n", "60", "--m", "2", "--arrival", "20", "--checkpoints", "20",
+    "--seed", "3", "--out", str(out / "exp.json"))
+run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0")
+run("series", "--corpus", str(out / "corpus"), "--out", str(out / "series"), "--threshold", "0",
+    "--countries", "US,CN", "--bridge", "CN:US")
+run("granger", "--corpus", str(out / "corpus"), "--iv", "CN", "--threshold", "0",
+    "--metrics", "clustering", "--max-lag", "1", "--out", str(out / "granger.csv"))
+series = str(out / "series" / "series" / "clustering__all.csv")
+run("forecast", "--series", series, "--horizon", "3", "--out", str(out / "fc.csv"))
+run("chart", "--series", series, "--forecast", str(out / "fc.csv"), "--out", str(out / "chart.svg"))
 print("ok")
 """
 
@@ -428,10 +432,11 @@ class TestUnreadableInputs:
 
 
 class TestColdStart:
-    """Only the commands that run a statistical test load scipy.stats. Run in a
-    fresh interpreter, because this test session has imported it already."""
+    """No command loads scipy.stats, not even granger and forecast, whose tails
+    come from scipy.special. Run in a fresh interpreter, because this test
+    session has imported it already."""
 
-    def test_scipy_stats_loads_only_for_statistics(self, tmp_path):
+    def test_no_command_loads_scipy_stats(self, tmp_path):
         rng = random.Random(4)
         rows = ["year,field,country_a,country_b,weight"]
         for year in range(2001, 2013):
@@ -592,6 +597,18 @@ class TestCli:
         assert self.run("granger", "--corpus", str(copy), "--iv", "CN", "--threshold", "5",
                         "--out", str(tmp_path / "granger.csv")) == 2
         assert "manifest.json under" in capsys.readouterr().err
+
+    def test_metrics_quotes_a_name_holding_a_comma(self, tmp_path):
+        net = tmp_path / "net.json"
+        CollabNetwork(("A,B", "C", "D"), {("A,B", "C"): 1.0, ("C", "D"): 1.0}).save(net)
+        out = tmp_path / "m.csv"
+        assert self.run("metrics", "--net", str(net), "--metric", "bc", "--out", str(out)) == 0
+        with out.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["metric", "node", "value"]
+        assert ["bc", "A,B", "0.0"] in rows
+        assert all(len(row) == 3 for row in rows)
+        assert b"\r" not in out.read_bytes()
 
     def test_nan_weight_network_exit_2(self, tmp_path):
         net = tmp_path / "nan.json"

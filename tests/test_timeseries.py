@@ -248,3 +248,75 @@ class TestTrendDiagnostic:
         rng = np.random.default_rng(10)
         ps = [trend_diagnostic(series(list(rng.normal(size=24)))) for _ in range(40)]
         assert np.mean([p < 0.05 for p in ps]) < 0.2
+
+
+class TestTailParity:
+    """The F, normal and t tails come from scipy.special, in the calls that
+    scipy.stats makes itself; each equals the scipy.stats value byte for
+    byte. scipy.stats is imported inside these tests only."""
+
+    @staticmethod
+    def same_bytes(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_f_tail_matches_stats_on_grid(self):
+        from scipy import special, stats
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0, 1e-300, 1e300], rng.exponential(3.0, 60), rng.uniform(0.0, 1e3, 20)])
+        for d1 in range(1, 7):
+            for d2 in range(1, 41):
+                assert self.same_bytes(special.fdtrc(d1, d2, x), stats.f.sf(x, d1, d2)), (d1, d2)
+
+    def test_two_sided_t_tail_matches_stats_on_grid(self):
+        from scipy import special, stats
+        rng = np.random.default_rng(12)
+        t = np.concatenate([[0.0, -0.0, 1e-300, 1e300], rng.normal(0.0, 3.0, 80)])
+        for df in range(1, 41):
+            got = 2.0 * special.stdtr(df, -np.abs(t))
+            assert self.same_bytes(got, 2.0 * stats.t.sf(np.abs(t), df)), df
+
+    def test_normal_quantile_matches_stats_at_forecast_levels(self):
+        from scipy import special, stats
+        q = 0.5 + np.arange(1, 1000) / 1000.0 / 2.0
+        assert self.same_bytes(special.ndtri(q), stats.norm.ppf(q))
+
+    def test_fit_p_value_is_stats_f_tail(self):
+        from scipy import stats
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            x = np.cumsum(rng.normal(size=30))
+            y = 0.4 * np.concatenate([[0.0], x[:-1]]) + rng.normal(size=30)
+            for lag in (1, 2, 3):
+                fit = fit_restricted_unrestricted(y, x, lag)
+                assert fit.p_value == float(stats.f.sf(fit.f_stat, *fit.dof))
+
+    def test_forecast_band_uses_stats_normal_quantile(self):
+        from scipy import stats
+        rng = np.random.default_rng(14)
+        s = series(list(np.cumsum(rng.normal(size=20))))
+        for level in (0.001, 0.5, 0.8, 0.95, 0.999):
+            fc = forecast(s, horizon=1, level=level)
+            z = float(stats.norm.ppf(0.5 + level / 2.0))
+            half = z * np.sqrt(fc.sigma2 * np.ones(1))
+            assert fc.upper[0] == float(fc.points[0] + half[0])
+            assert fc.lower[0] == float(fc.points[0] - half[0])
+
+    def test_trend_p_value_is_stats_t_tail(self, monkeypatch):
+        from scipy import special, stats
+        calls = []
+        stdtr = special.stdtr
+
+        def recording(df, x):
+            calls.append((df, x))
+            return stdtr(df, x)
+
+        monkeypatch.setattr(special, "stdtr", recording)
+        rng = np.random.default_rng(15)
+        for n in (6, 12, 24):
+            for _ in range(10):
+                calls.clear()
+                p = trend_diagnostic(series(list(np.cumsum(rng.normal(0.1, 1.0, size=n)))))
+                [(df, x)] = calls
+                assert df == n - 3 and x <= 0.0
+                assert p == float(2.0 * stats.t.sf(-x, df))
