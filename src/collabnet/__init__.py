@@ -18,9 +18,7 @@ from .errors import CollabnetError, ConvergenceError, DataError, NumericError
 from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
 from .ingest import (
     CountryYearStats,
-    EdgeList,
     PublicationRecord,
-    build_annual_edges,
     filter_countries,
     parse_publications,
     participation,

@@ -1,9 +1,13 @@
 """The weighted undirected collaboration network and its transforms.
 
-The edge dict is the network's data. Every metric reads the topology
-through one cached form of it: `CollabNetwork.adjacency`, the symmetric
-weighted adjacency in CSR form, with the 0/1 `pattern` that shares its
-index arrays and the `degrees` vector beside it. Distances for every
+One type holds every country-pair set: a stored (year, field) slice, a
+rolling window and a saved network are each a `CollabNetwork`, and its
+edge dict is its data. Rows of (a, b, weight) become a network through
+`CollabNetwork.from_pairs`, which orders each pair, checks each row's
+weight and sums repeated pairs in input order. Every metric reads the
+topology through one cached form of it: `CollabNetwork.adjacency`, the
+symmetric weighted adjacency in CSR form, with the 0/1 `pattern` that
+shares its index arrays and the `degrees` vector beside it. Distances for every
 weighted shortest-path metric are the inverse edge weights
 (`CollabNetwork.distance_csr`, a CSR beside `adjacency`), so heavily
 collaborating country pairs are close.
@@ -29,7 +33,6 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import DataError
-from .ingest import EdgeList, read_json
 
 NORM_SCHEMES = ("raw", "log", "salton", "jaccard")
 
@@ -63,6 +66,19 @@ class CollabNetwork:
                 raise DataError(f"weight {w} on ({a}, {b}) is not a positive finite number")
             if a not in node_set or b not in node_set:
                 raise DataError(f"edge ({a}, {b}) references unknown node")
+
+    @classmethod
+    def from_pairs(cls, triples, slice: NetworkSlice) -> "CollabNetwork":
+        """The network of (a, b, weight) rows, its nodes their endpoints. Each
+        row's weight must be finite and positive, so a bad row cannot hide
+        inside a positive sum; repeated pairs are summed in input order."""
+        edges: dict[tuple[str, str], float] = {}
+        for a, b, w in triples:
+            if not 0 < w < math.inf:  # NaN fails too
+                raise DataError(f"weight {w!r} of {a}-{b} in {slice.year}/{slice.field} must be finite and positive")
+            key = (a, b) if a < b else (b, a)
+            edges[key] = edges.get(key, 0.0) + w
+        return cls(tuple({c for pair in edges for c in pair}), edges, slice)
 
     @property
     def n(self) -> int:
@@ -172,31 +188,28 @@ class CollabNetwork:
 
     @classmethod
     def load(cls, path: str | Path) -> "CollabNetwork":
+        from .ingest import read_json  # ingest imports this module
         return cls.from_json(read_json(path, f"network file {path}"))
 
 
-def rolling_window(edge_lists: list[EdgeList]) -> CollabNetwork:
-    """Sum 1-3 consecutive annual edge lists into one windowed network.
+def rolling_window(annual: list[CollabNetwork]) -> CollabNetwork:
+    """Sum 1-3 consecutive annual slices into one windowed network.
 
     The window is labeled by its final year; series edges use truncated
-    windows rather than dropping the first years.
+    windows rather than dropping the first years. Weights are summed in
+    year order, each pair keeping the place where it was first seen.
     """
-    if not 1 <= len(edge_lists) <= 3:
-        raise DataError(f"rolling window takes 1-3 years, got {len(edge_lists)}")
-    ordered = sorted(edge_lists, key=lambda e: e.year)
-    years = [e.year for e in ordered]
+    if not 1 <= len(annual) <= 3:
+        raise DataError(f"rolling window takes 1-3 years, got {len(annual)}")
+    ordered = sorted(annual, key=lambda net: net.slice.year)
+    years = [net.slice.year for net in ordered]
     if any(b - a != 1 for a, b in zip(years, years[1:])):
         raise DataError(f"window years must be consecutive, got {years}")
-    fields = {e.field for e in ordered}
+    fields = {net.slice.field for net in ordered}
     if len(fields) > 1:
         raise DataError(f"window mixes fields: {sorted(fields)}")
-
-    merged: dict[tuple[str, str], float] = {}
-    for el in ordered:
-        for pair, w in el.edges.items():
-            merged[pair] = merged.get(pair, 0.0) + w
-    nodes = tuple(sorted({c for pair in merged for c in pair}))
-    return CollabNetwork(nodes, merged, NetworkSlice(years[-1], ordered[0].field, "raw"))
+    triples = ((a, b, w) for net in ordered for (a, b), w in net.edges.items())
+    return CollabNetwork.from_pairs(triples, NetworkSlice(years[-1], ordered[0].slice.field, "raw"))
 
 
 def normalize_weights(network: CollabNetwork, productivity: dict[str, float] | None, scheme: str) -> CollabNetwork:

@@ -3,7 +3,10 @@
 Full counting means each unordered country pair on a publication adds
 exactly one unit to that pair's edge weight, regardless of author counts.
 The corpus store is a directory of per-(year, field) CSV edge lists plus
-country-year statistics and a JSON manifest.
+country-year statistics and a JSON manifest. A (year, field) slice is a
+`graph.CollabNetwork` whose `slice` carries its year and field; a stored
+edge table, or a pre-aggregated edge CSV, is read into one through
+`CollabNetwork.from_pairs`. A corpus spans at most `MAX_YEAR_SPAN` years.
 
 Every stored CSV table and JSON document is written and read through
 `write_table`/`read_table` and `write_json`/`read_json`.
@@ -19,7 +22,7 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -27,10 +30,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
+from .graph import CollabNetwork, NetworkSlice
 
 log = logging.getLogger(__name__)
 
 ALL_FIELDS = "all"
+MAX_YEAR_SPAN = 1000  # the most years a corpus, or a run over one, may span
 
 
 @dataclass(frozen=True)
@@ -44,30 +49,6 @@ class PublicationRecord:
     @property
     def international(self) -> bool:
         return len(self.countries) >= 2
-
-
-@dataclass
-class EdgeList:
-    """Weighted country-pair counts for one (year, field) slice."""
-
-    year: int
-    field: str
-    edges: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    def add(self, a: str, b: str, w: float = 1.0) -> None:
-        if a == b:
-            raise DataError(f"self-pair {a!r} in edge list {self.year}/{self.field}")
-        if not math.isfinite(w) or w <= 0:
-            raise DataError(f"weight {w!r} of {a}-{b} in edge list {self.year}/{self.field} must be finite and positive")
-        key = (a, b) if a < b else (b, a)
-        self.edges[key] = self.edges.get(key, 0.0) + w
-
-    def countries(self) -> set[str]:
-        out: set[str] = set()
-        for a, b in self.edges:
-            out.add(a)
-            out.add(b)
-        return out
 
 
 class _CountryYearCounts(NamedTuple):
@@ -171,18 +152,13 @@ def _matches(record: PublicationRecord, year: int, fld: str) -> bool:
     return record.year == year and (fld == ALL_FIELDS or record.field == fld)
 
 
-def build_annual_edges(records, year: int, fld: str = ALL_FIELDS) -> EdgeList:
+def build_annual_edges(records, year: int, fld: str = ALL_FIELDS) -> CollabNetwork:
     """Full counting: every unordered country pair on a record adds weight 1.
 
     The reference definition of a slice's edges; ingest counts every slice at
     once in `_record_slices`, which must agree with it."""
-    out = EdgeList(year, fld)
-    for rec in records:
-        if not _matches(rec, year, fld):
-            continue
-        for a, b in combinations(sorted(rec.countries), 2):
-            out.add(a, b)
-    return out
+    pairs = (pair for rec in records if _matches(rec, year, fld) for pair in combinations(sorted(rec.countries), 2))
+    return CollabNetwork.from_pairs(((a, b, 1.0) for a, b in pairs), NetworkSlice(year, fld))
 
 
 def country_year_stats(records, year: int, fld: str = ALL_FIELDS) -> dict[str, CountryYearStats]:
@@ -216,24 +192,27 @@ def participation(stats: dict[str, CountryYearStats], country: str, pubs: int | 
     return (stats[country].intl_pubs if country in stats else 0) / denom
 
 
-def require_stats(edge_list: EdgeList, stats: dict[str, CountryYearStats]) -> None:
-    """DataError naming the first country of the edges that has no stats row."""
-    missing = edge_list.countries() - stats.keys()
+def require_stats(net: CollabNetwork, stats: dict[str, CountryYearStats]) -> None:
+    """DataError naming the first country of the slice that has no stats row."""
+    missing = set(net.nodes) - stats.keys()
     if missing:
-        raise DataError(f"country {min(missing)} appears in edges but is missing from stats {edge_list.year}/{edge_list.field}")
+        raise DataError(f"country {min(missing)} appears in edges but is missing from stats {net.slice.year}/{net.slice.field}")
 
 
-def filter_countries(edge_list: EdgeList, stats: dict[str, CountryYearStats], threshold: int = 10) -> EdgeList:
+def filter_countries(net: CollabNetwork, stats: dict[str, CountryYearStats], threshold: int = 10) -> CollabNetwork:
     """Drop every edge touching a country below the international-output threshold."""
     if threshold < 0:
         raise DataError(f"threshold must be non-negative, got {threshold}")
-    require_stats(edge_list, stats)
-    keep = {c for c in edge_list.countries() if stats[c].intl_pubs >= threshold}
-    out = EdgeList(edge_list.year, edge_list.field)
-    for (a, b), w in edge_list.edges.items():
-        if a in keep and b in keep:
-            out.edges[(a, b)] = w
-    return out
+    require_stats(net, stats)
+    keep = {c for c in net.nodes if stats[c].intl_pubs >= threshold}
+    kept = ((a, b, w) for (a, b), w in net.edges.items() if a in keep and b in keep)
+    return CollabNetwork.from_pairs(kept, net.slice)
+
+
+def check_year_span(years) -> None:
+    """DataError if the years run over more than `MAX_YEAR_SPAN` years."""
+    if max(years) - min(years) >= MAX_YEAR_SPAN:
+        raise DataError(f"years {min(years)} to {max(years)} span more than {MAX_YEAR_SPAN} years")
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +317,10 @@ class CorpusStore:
     def stats_path(self, year: int, fld: str) -> Path:
         return self.root / f"stats_{year}_{field_slug(fld)}.csv"
 
-    def write_edges(self, edge_list: EdgeList) -> None:
-        year, fld = edge_list.year, edge_list.field
+    def write_edges(self, net: CollabNetwork) -> None:
+        year, fld = net.slice.year, net.slice.field
         with write_table(self.edge_path(year, fld), ["year", "field", "country_a", "country_b", "weight"]) as writer:
-            for (a, b), w in sorted(edge_list.edges.items()):
+            for (a, b), w in sorted(net.edges.items()):
                 writer.writerow([year, fld, a, b, repr(float(w))])
 
     def write_stats(self, year: int, fld: str, stats: dict[str, CountryYearStats]) -> None:
@@ -350,27 +329,25 @@ class CorpusStore:
                 writer.writerow([year, fld, c, s.intl_pubs, s.total_pubs])
 
     def write(self, slices, manifest: dict) -> dict:
-        """Write every (edges, stats) slice, edges already thresholded at the
-        manifest's `threshold` and stats unfiltered, then the manifest with
-        its `years`, `field_slugs` and `edge_counts` filled in; returns the
-        manifest."""
+        """Write every (network, stats) slice, the network already thresholded
+        at the manifest's `threshold` and stats unfiltered, then the manifest
+        with its `years`, `field_slugs` and `edge_counts` filled in; returns
+        the manifest."""
         years, edge_counts = set(), {}
-        for edges, stats in slices:
-            years.add(edges.year)
-            self.write_edges(edges)
-            self.write_stats(edges.year, edges.field, stats)
-            edge_counts[f"{edges.year}/{edges.field}"] = len(edges.edges)
+        for net, stats in slices:
+            year, fld = net.slice.year, net.slice.field
+            years.add(year)
+            self.write_edges(net)
+            self.write_stats(year, fld, stats)
+            edge_counts[f"{year}/{fld}"] = net.m
         manifest.update(years=sorted(years), field_slugs={f: field_slug(f) for f in manifest["fields"]},
                         edge_counts=edge_counts)
         write_json(self.root / "manifest.json", manifest)
         return manifest
 
-    def read_edges(self, year: int, fld: str) -> EdgeList:
-        out = EdgeList(year, fld)
+    def read_edges(self, year: int, fld: str) -> CollabNetwork:
         with read_table(self.edge_path(year, fld), ("country_a", "country_b", "weight"), "edge") as (rows, (a, b, w)):
-            for row in rows:
-                out.add(row[a], row[b], float(row[w]))
-        return out
+            return CollabNetwork.from_pairs(((row[a], row[b], float(row[w])) for row in rows), NetworkSlice(year, fld))
 
     def read_stats(self, year: int, fld: str) -> dict[str, CountryYearStats]:
         out: dict[str, CountryYearStats] = {}
@@ -395,14 +372,15 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
 
     if pubs_path.suffix.lower() == ".csv":
         slices = _edge_csv_slices(pubs_path)
+        check_year_span([net.slice.year for net, _ in slices])
         manifest = {
-            "fields": sorted({el.field for el, _ in slices}),
+            "fields": sorted({net.slice.field for net, _ in slices}),
             "records": None,
             "skipped": 0,
             "stats_source": "edge-weight approximation (pre-aggregated input)",
             "threshold": threshold,
         }
-        return store.write(((filter_countries(el, stats, threshold), stats) for el, stats in slices), manifest)
+        return store.write(((filter_countries(net, stats, threshold), stats) for net, stats in slices), manifest)
 
     parsed = parse_publications_file(pubs_path)
     records = parsed.records
@@ -410,6 +388,7 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
         raise DataError(f"no usable records in {pubs_path} ({parsed.skipped} skipped)")
 
     years = sorted({r.year for r in records})
+    check_year_span(years)
     fields = [ALL_FIELDS] + sorted({r.field for r in records} - {ALL_FIELDS})
     slice_counts: dict[str, dict[str, int]] = {}
     manifest = {
@@ -423,7 +402,7 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
 
 
 def _record_slices(records, years: list[int], fields: list[str], threshold: int, slice_counts: dict):
-    """Yield every year x field slice, empty ones included, as (edges
+    """Yield every year x field slice, empty ones included, as (network
     thresholded at `threshold`, stats), counted in one pass over the records;
     fills `slice_counts`. Equal, slice by slice, to `filter_countries` of
     `build_annual_edges` and `country_year_stats`.
@@ -471,9 +450,10 @@ def _record_slices(records, years: list[int], fields: list[str], threshold: int,
             pair, weight = np.unique(joined(parts, "pairs"), return_counts=True)
             a, b = np.divmod(pair, n)
             kept = (intl[a] >= threshold) & (intl[b] >= threshold)
-            edges = {(codes[i], codes[j]): w
-                     for i, j, w in zip(a[kept].tolist(), b[kept].tolist(), weight[kept].astype(float).tolist())}
-            yield EdgeList(year, fld, edges), stats
+            a, b = a[kept], b[kept]
+            edges = {(codes[i], codes[j]): w for i, j, w in zip(a.tolist(), b.tolist(), weight[kept].astype(float).tolist())}
+            nodes = tuple(codes[i] for i in np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=n)).tolist())
+            yield CollabNetwork(nodes, edges, NetworkSlice(year, fld)), stats
 
 
 class _Tally:
@@ -488,9 +468,10 @@ class _Tally:
         self.intl_pubs = 0
 
 
-def _edge_csv_slices(path: Path) -> list[tuple[EdgeList, dict[str, CountryYearStats]]]:
+def _edge_csv_slices(path: Path) -> list[tuple[CollabNetwork, dict[str, CountryYearStats]]]:
     """Read a pre-aggregated edge CSV (year,field,country_a,country_b,weight)
-    into the slices it names, in (year, field) order.
+    into the slices it names, in (year, field) order. A short row, a bad
+    year or weight, or a blank country is a DataError naming its line.
 
     No publication-level statistics exist in this form, so intl_pubs and
     total_pubs are both approximated by the country's total edge weight in
@@ -501,32 +482,27 @@ def _edge_csv_slices(path: Path) -> list[tuple[EdgeList, dict[str, CountryYearSt
     per-field rows may share publications; a year with field rows only has
     no `all` slice.
     """
-    by_slice: dict[tuple[int, str], EdgeList] = {}
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                if None in row.values():
-                    raise DataError(f"short row in edge CSV {path}: {row}")
-                year = int(row["year"])
-                fld = row.get("field") or ALL_FIELDS
-                a, b = row["country_a"].strip().upper(), row["country_b"].strip().upper()
-                if not (a and b):
-                    raise DataError(f"blank country in edge CSV {path}: {row}")
-                by_slice.setdefault((year, fld), EdgeList(year, fld)).add(a, b, float(row["weight"]))
-    except (OSError, KeyError, ValueError) as exc:
-        raise DataError(f"cannot ingest edge CSV {path}: {exc}") from exc
+    by_slice: defaultdict[tuple[int, str], list] = defaultdict(list)
+    names = ("year", "field", "country_a", "country_b", "weight")
+    with read_table(path, names, "edge CSV") as (rows, (y, f, ca, cb, w)):
+        for row in rows:
+            a, b = row[ca].strip().upper(), row[cb].strip().upper()
+            if not (a and b):
+                raise ValueError("blank country")
+            by_slice[int(row[y]), row[f] or ALL_FIELDS].append((a, b, float(row[w])))
     if not by_slice:
         raise DataError(f"no edges in {path}")
 
     slices = []
-    for (year, fld), edges in sorted(by_slice.items()):
+    for (year, fld), triples in sorted(by_slice.items()):
+        net = CollabNetwork.from_pairs(triples, NetworkSlice(year, fld))
         strength: defaultdict[str, float] = defaultdict(float)
-        for (a, b), w in edges.edges.items():
+        for (a, b), w in net.edges.items():
             strength[a] += w
             strength[b] += w
         stats = {
             c: CountryYearStats(c, year, fld, int(strength[c]), int(strength[c]))
             for c in sorted(strength)
         }
-        slices.append((edges, stats))
+        slices.append((net, stats))
     return slices

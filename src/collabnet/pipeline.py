@@ -23,7 +23,8 @@ from . import structure
 from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
 from .graph import CollabNetwork, normalize_weights, rolling_window
-from .ingest import ALL_FIELDS, CorpusStore, field_slug, finite, participation, read_table, write_json, write_table
+from .ingest import (ALL_FIELDS, CorpusStore, check_year_span, field_slug, finite, participation, read_table,
+                     write_json, write_table)
 from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
     Forecast,
@@ -170,7 +171,7 @@ def _load_window_network(
 ) -> tuple[CollabNetwork, int]:
     """Build the rolling-window network ending at `year`; returns (net, years used).
 
-    `slices` maps each year of the previous window to its (thresholded edges,
+    `slices` maps each year of the previous window to its (thresholded network,
     stats) pair, None for an absent file: only the years new to this window
     are read, and years that left it are dropped. A window with no slice, or
     whose slices are not consecutive, is missing: it returns (empty net, 0)
@@ -184,18 +185,18 @@ def _load_window_network(
         del slices[y]
     for y in range(year - window + 1, year + 1):
         if y not in slices:
-            el = store.read_edges(y, fld) if store.edge_path(y, fld).exists() else None
+            annual = store.read_edges(y, fld) if store.edge_path(y, fld).exists() else None
             stats = store.read_stats(y, fld) if store.stats_path(y, fld).exists() else None
-            if el is not None and stats is not None:
+            if annual is not None and stats is not None:
                 if threshold > 0:
-                    el = filter_countries(el, stats, threshold)
+                    annual = filter_countries(annual, stats, threshold)
                 else:
-                    require_stats(el, stats)
-            slices[y] = el, stats
+                    require_stats(annual, stats)
+            slices[y] = annual, stats
     present = [slices[y] for y in range(year - window + 1, year + 1) if None not in slices[y]]
-    if not present or present[-1][0].year - present[0][0].year != len(present) - 1:
+    if not present or present[-1][0].slice.year - present[0][0].slice.year != len(present) - 1:
         return CollabNetwork((), {}), 0
-    net = rolling_window([el for el, _ in present])
+    net = rolling_window([annual for annual, _ in present])
     if normalize != "raw":
         productivity: dict[str, float] = {}
         for _, stats in present:
@@ -209,7 +210,8 @@ def read_windows(config: PipelineConfig, fld: str) -> Iterator[tuple[int, Collab
     """Yield (year, window network or None if missing, years used, the year's
     stats or None) for each year of the config's range (the corpus's by
     default) in one field. Each annual slice is read once and at most
-    `config.window` of them are kept.
+    `config.window` of them are kept. A range wider than
+    `ingest.MAX_YEAR_SPAN` years is a DataError.
 
     The corpus's edges were thresholded at ingest, so a run threshold below
     the manifest's cannot be honoured and is a DataError."""
@@ -219,6 +221,7 @@ def read_windows(config: PipelineConfig, fld: str) -> Iterator[tuple[int, Collab
         raise DataError(f"threshold {config.threshold} is below the corpus's ingest threshold "
                         f"{manifest['threshold']}; re-ingest with --threshold {config.threshold}")
     years = config.years or manifest["years"]
+    check_year_span(years)
     refilter = config.threshold if config.threshold > manifest["threshold"] else 0  # the filter is idempotent
     slices: dict = {}
     for year in range(min(years), max(years) + 1):

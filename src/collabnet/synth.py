@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CollabNetwork, NetworkSlice
-from .ingest import ALL_FIELDS, CorpusStore, CountryYearStats, EdgeList
+from .ingest import ALL_FIELDS, CorpusStore, CountryYearStats
 from .pipeline import SliceAnalysis
 
 FITNESS_LAWS = ("constant", "uniform", "entrant")
@@ -322,10 +322,10 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, years: int = 24) -
     else:
         counts = [int(round(lo + (hi - lo) * k / (years - 1))) for k in range(years)]
 
-    def year_slice(year: int, count: int) -> tuple[EdgeList, dict[str, CountryYearStats]]:
+    def year_slice(year: int, count: int) -> tuple[CollabNetwork, dict[str, CountryYearStats]]:
         g = traj.graph_at(count)
         stats = {v: CountryYearStats(v, year, ALL_FIELDS, d, d) for v, d in zip(g.nodes, g.degrees.tolist())}
-        return EdgeList(year, ALL_FIELDS, dict(g.edges)), stats
+        return CollabNetwork(g.nodes, g.edges, NetworkSlice(year, ALL_FIELDS)), stats
 
     manifest = {
         "fields": [ALL_FIELDS],

@@ -6,18 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collabnet.errors import DataError
-from collabnet.graph import CollabNetwork, normalize_weights, rolling_window
-from collabnet.ingest import EdgeList
+from collabnet.graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
 from collabnet.paths import weighted_paths
 from conftest import make_net
 from oracles import floyd_warshall_hops, random_graph
 
 
 def edge_list(year, pairs, field="all"):
-    el = EdgeList(year, field)
-    for a, b, w in pairs:
-        el.add(a, b, w)
-    return el
+    return CollabNetwork.from_pairs(pairs, NetworkSlice(year, field))
 
 
 class TestCollabNetwork:

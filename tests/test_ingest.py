@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from collabnet.errors import DataError
+from collabnet.graph import CollabNetwork, NetworkSlice
 from collabnet.ingest import (
     ALL_FIELDS,
     CorpusStore,
     CountryYearStats,
-    EdgeList,
     _record_slices,
     build_annual_edges,
     country_year_stats,
@@ -137,19 +137,16 @@ class TestBuildAnnualEdges:
         assert len(build_annual_edges(recs, 2010, ALL_FIELDS).edges) == 2
 
 
-def stats_for(el: EdgeList, intl: dict[str, int], threshold_source=None):
+def stats_for(net: CollabNetwork, intl: dict[str, int], threshold_source=None):
     return {
-        c: CountryYearStats(c, el.year, el.field, intl.get(c, 0), max(intl.get(c, 0), 1))
-        for c in el.countries()
+        c: CountryYearStats(c, net.slice.year, net.slice.field, intl.get(c, 0), max(intl.get(c, 0), 1))
+        for c in net.nodes
     }
 
 
 class TestFilterCountries:
     def make(self):
-        el = EdgeList(2010, "all")
-        el.add("A", "B", 3)
-        el.add("B", "C", 2)
-        return el
+        return CollabNetwork.from_pairs([("A", "B", 3), ("B", "C", 2)], NetworkSlice(2010, "all"))
 
     def test_below_threshold_removed(self):
         el = self.make()
@@ -299,6 +296,14 @@ class TestCorpusStore:
         el = CorpusStore(tmp_path / "corpus").read_edges(2001, ALL_FIELDS)
         assert el.edges == {("CN", "US"): 5.0, ("GB", "US"): 2.0}
 
+    @pytest.mark.parametrize("weight", ["0", "-1", "nan", "inf"])
+    def test_bad_stored_weight_is_a_data_error(self, tmp_path, weight):
+        # each row is checked, so a bad row is refused even where the pair's sum would be positive
+        (tmp_path / "edges_2001_all.csv").write_text(
+            f"year,field,country_a,country_b,weight\n2001,all,CN,US,{weight}\n2001,all,US,CN,5\n")
+        with pytest.raises(DataError, match="of CN-US in 2001/all must be finite and positive"):
+            CorpusStore(tmp_path).read_edges(2001, ALL_FIELDS)
+
     def test_stats_invariant_rejected(self):
         with pytest.raises(DataError):
             CountryYearStats("US", 2001, "all", intl_pubs=5, total_pubs=3)
@@ -318,8 +323,9 @@ class TestCorpusStore:
 # each stored table a reader reads back: (file name, reader, lines of a valid
 # file, the value it reads, a row short of a named column)
 STORED_TABLES = {
+    # a hand-edited edge table: swapped endpoints are ordered and a repeated pair is summed
     "edge": ("edges_2001_all.csv", lambda path: CorpusStore(path.parent).read_edges(2001, ALL_FIELDS).edges,
-             ["year,field,country_a,country_b,weight", "2001,all,CN,US,2.0", "2001,all,GB,US,1.5"],
+             ["year,field,country_a,country_b,weight", "2001,all,US,CN,2.0", "2001,all,GB,US,1.0", "2001,all,US,GB,0.5"],
              {("CN", "US"): 2.0, ("GB", "US"): 1.5}, "2001,all,FR"),
     "stats": ("stats_2001_all.csv", lambda path: CorpusStore(path.parent).read_stats(2001, ALL_FIELDS),
               ["year,field,country,intl_pubs,total_pubs", "2001,all,CN,2,3", "2001,all,US,3,3"],
@@ -423,21 +429,22 @@ class TestOnePassIngest:
         got = list(_record_slices(records, years, fields, threshold, slice_counts))
         want = list(self.reference(records, years, fields, threshold))
         assert len(got) == len(want) == len(years) * len(fields)
-        for (edges, stats), (ref_edges, ref_stats, ref_counts) in zip(got, want):
-            assert (edges.year, edges.field) == (ref_edges.year, ref_edges.field)
-            assert edges.edges == ref_edges.edges
-            assert all(type(w) is float for w in edges.edges.values())
+        for (net, stats), (ref_net, ref_stats, ref_counts) in zip(got, want):
+            assert net.slice == ref_net.slice
+            assert net.nodes == ref_net.nodes
+            assert net.edges == ref_net.edges
+            assert all(type(w) is float for w in net.edges.values())
             assert list(stats.items()) == list(ref_stats.items())
-            assert slice_counts[f"{edges.year}/{edges.field}"] == ref_counts
+            assert slice_counts[f"{net.slice.year}/{net.slice.field}"] == ref_counts
         return got
 
     @pytest.mark.parametrize("threshold", [0, 1, 2, 3, 100])
     def test_edge_cases(self, threshold):
         got = self.assert_parity(parse_publications(self.LINES).records, threshold)
-        empty = {(e.year, e.field) for e, stats in got if not stats}
+        empty = {(net.slice.year, net.slice.field) for net, stats in got if not stats}
         assert empty == {(2001, "Biology"), (2003, "Physics")}
         if threshold == 100:  # above every country
-            assert all(not e.edges for e, _ in got)
+            assert all(not net.edges for net, _ in got)
 
     def test_generated_corpus(self, tmp_path):
         path = tmp_path / "gen.jsonl"

@@ -452,6 +452,44 @@ class TestColdStart:
         assert done.stdout.splitlines()[-1] == "ok"
 
 
+class TestYearSpan:
+    """A corpus, and a run over one, spans at most `ingest.MAX_YEAR_SPAN`
+    years, so no year can make a command walk for hours. Each command runs in
+    a fresh interpreter with a timeout, so that a regression fails instead of
+    hanging."""
+
+    def cli(self, cwd, *argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, "-m", "collabnet.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=30)
+
+    def test_far_year_exit_2(self, tmp_path):
+        lines = [json.dumps({"year": 2001 + i % 3, "countries": ["US", c]})
+                 for i, c in enumerate(["CN", "GB", "DE", "FR", "JP"] * 3)]
+        far = json.dumps({"year": 1_000_000_000, "countries": ["US", "CN"]})
+        (tmp_path / "pubs.jsonl").write_text("\n".join(lines + [far]) + "\n")
+        ingest = ["ingest", "--pubs", "pubs.jsonl", "--out", "corpus", "--threshold", "0"]
+        done = self.cli(tmp_path, *ingest)
+        assert done.returncode == 2 and "span more than 1000 years" in done.stderr, done.stderr
+        assert not (tmp_path / "corpus").exists()
+        # a store that names the far year, as one written before the cap could
+        (tmp_path / "pubs.jsonl").write_text("\n".join(lines) + "\n")
+        assert self.cli(tmp_path, *ingest).returncode == 0
+        path = tmp_path / "corpus" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "years": [2001, 2002, 2003, 1_000_000_000]}))
+        series = ["series", "--corpus", "corpus", "--threshold", "0", "--out", "series"]
+        for argv in (series, ["granger", "--corpus", "corpus", "--iv", "US", "--threshold", "0", "--out", "g.csv"]):
+            done = self.cli(tmp_path, *argv)
+            assert done.returncode == 2 and "span more than 1000 years" in done.stderr, (argv[0], done.stderr)
+        # and a run's --years on a store that holds only 2001-2003
+        path.write_text(json.dumps(manifest))
+        done = self.cli(tmp_path, *series, "--years", "1:1000000000")
+        assert done.returncode == 2 and "span more than 1000 years" in done.stderr, done.stderr
+        assert self.cli(tmp_path, *series, "--years", "1001:2000").returncode == 0
+
+
 class TestSeriesCsv:
     def test_round_trip_lossless(self, tmp_path):
         series = MetricSeries("x", (2001, 2002, 2003), (0.1234567890123456789, None, 1e-17), unit="share")
@@ -669,6 +707,20 @@ class TestCli:
         series = read_series_csv(out / "pipe" / "series" / "clustering__all.csv")
         assert len(series) == 24  # full synthetic span survives the round trip
 
+    def test_simulation_through_the_corpus_pipeline(self, tmp_path):
+        # the exported corpus's last year is the run's final graph, so its hub's BC is the run's, byte for byte
+        assert self.run("synth", "--standard", "--seed", "1", "--out", str(tmp_path / "run.json"),
+                        "--export-corpus", str(tmp_path / "corpus")) == 0
+        assert self.run("build", "--corpus", str(tmp_path / "corpus"), "--year", "2024", "--window", "1",
+                        "--threshold", "0", "--out", str(tmp_path / "net.json")) == 0
+        assert self.run("metrics", "--net", str(tmp_path / "net.json"), "--metric", "bc",
+                        "--out", str(tmp_path / "m.csv")) == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        with (tmp_path / "m.csv").open(newline="") as fh:
+            bc = {row["node"]: row["value"] for row in csv.DictReader(fh) if row["metric"] == "bc"}
+        assert run["hub"] == "N00002"
+        assert bc["N00002"] == repr(run["checkpoints"][-1]["hub_bc_norm"]) == "0.024576987717965633"
+
     def test_synth_experiment_cli(self, tmp_path, capsys):
         out = tmp_path / "exp.json"
         assert self.run("synth", "--experiment", "--n", "120", "--m", "2", "--eta", "4",
@@ -787,18 +839,22 @@ class TestCli:
                         "--metrics", "clustering,bogus", "--out", str(out / "granger.csv")) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("weight", ["inf", "nan", "0"])
-    def test_non_finite_or_zero_edge_weight_exit_2(self, tmp_path, weight):
+    @pytest.mark.parametrize("weight", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_zero_edge_weight_exit_2(self, tmp_path, capsys, weight):
+        # each row is checked, so a bad row is refused even where the pair's sum would be positive
         edges = tmp_path / "edges.csv"
-        edges.write_text(f"year,field,country_a,country_b,weight\n2001,all,US,CN,{weight}\n2001,all,US,GB,2\n")
+        edges.write_text(f"year,field,country_a,country_b,weight\n2001,all,US,CN,{weight}\n2001,all,CN,US,5\n"
+                         "2001,all,US,GB,2\n")
         assert self.run("ingest", "--pubs", str(edges), "--out", str(tmp_path / "corpus"), "--threshold", "0") == 2
+        assert "of US-CN in 2001/all must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize("row, error", [("2001,,US", "short row"), ("2001,, ,CN,2", "blank country")])
     def test_short_or_blank_edge_csv_row_exit_2(self, tmp_path, capsys, row, error):
         edges = tmp_path / "edges.csv"
         edges.write_text(f"year,field,country_a,country_b,weight\n2001,all,US,GB,2\n{row}\n")
         assert self.run("ingest", "--pubs", str(edges), "--out", str(tmp_path / "corpus"), "--threshold", "0") == 2
-        assert f"{error} in edge CSV" in capsys.readouterr().err
+        assert f"bad edge CSV row in {edges} at line 3: {error}" in capsys.readouterr().err
         assert not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize("name, short, error", [("edges_2005_all.csv", "2005,all,CN,US", "bad edge row"),
