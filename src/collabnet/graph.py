@@ -1,23 +1,17 @@
 """The weighted undirected collaboration network and its transforms.
 
 One type holds every country-pair set: a stored (year, field) slice, a
-rolling window and a saved network are each a `CollabNetwork`, and its
-edge dict is its data. Rows of (a, b, weight) become a network through
-`CollabNetwork.from_pairs`, which orders each pair, checks each row's
-weight and sums repeated pairs in input order. Every metric reads the
-topology through one cached form of it: `CollabNetwork.adjacency`, the
-symmetric weighted adjacency in CSR form, with the 0/1 `pattern` that
-shares its index arrays and the `degrees` vector beside it. Distances for every
-weighted shortest-path metric are the inverse edge weights
-(`CollabNetwork.distance_csr`, a CSR beside `adjacency`), so heavily
-collaborating country pairs are close.
-Hop metrics share `hop_sweep`: the topological betweenness and hop
-distances of one `paths.hop_levels` pass. Weighted metrics share
-`geodesics`: one all-sources Dijkstra over `distance_csr` (an n x n float
-matrix, 8 MB at n = 1,000) and the CSR entries that can end a co-minimal
-path, from `paths.geodesics`.
-Treat a constructed CollabNetwork as immutable: metric code only reads it,
-and the cached forms assume the edge dict never changes after construction.
+rolling window and a saved network are each a `CollabNetwork` of sorted
+node names, an m x 2 array `ends` of node index pairs (lo < hi) and m
+float64 weights, checked once when built and read-only after; its `edges`
+dict is a view derived from them. Rows of (a, b, weight) become a network
+through `from_pairs`, which sums repeated pairs in input order. Metrics
+read the arrays or `adjacency`, the symmetric weighted CSR, with the 0/1
+`pattern` that shares its index arrays and the `degrees` vector. Weighted
+shortest paths walk the inverse weights (`distance_csr`), so heavily
+collaborating country pairs are close. Hop metrics share `hop_sweep` (one
+`paths.hop_levels` pass), weighted ones `geodesics` (one all-sources
+Dijkstra, an n x n float matrix: 8 MB at n = 1,000).
 """
 
 from __future__ import annotations
@@ -26,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -46,39 +41,55 @@ class NetworkSlice:
     norm: str = "raw"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CollabNetwork:
-    """Weighted undirected country graph for one (year-window, field) slice."""
+    """Weighted undirected country graph for one (year-window, field) slice;
+    edge k joins nodes[ends[k, 0]] < nodes[ends[k, 1]] with weight[k] > 0."""
 
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], float]
+    ends: np.ndarray
+    weight: np.ndarray
     slice: NetworkSlice = field(default_factory=NetworkSlice)
 
     def __post_init__(self):
-        self.nodes = tuple(sorted(set(self.nodes)))
-        node_set = set(self.nodes)
-        for (a, b), w in self.edges.items():
-            if a == b:
-                raise DataError(f"self-loop on {a}")
-            if a > b:
-                raise DataError(f"edge ({a}, {b}) not stored with ordered endpoints")
-            if not math.isfinite(w) or w <= 0:
-                raise DataError(f"weight {w} on ({a}, {b}) is not a positive finite number")
-            if a not in node_set or b not in node_set:
-                raise DataError(f"edge ({a}, {b}) references unknown node")
+        nodes, ends, weight = tuple(self.nodes), np.array(self.ends, dtype=np.intp), np.array(self.weight, dtype=float)
+        if ends.shape != (len(weight), 2) or any(a >= b for a, b in zip(nodes, nodes[1:])):
+            raise DataError(f"{ends.shape} edge ends for {weight.shape} weights, or nodes not sorted and distinct")
+        lo, hi = ends.T
+        bad = ~((0 <= lo) & (lo < hi) & (hi < len(nodes)) & (weight > 0) & (weight < np.inf))
+        if bad.any():
+            k = int(bad.argmax())
+            a, b = (nodes[i] if 0 <= i < len(nodes) else i for i in ends[k].tolist())
+            raise DataError(f"self-loop on {a}" if a == b else
+                            f"edge ({a}, {b}) of weight {weight[k]} needs ordered known ends and a finite positive weight")
+        ends.flags.writeable = weight.flags.writeable = False
+        self.__dict__.update(nodes=nodes, ends=ends, weight=weight)  # frozen: no __setattr__
 
     @classmethod
     def from_pairs(cls, triples, slice: NetworkSlice) -> "CollabNetwork":
         """The network of (a, b, weight) rows, its nodes their endpoints. Each
         row's weight must be finite and positive, so a bad row cannot hide
-        inside a positive sum; repeated pairs are summed in input order."""
-        edges: dict[tuple[str, str], float] = {}
-        for a, b, w in triples:
-            if not 0 < w < math.inf:  # NaN fails too
-                raise DataError(f"weight {w!r} of {a}-{b} in {slice.year}/{slice.field} must be finite and positive")
-            key = (a, b) if a < b else (b, a)
-            edges[key] = edges.get(key, 0.0) + w
-        return cls(tuple({c for pair in edges for c in pair}), edges, slice)
+        inside a positive sum; repeated pairs are summed in input order, each
+        kept where it was first seen."""
+        a, b, w = tuple(zip(*triples)) or ((), (), ())
+        weight = np.array(w, dtype=float)
+        bad = ~((weight > 0) & (weight < np.inf))  # NaN fails too
+        if bad.any():
+            k = int(bad.argmax())
+            raise DataError(f"weight {w[k]!r} of {a[k]}-{b[k]} in {slice.year}/{slice.field} must be finite and positive")
+        nodes = sorted(set(a).union(b))
+        index = dict(zip(nodes, range(len(nodes))))
+        ends = np.array([[index[x] for x in a], [index[x] for x in b]], dtype=np.intp).T
+        return _summed(nodes, np.sort(ends, axis=1), weight, slice)
+
+    @cached_property
+    def edges(self) -> dict[tuple[str, str], float]:
+        """The edge dict {(a, b): weight} in edge order, derived from the arrays."""
+        return {(self.nodes[i], self.nodes[j]): w for i, j, w in zip(*self.ends.T.tolist(), self.weight.tolist())}
+
+    def select(self, mask: np.ndarray) -> "CollabNetwork":
+        """The network of the edges where `mask` holds, its nodes their endpoints."""
+        return _summed(self.nodes, self.ends[mask], self.weight[mask], self.slice)
 
     @property
     def n(self) -> int:
@@ -86,7 +97,7 @@ class CollabNetwork:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.weight)
 
     def has_node(self, node: str) -> bool:
         return node in self.index
@@ -98,10 +109,7 @@ class CollabNetwork:
     @cached_property
     def adjacency(self) -> sp.csr_array:
         """Symmetric weighted adjacency in CSR form; each row lists its neighbors by index."""
-        idx, m = self.index, self.m
-        i = np.fromiter((idx[a] for a, _ in self.edges), dtype=np.intp, count=m)
-        j = np.fromiter((idx[b] for _, b in self.edges), dtype=np.intp, count=m)
-        w = np.fromiter(self.edges.values(), dtype=np.float64, count=m)
+        i, j, w = self.ends[:, 0], self.ends[:, 1], self.weight
         coords = (np.concatenate([i, j]), np.concatenate([j, i]))
         return sp.csr_array((np.concatenate([w, w]), coords), shape=(self.n, self.n))
 
@@ -141,12 +149,15 @@ class CollabNetwork:
         return [self.nodes[j] for j in A.indices[A.indptr[i]:A.indptr[i + 1]]]
 
     def subgraph(self, keep) -> "CollabNetwork":
+        """The `keep` nodes and the edges between them."""
         keep = set(keep)
         unknown = keep - set(self.nodes)
         if unknown:
             raise DataError(f"unknown nodes in subgraph request: {sorted(unknown)}")
-        edges = {(a, b): w for (a, b), w in self.edges.items() if a in keep and b in keep}
-        return CollabNetwork(tuple(sorted(keep)), edges, self.slice)
+        inside = np.array([node in keep for node in self.nodes], dtype=bool)
+        kept = inside[self.ends].all(axis=1)
+        return CollabNetwork(tuple(compress(self.nodes, inside)), (np.cumsum(inside) - 1)[self.ends[kept]],
+                             self.weight[kept], self.slice)
 
     def connected_components(self) -> list[set[str]]:
         """Node sets of the components, in the order of their first node."""
@@ -166,20 +177,32 @@ class CollabNetwork:
 
     @classmethod
     def from_json(cls, payload) -> "CollabNetwork":
-        """The network of a `to_json` document, given as its text or already parsed."""
+        """The network of a `to_json` document, given as its text or already
+        parsed: a list of names, and edge rows [name, name, number] that
+        join listed names, each pair once."""
         try:
             if isinstance(payload, str):
                 payload = json.loads(payload)
-            nodes = tuple(payload["nodes"])
-            edges = {}
-            for a, b, w in payload["edges"]:
-                key = (a, b) if a < b else (b, a)
-                edges[key] = float(w)
+            names, rows = payload["nodes"], payload["edges"]
+            if type(names) is not list or not all(type(c) is str for c in names):
+                raise ValueError("nodes must be a list of names")
+            if type(rows) is not list or not all(type(r) is list and len(r) == 3 and type(r[0]) is type(r[1]) is str
+                                                 and type(r[2]) in (int, float) for r in rows):  # bool is not a weight
+                raise ValueError("edges must be a list of [name, name, number] rows")
+            nodes = tuple(sorted(set(names)))
+            index = {c: i for i, c in enumerate(nodes)}
+            unknown = {c for r in rows for c in r[:2]} - index.keys()
+            if unknown:
+                raise ValueError(f"edges name unknown nodes {sorted(unknown)}")
+            ends = np.sort(np.array([(index[a], index[b]) for a, b, _ in rows], dtype=np.intp).reshape(-1, 2), axis=1)
+            if len(np.unique(ends, axis=0)) < len(ends):
+                raise ValueError("a node pair is listed twice")
+            weight = [float(w) for _, _, w in rows]
             sl = payload.get("slice", {})
             slc = NetworkSlice(sl.get("year"), sl.get("field", "all"), sl.get("norm", "raw"))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise DataError(f"malformed network JSON: {exc}") from exc
-        return cls(nodes, edges, slc)
+        return cls(nodes, ends, weight, slc)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -208,8 +231,24 @@ def rolling_window(annual: list[CollabNetwork]) -> CollabNetwork:
     fields = {net.slice.field for net in ordered}
     if len(fields) > 1:
         raise DataError(f"window mixes fields: {sorted(fields)}")
-    triples = ((a, b, w) for net in ordered for (a, b), w in net.edges.items())
-    return CollabNetwork.from_pairs(triples, NetworkSlice(years[-1], ordered[0].slice.field, "raw"))
+    nodes = sorted(set().union(*(net.nodes for net in ordered)))
+    index = {c: i for i, c in enumerate(nodes)}
+    ends = np.concatenate([np.array([index[c] for c in net.nodes], dtype=np.intp)[net.ends] for net in ordered])
+    weight = np.concatenate([net.weight for net in ordered])
+    return _summed(nodes, ends, weight, NetworkSlice(years[-1], ordered[0].slice.field, "raw"))
+
+
+def _summed(nodes, ends: np.ndarray, weight: np.ndarray, slice: NetworkSlice) -> CollabNetwork:
+    """The network of the index pairs `ends` (lo <= hi) into the sorted
+    `nodes`, the nodes no pair names dropped. Repeated pairs are summed in
+    input order (`np.bincount` adds in index order), each kept where it was
+    first seen."""
+    key, first, inverse = np.unique(ends[:, 0] * len(nodes) + ends[:, 1], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ends = ends[first[order]]
+    used = np.bincount(ends.ravel(), minlength=len(nodes)) > 0
+    weight = np.bincount(inverse, weights=weight, minlength=len(key))[order]
+    return CollabNetwork(tuple(compress(nodes, used.tolist())), (np.cumsum(used) - 1)[ends], weight, slice)
 
 
 def normalize_weights(network: CollabNetwork, productivity: dict[str, float] | None, scheme: str) -> CollabNetwork:
@@ -221,25 +260,19 @@ def normalize_weights(network: CollabNetwork, productivity: dict[str, float] | N
     """
     if scheme not in NORM_SCHEMES:
         raise DataError(f"unknown normalization scheme {scheme!r}; choose from {NORM_SCHEMES}")
-    if scheme == "raw":
-        return CollabNetwork(network.nodes, dict(network.edges),
-                             NetworkSlice(network.slice.year, network.slice.field, "raw"))
-
-    new_edges: dict[tuple[str, str], float] = {}
+    w = network.weight
     if scheme == "log":
-        for pair, w in network.edges.items():
-            new_edges[pair] = math.log(w + 1.0)
-    else:
+        w = np.array([math.log(x + 1.0) for x in w.tolist()])
+    elif scheme != "raw":
         if productivity is None:
             raise DataError(f"{scheme} normalization needs per-country productivity")
-        for (a, b), w in network.edges.items():
-            try:
-                pa, pb = productivity[a], productivity[b]
-            except KeyError as exc:
-                raise DataError(f"missing productivity for {exc.args[0]} under {scheme} normalization") from exc
-            denom = math.sqrt(pa * pb) if scheme == "salton" else pa + pb - w
-            if denom <= 0:
-                raise DataError(f"non-positive {scheme} denominator on ({a}, {b})")
-            new_edges[(a, b)] = w / denom
-    return CollabNetwork(network.nodes, new_edges,
-                         NetworkSlice(network.slice.year, network.slice.field, scheme))
+        p = np.array([productivity.get(c, math.nan) for c in network.nodes], dtype=float)[network.ends]
+        if np.isnan(p).any():
+            raise DataError(f"missing productivity for {network.nodes[network.ends.flat[np.isnan(p).argmax()]]} "
+                            f"under {scheme} normalization")
+        with np.errstate(invalid="ignore"):
+            denom = np.sqrt(p[:, 0] * p[:, 1]) if scheme == "salton" else p[:, 0] + p[:, 1] - w
+        if not (denom > 0).all():
+            raise DataError(f"non-positive {scheme} denominator on edge {list(network.edges)[np.argmin(denom > 0)]}")
+        w = w / denom
+    return CollabNetwork(network.nodes, network.ends, w, NetworkSlice(network.slice.year, network.slice.field, scheme))

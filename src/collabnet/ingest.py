@@ -6,7 +6,9 @@ The corpus store is a directory of per-(year, field) CSV edge lists plus
 country-year statistics and a JSON manifest. A (year, field) slice is a
 `graph.CollabNetwork` whose `slice` carries its year and field; a stored
 edge table, or a pre-aggregated edge CSV, is read into one through
-`CollabNetwork.from_pairs`. A corpus spans at most `MAX_YEAR_SPAN` years.
+`CollabNetwork.from_pairs`, and ingest's counting pass builds each one from
+index arrays. A threshold is a mask over a network's node index pairs. A
+corpus spans at most `MAX_YEAR_SPAN` years.
 
 Every stored CSV table and JSON document is written and read through
 `write_table`/`read_table` and `write_json`/`read_json`.
@@ -23,7 +25,7 @@ from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -204,9 +206,8 @@ def filter_countries(net: CollabNetwork, stats: dict[str, CountryYearStats], thr
     if threshold < 0:
         raise DataError(f"threshold must be non-negative, got {threshold}")
     require_stats(net, stats)
-    keep = {c for c in net.nodes if stats[c].intl_pubs >= threshold}
-    kept = ((a, b, w) for (a, b), w in net.edges.items() if a in keep and b in keep)
-    return CollabNetwork.from_pairs(kept, net.slice)
+    keep = np.array([stats[c].intl_pubs >= threshold for c in net.nodes], dtype=bool)
+    return net.select(keep[net.ends].all(axis=1))
 
 
 def check_year_span(years) -> None:
@@ -306,9 +307,21 @@ class CorpusStore:
         self.root = Path(root)
 
     def manifest(self) -> dict:
-        manifest = read_json(self.root / "manifest.json", f"manifest.json under {self.root}")
+        """The manifest; a DataError unless its `years` are a non-empty list of
+        integers, its `threshold` an integer >= 0 and its `slice_counts`, if
+        any, an object of objects with an integer `pubs`."""
+        where = f"manifest.json under {self.root}"
+        manifest = read_json(self.root / "manifest.json", where)
         if not isinstance(manifest, dict) or not {"years", "threshold"} <= manifest.keys():
-            raise DataError(f"manifest.json under {self.root} lacks its years or threshold")
+            raise DataError(f"{where} lacks its years or threshold")
+        years, threshold = manifest["years"], manifest["threshold"]
+        if not (type(years) is list and years and all(type(y) is int for y in years)):
+            raise DataError(f"{where} has years {years!r}, not a non-empty list of integers")
+        if type(threshold) is not int or threshold < 0:
+            raise DataError(f"{where} has threshold {threshold!r}, not an integer >= 0")
+        counts = manifest.get("slice_counts", {})
+        if type(counts) is not dict or not all(type(c) is dict and type(c.get("pubs")) is int for c in counts.values()):
+            raise DataError(f"{where} has slice_counts that are not an object of objects with an integer pubs")
         return manifest
 
     def edge_path(self, year: int, fld: str) -> Path:
@@ -320,8 +333,9 @@ class CorpusStore:
     def write_edges(self, net: CollabNetwork) -> None:
         year, fld = net.slice.year, net.slice.field
         with write_table(self.edge_path(year, fld), ["year", "field", "country_a", "country_b", "weight"]) as writer:
-            for (a, b), w in sorted(net.edges.items()):
-                writer.writerow([year, fld, a, b, repr(float(w))])
+            order = np.lexsort(net.ends.T[::-1])  # by (a, b): the nodes are sorted
+            for i, j, w in zip(*net.ends[order].T.tolist(), net.weight[order].tolist()):
+                writer.writerow([year, fld, net.nodes[i], net.nodes[j], repr(w)])
 
     def write_stats(self, year: int, fld: str, stats: dict[str, CountryYearStats]) -> None:
         with write_table(self.stats_path(year, fld), ["year", "field", "country", "intl_pubs", "total_pubs"]) as writer:
@@ -405,15 +419,16 @@ def _record_slices(records, years: list[int], fields: list[str], threshold: int,
     """Yield every year x field slice, empty ones included, as (network
     thresholded at `threshold`, stats), counted in one pass over the records;
     fills `slice_counts`. Equal, slice by slice, to `filter_countries` of
-    `build_annual_edges` and `country_year_stats`.
+    `build_annual_edges` and `country_year_stats`, its edges in pair order.
 
     The pass numbers the countries in code order and appends to compact
     integer arrays of the record's (year, field): a domestic record's
     country, or an international record's countries and its country pairs
     (i * n + j for i < j). A year's `all` slice joins the arrays of all its
-    fields. Each slice is then counted with numpy, and only the pairs of
-    countries at or above the threshold become an edge dict. Lazy, and a
-    year's arrays go once its slices are out."""
+    fields. Each slice is then counted with numpy into the network's index
+    pairs and weights, and the pairs of countries below the threshold are
+    masked out; no per-edge Python object is made. Lazy, and a year's
+    arrays go once its slices are out."""
     codes = sorted({c for rec in records for c in rec.countries})
     index = {c: i for i, c in enumerate(codes)}
     n = len(codes)
@@ -448,12 +463,11 @@ def _record_slices(records, years: list[int], fields: list[str], threshold: int,
             stats = {codes[i]: CountryYearStats(codes[i], year, fld, intl_of[i], total_of[i])
                      for i in np.flatnonzero(total).tolist()}
             pair, weight = np.unique(joined(parts, "pairs"), return_counts=True)
-            a, b = np.divmod(pair, n)
-            kept = (intl[a] >= threshold) & (intl[b] >= threshold)
-            a, b = a[kept], b[kept]
-            edges = {(codes[i], codes[j]): w for i, j, w in zip(a.tolist(), b.tolist(), weight[kept].astype(float).tolist())}
-            nodes = tuple(codes[i] for i in np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=n)).tolist())
-            yield CollabNetwork(nodes, edges, NetworkSlice(year, fld)), stats
+            ends = np.stack(np.divmod(pair, n), axis=1)
+            kept = (intl[ends] >= threshold).all(axis=1)
+            used = np.bincount(ends[kept].ravel(), minlength=n) > 0  # the kept pairs' countries, renumbered
+            yield CollabNetwork(tuple(compress(codes, used.tolist())), (np.cumsum(used) - 1)[ends[kept]], weight[kept],
+                                NetworkSlice(year, fld)), stats
 
 
 class _Tally:
@@ -496,13 +510,7 @@ def _edge_csv_slices(path: Path) -> list[tuple[CollabNetwork, dict[str, CountryY
     slices = []
     for (year, fld), triples in sorted(by_slice.items()):
         net = CollabNetwork.from_pairs(triples, NetworkSlice(year, fld))
-        strength: defaultdict[str, float] = defaultdict(float)
-        for (a, b), w in net.edges.items():
-            strength[a] += w
-            strength[b] += w
-        stats = {
-            c: CountryYearStats(c, year, fld, int(strength[c]), int(strength[c]))
-            for c in sorted(strength)
-        }
+        strength = np.bincount(net.ends.ravel(), weights=np.repeat(net.weight, 2), minlength=net.n)  # in edge order
+        stats = {c: CountryYearStats(c, year, fld, int(s), int(s)) for c, s in zip(net.nodes, strength.tolist())}
         slices.append((net, stats))
     return slices

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import structure
 from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
-from .graph import CollabNetwork, normalize_weights, rolling_window
+from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
 from .ingest import (ALL_FIELDS, CorpusStore, check_year_span, field_slug, finite, participation, read_table,
                      write_json, write_table)
 from .paths import TIE_TOLERANCE, bridging_fraction
@@ -195,7 +195,7 @@ def _load_window_network(
             slices[y] = annual, stats
     present = [slices[y] for y in range(year - window + 1, year + 1) if None not in slices[y]]
     if not present or present[-1][0].slice.year - present[0][0].slice.year != len(present) - 1:
-        return CollabNetwork((), {}), 0
+        return CollabNetwork.from_pairs((), NetworkSlice()), 0
     net = rolling_window([annual for annual, _ in present])
     if normalize != "raw":
         productivity: dict[str, float] = {}

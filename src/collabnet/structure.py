@@ -14,6 +14,7 @@ only the two merged communities' slots.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,31 +107,20 @@ class CommunityPartition:
 def modularity_score(network: CollabNetwork, partition) -> float:
     """Q = sum over blocks of intra-weight/m - (block degree / 2m)^2."""
     blocks = [tuple(b) for b in partition]
-    covered: set[str] = set()
-    for b in blocks:
-        overlap = covered & set(b)
-        if overlap:
-            raise DataError(f"partition blocks overlap on {sorted(overlap)}")
-        covered |= set(b)
-    missing = set(network.nodes) - covered
-    if missing:
-        raise DataError(f"partition misses nodes {sorted(missing)}")
-    extra = covered - set(network.nodes)
-    if extra:
-        raise DataError(f"partition covers unknown nodes {sorted(extra)}")
+    count = Counter(node for b in blocks for node in b)
+    wrong = sorted(count.keys() ^ set(network.nodes) | {node for node, k in count.items() if k > 1})
+    if wrong:
+        raise DataError(f"partition does not hold each node once: {wrong}")
 
-    m = sum(network.edges.values())
+    m = sum(network.weight.tolist())  # Python's left-to-right sum, as before; np.sum adds pairwise
     if m == 0:
         return 0.0
     block_of = {node: i for i, b in enumerate(blocks) for node in b}
-    intra = [0.0] * len(blocks)
-    degree = [0.0] * len(blocks)
-    for (a, b), w in network.edges.items():
-        degree[block_of[a]] += w
-        degree[block_of[b]] += w
-        if block_of[a] == block_of[b]:
-            intra[block_of[a]] += w
-    return sum(e / m - (d / (2.0 * m)) ** 2 for e, d in zip(intra, degree))
+    ends, w = np.array([block_of[node] for node in network.nodes], dtype=np.intp)[network.ends], network.weight
+    same = ends[:, 0] == ends[:, 1]
+    intra = np.bincount(ends[same, 0], weights=w[same], minlength=len(blocks))  # in edge order
+    degree = np.bincount(ends.ravel(), weights=np.repeat(w, 2), minlength=len(blocks))
+    return sum(e / m - (d / (2.0 * m)) ** 2 for e, d in zip(intra.tolist(), degree.tolist()))
 
 
 def communities(network: CollabNetwork) -> CommunityPartition:
@@ -152,18 +142,15 @@ def communities(network: CollabNetwork) -> CommunityPartition:
     if network.n < 1:
         raise DataError("community detection needs at least 1 node")
 
-    m = sum(network.edges.values())
+    m = sum(network.weight.tolist())
     # ids are node indices; reassigning members[a] in place keeps the dict
     # order, in which modularity_score sums the blocks
     members: dict[int, tuple[str, ...]] = {i: (node,) for i, node in enumerate(network.nodes)}
     if m == 0:
         return CommunityPartition(list(members.values()), 0.0)
 
-    idx = network.index
-    ends = np.array([(idx[a], idx[b]) for a, b in network.edges], dtype=np.intp)
-    weight = np.array(list(network.edges.values()), dtype=float)
-    degree = np.zeros(network.n)
-    np.add.at(degree, ends.ravel(), np.repeat(weight, 2))  # in edge-dict order
+    ends, weight = network.ends, network.weight.copy()  # merges add into `weight`
+    degree = np.bincount(ends.ravel(), weights=np.repeat(weight, 2), minlength=network.n)  # in edge order
     lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
     # slots[c]: the slots of community c, live ones among them; a merge stores the survivor's live union
     order = np.argsort(ends.ravel())

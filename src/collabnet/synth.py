@@ -88,16 +88,11 @@ class SynthTrajectory:
     def graph_at(self, count: int) -> CollabNetwork:
         if not (self.config.m + 1 <= count <= self.config.n_final):
             raise DataError(f"count {count} outside trajectory range")
-        nodes = tuple(_node_name(i) for i in range(count))
-        edges = {}
-        for at, i, j in self.events:
-            if at > count:
-                break
-            a, b = _node_name(i), _node_name(j)
-            if a > b:
-                a, b = b, a
-            edges[(a, b)] = 1.0
-        return CollabNetwork(nodes, edges, NetworkSlice(None, "synth", "raw"))
+        names = [_node_name(i) for i in range(count)]
+        rank = np.argsort(sorted(range(count), key=names.__getitem__))  # node id -> place among the sorted names
+        events = np.array(self.events, dtype=np.intp).reshape(-1, 3)
+        ends = np.sort(rank[events[:np.searchsorted(events[:, 0], count, side="right"), 1:]], axis=1)
+        return CollabNetwork(tuple(sorted(names)), ends, np.ones(len(ends)), NetworkSlice(None, "synth", "raw"))
 
     def final_graph(self) -> CollabNetwork:
         return self.graph_at(self.config.n_final)
@@ -325,7 +320,7 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, years: int = 24) -
     def year_slice(year: int, count: int) -> tuple[CollabNetwork, dict[str, CountryYearStats]]:
         g = traj.graph_at(count)
         stats = {v: CountryYearStats(v, year, ALL_FIELDS, d, d) for v, d in zip(g.nodes, g.degrees.tolist())}
-        return CollabNetwork(g.nodes, g.edges, NetworkSlice(year, ALL_FIELDS)), stats
+        return CollabNetwork(g.nodes, g.ends, g.weight, NetworkSlice(year, ALL_FIELDS)), stats
 
     manifest = {
         "fields": [ALL_FIELDS],

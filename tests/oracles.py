@@ -7,12 +7,15 @@ pairs, modularity maximization over all set partitions, a
 naive greedy merge that recomputes every gain at every step, and
 participation shares counted from the publication records.
 None of it shares code with the package implementations, except the
-dense weighted kernel at the end: the package's former weighted
-betweenness, kept as the float-for-float reference of the sparse one.
+dense weighted kernel and the edge dict functions at the end: the
+package's former weighted betweenness and its former dict-backed
+`CollabNetwork.from_pairs` and `normalize_weights`, kept as the
+float-for-float references of the sparse and array forms.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -293,3 +296,24 @@ def dense_weighted_betweenness(network, block: int = 16):
         for row in delta:  # one source at a time, so bc sums in source order
             bc += row
     return bc / 2.0
+
+
+def summed_pairs(triples) -> dict[tuple[str, str], float]:
+    """The edge dict of (a, b, weight) rows: each pair ordered, repeated pairs
+    summed in input order, each kept where it was first seen."""
+    edges: dict[tuple[str, str], float] = {}
+    for a, b, w in triples:
+        key = (a, b) if a < b else (b, a)
+        edges[key] = edges.get(key, 0.0) + w
+    return edges
+
+
+def normalized_edges(edges, productivity, scheme: str) -> dict[tuple[str, str], float]:
+    """Log, Salton or Jaccard weights of an edge dict, edge by edge."""
+    if scheme == "log":
+        return {pair: math.log(w + 1.0) for pair, w in edges.items()}
+    out = {}
+    for (a, b), w in edges.items():
+        pa, pb = productivity[a], productivity[b]
+        out[(a, b)] = w / (math.sqrt(pa * pb) if scheme == "salton" else pa + pb - w)
+    return out

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
 from collabnet.paths import weighted_paths
+from collabnet.structure import communities
 from conftest import make_net
-from oracles import floyd_warshall_hops, random_graph
+from oracles import floyd_warshall_hops, normalized_edges, random_graph, summed_pairs
 
 
 def edge_list(year, pairs, field="all"):
@@ -18,21 +19,52 @@ def edge_list(year, pairs, field="all"):
 
 class TestCollabNetwork:
     def test_rejects_self_loop(self):
-        with pytest.raises(DataError):
-            CollabNetwork(("A",), {("A", "A"): 1.0})
+        with pytest.raises(DataError, match="self-loop on A"):
+            CollabNetwork(("A",), [[0, 0]], [1.0])
+        with pytest.raises(DataError, match="self-loop on A"):
+            edge_list(2001, [("A", "B", 1.0), ("A", "A", 1.0)])
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DataError):
-            CollabNetwork(("A", "B"), {("A", "B"): 0.0})
+            CollabNetwork(("A", "B"), [[0, 1]], [0.0])
 
     @pytest.mark.parametrize("w", [math.nan, math.inf])
     def test_rejects_non_finite_weight(self, w):
         with pytest.raises(DataError):
-            CollabNetwork(("A", "B"), {("A", "B"): w})
+            CollabNetwork(("A", "B"), [[0, 1]], [w])
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(DataError):
-            CollabNetwork(("A",), {("A", "B"): 1.0})
+            CollabNetwork(("A",), [[0, 1]], [1.0])
+        with pytest.raises(DataError):
+            CollabNetwork(("A", "B"), [[-1, 1]], [1.0])
+
+    @pytest.mark.parametrize("nodes, ends", [(("A", "B"), [[1, 0]]), (("B", "A"), [[0, 1]]), (("A", "A"), [[0, 1]])])
+    def test_rejects_unordered_ends_or_nodes(self, nodes, ends):
+        with pytest.raises(DataError):
+            CollabNetwork(nodes, ends, [1.0])
+
+    def test_rejects_ends_that_do_not_pair_the_weights(self):
+        with pytest.raises(DataError):
+            CollabNetwork(("A", "B", "C"), [[0, 1], [1, 2]], [1.0])
+
+    def test_is_immutable(self):
+        net = make_net([("A", "B", 2), ("B", "C", 3)])
+        with pytest.raises(ValueError):
+            net.weight[0] = 5.0
+        with pytest.raises(ValueError):
+            net.ends[0, 1] = 2
+        assert net.edges == {("A", "B"): 2.0, ("B", "C"): 3.0}
+
+    def test_cnm_leaves_its_input_byte_equal(self):
+        # CNM adds merged weights into its own copy of the weights
+        rng = random.Random(5)
+        for _ in range(20):
+            nodes, edges = random_graph(rng, rng.randint(2, 12))
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            before = net.weight.tobytes(), net.ends.tobytes()
+            communities(net)
+            assert (net.weight.tobytes(), net.ends.tobytes()) == before
 
     def test_json_round_trip(self):
         net = make_net([("US", "CN", 5), ("US", "GB", 2.5)], year=2010)
@@ -102,6 +134,51 @@ class TestRollingWindow:
     def test_too_many_years(self):
         with pytest.raises(DataError):
             rolling_window([edge_list(2000 + i, [("A", "B", 1)]) for i in range(4)])
+
+
+class TestOrderedParity:
+    """`from_pairs`, `rolling_window` and `normalize_weights` against the
+    dict-built references, compared edge by edge in order and float for float."""
+
+    WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e-3, 1e15)  # sums that depend on their order
+
+    def rows(self, rng, k):
+        return [(*rng.sample("ABCDEFG", 2), rng.choice(self.WEIGHTS)) for _ in range(k)]
+
+    @staticmethod
+    def assert_same(net, ref):
+        assert list(net.edges.items()) == list(ref.items())
+        assert net.nodes == tuple(sorted({c for pair in ref for c in pair}))
+
+    def test_from_pairs(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            rows = self.rows(rng, rng.randint(0, 30))
+            self.assert_same(edge_list(2001, rows), summed_pairs(rows))
+
+    def test_rolling_window(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            annual = [edge_list(2001 + i, self.rows(rng, rng.randint(0, 15))) for i in range(rng.randint(1, 3))]
+            ref = summed_pairs((a, b, w) for net in annual for (a, b), w in net.edges.items())
+            self.assert_same(rolling_window(rng.sample(annual, len(annual))), ref)
+
+    @pytest.mark.parametrize("scheme", ["log", "salton", "jaccard"])
+    def test_normalize_weights(self, scheme):
+        rng = random.Random(23)
+        for _ in range(100):
+            net = edge_list(2001, self.rows(rng, rng.randint(1, 20)))
+            prod = {c: sum(w for pair, w in net.edges.items() if c in pair) + rng.choice((0.0, 0.3, 7.0)) for c in net.nodes}
+            out = normalize_weights(net, prod, scheme)
+            assert out.nodes == net.nodes
+            assert list(out.edges.items()) == list(normalized_edges(net.edges, prod, scheme).items())
+
+    def test_log_of_many_weights(self):
+        # numpy's vectorised log differs from math.log in the last bit for about 1 weight in 10^4
+        rng = random.Random(24)
+        names = [f"N{i:03d}" for i in range(300)]
+        net = edge_list(2001, [(a, b, rng.random() * 100) for i, a in enumerate(names) for b in names[i + 1:]])
+        assert list(normalize_weights(net, None, "log").edges.items()) == list(normalized_edges(net.edges, None, "log").items())
 
 
 class TestNormalizeWeights:

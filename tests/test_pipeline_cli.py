@@ -34,7 +34,7 @@ from collabnet.pipeline import (
 )
 from collabnet.synth import SynthConfig, hole_closure_experiment
 from collabnet.timeseries import MetricSeries
-from conftest import arpack_fails
+from conftest import arpack_fails, make_net
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import pubgen  # noqa: E402
@@ -171,14 +171,14 @@ class TestSliceMetrics:
         assert {k for k, v in out.items() if v is None} == none_keys
 
     def test_empty_network_has_only_global_keys(self):
-        self.check(CollabNetwork((), {}), self.GLOBAL)
+        self.check(make_net([]), self.GLOBAL)
 
     def test_two_nodes_have_no_betweenness_or_bridging(self):
-        net = CollabNetwork(("US", "CN"), {("CN", "US"): 2.0})
+        net = make_net([("CN", "US", 2.0)])
         self.check(net, self.ABSENT | {"betw_centralization", "avg_bc", "bc:US", "bcw:US", "bridge:US->CN"})
 
     def test_three_nodes_miss_only_the_absent_country(self):
-        net = CollabNetwork(("US", "CN", "GB"), {("CN", "US"): 2.0, ("CN", "GB"): 1.0})
+        net = make_net([("CN", "US", 2.0), ("CN", "GB", 1.0)])
         self.check(net, self.ABSENT)
 
 
@@ -213,7 +213,7 @@ class TestOneHopSweep:
 
     def test_metrics_sweeps_once(self, tmp_path, sweeps):
         net = tmp_path / "net.json"
-        CollabNetwork(("A", "B", "C", "D"), {("A", "B"): 1.0, ("B", "C"): 2.0, ("B", "D"): 1.0}).save(net)
+        make_net([("A", "B", 1.0), ("B", "C", 2.0), ("B", "D", 1.0)]).save(net)
         assert cli.main(["metrics", "--net", str(net), "--metric", "bc,centralization,efficiency",
                          "--out", str(tmp_path / "m.csv")]) == 0
         assert len(sweeps) == 1
@@ -408,7 +408,7 @@ class TestUnreadableInputs:
         shutil.copytree(corpus, tmp_path / "corpus")
         (tmp_path / "s.csv").write_text("# name=s\nyear,value\n" + "".join(f"{2001 + i},{i % 4}\n" for i in range(12)))
         assert cli.main(["forecast", "--series", str(tmp_path / "s.csv"), "--out", str(tmp_path / "fc.csv")]) == 0
-        CollabNetwork(("A", "B", "C"), {("A", "B"): 1.0, ("B", "C"): 2.0}).save(tmp_path / "net.json")
+        make_net([("A", "B", 1.0), ("B", "C", 2.0)]).save(tmp_path / "net.json")
         (tmp_path / "cfg.json").write_text(json.dumps({"horizon": 3}))
         (tmp_path / "pubs.jsonl").write_text("".join(
             json.dumps({"year": 2001, "countries": ["US", c]}) + "\n" for c in ("CN", "GB", "DE")))
@@ -454,9 +454,9 @@ class TestColdStart:
 
 class TestYearSpan:
     """A corpus, and a run over one, spans at most `ingest.MAX_YEAR_SPAN`
-    years, so no year can make a command walk for hours. Each command runs in
-    a fresh interpreter with a timeout, so that a regression fails instead of
-    hanging."""
+    years, so no year can make a command walk for hours, and a manifest of
+    the wrong shape is a data error. Each command runs in a fresh interpreter
+    with a timeout, so that a regression fails instead of hanging."""
 
     def cli(self, cwd, *argv):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -488,6 +488,19 @@ class TestYearSpan:
         done = self.cli(tmp_path, *series, "--years", "1:1000000000")
         assert done.returncode == 2 and "span more than 1000 years" in done.stderr, done.stderr
         assert self.cli(tmp_path, *series, "--years", "1001:2000").returncode == 0
+
+    @pytest.mark.parametrize("key, value", [("years", []), ("years", None), ("years", "2001"), ("years", [2001, True]),
+                                            ("threshold", "0"), ("threshold", None), ("threshold", -1),
+                                            ("slice_counts", [1]), ("slice_counts", {"2001/all": 5})])
+    def test_malformed_manifest_exit_2(self, tmp_path, key, value):
+        (tmp_path / "pubs.jsonl").write_text("".join(
+            json.dumps({"year": 2001 + i % 3, "countries": ["US", c]}) + "\n" for i, c in enumerate(["CN", "GB", "DE"] * 3)))
+        ingest_publications(tmp_path / "pubs.jsonl", tmp_path / "corpus", threshold=0)
+        path = tmp_path / "corpus" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        done = self.cli(tmp_path, "granger", "--corpus", "corpus", "--iv", "US", "--threshold", "0", "--out", "g.csv")
+        assert done.returncode == 2 and f"manifest.json under corpus has {key}" in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr and not (tmp_path / "g.csv").exists()
 
 
 class TestSeriesCsv:
@@ -592,8 +605,7 @@ class TestCli:
     def test_eigenvector_non_convergence_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(centrality, "eigsh", arpack_fails)
         net = tmp_path / "path.json"
-        CollabNetwork(tuple(f"N{i:03d}" for i in range(180)),
-                      {(f"N{i:03d}", f"N{i + 1:03d}"): 1.0 for i in range(179)}).save(net)
+        make_net([(f"N{i:03d}", f"N{i + 1:03d}", 1.0) for i in range(179)]).save(net)
         assert self.run("metrics", "--net", str(net), "--metric", "ev", "--out", str(tmp_path / "m.csv")) == 3
         assert "collabnet: numeric failure" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
@@ -636,9 +648,30 @@ class TestCli:
                         "--out", str(tmp_path / "granger.csv")) == 2
         assert "manifest.json under" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", [
+        {"nodes": [1, "A"], "edges": []},
+        {"nodes": [["A"], "B"], "edges": []},
+        {"nodes": "AB", "edges": []},
+        {"nodes": ["A", "B"], "edges": [[["A"], "B", 1.0]]},
+        {"nodes": ["A", "B"], "edges": [["A", "B"]]},
+        {"nodes": ["A", "B"], "edges": [["A", "B", True]]},
+        {"nodes": ["A", "B"], "edges": [["A", "B", "1"]]},
+        {"nodes": ["A", "B"], "edges": [["A", "B", 1.0], ["B", "A", 2.0]]},  # to_json never repeats a pair
+        {"nodes": ["A", "B"], "edges": [["A", "C", 1.0]]},
+        {"nodes": ["A", "B"], "edges": [["A", "A", 1.0]]},
+        {"nodes": ["A", "B"], "edges": [["A", "B", -1.0]]},
+        {"nodes": ["A", "B"], "edges": [["A", "B", 1.0]], "slice": 2001},
+    ])
+    def test_malformed_network_json_exit_2(self, tmp_path, capsys, document):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(document))
+        assert self.run("metrics", "--net", str(net), "--metric", "deg", "--out", str(tmp_path / "res" / "m.csv")) == 2
+        assert "collabnet: data error:" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_metrics_quotes_a_name_holding_a_comma(self, tmp_path):
         net = tmp_path / "net.json"
-        CollabNetwork(("A,B", "C", "D"), {("A,B", "C"): 1.0, ("C", "D"): 1.0}).save(net)
+        make_net([("A,B", "C", 1.0), ("C", "D", 1.0)]).save(net)
         out = tmp_path / "m.csv"
         assert self.run("metrics", "--net", str(net), "--metric", "bc", "--out", str(out)) == 0
         with out.open(encoding="utf-8", newline="") as fh:
