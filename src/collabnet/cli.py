@@ -140,7 +140,11 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config_file(parser: _Parser, args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
-    """Re-parse with the file's values as defaults; command-line flags still win."""
+    """Re-parse with the file's values as defaults; command-line flags still win.
+
+    A value reads as its flag typed on the command line: a string or number
+    is the flag's text, a list a comma list (one flag per item for a flag
+    that repeats or takes several values), and true/false only set a switch."""
     if not args.config:
         return args
     defaults = read_json(args.config, f"config file {args.config}")
@@ -153,8 +157,28 @@ def _apply_config_file(parser: _Parser, args: argparse.Namespace, argv: list[str
             # globals such as --seed are SUPPRESSed on the subparser, so that a
             # value parsed before the subcommand is not clobbered
             target = parser if command.get_default(attr) is argparse.SUPPRESS else command
-            target.set_defaults(**{attr: value})
+            action = next(a for a in target._actions if a.dest == attr)
+            target.set_defaults(**{attr: _config_value(target, action, key, value)})
     return parser.parse_args(argv)
+
+
+def _config_value(parser: _Parser, action: argparse.Action, key: str, value):
+    """The default that stands for `value` of config key `key`; argparse runs
+    a string default through the flag's `type`, as it does a typed value."""
+    if action.nargs == 0:  # a switch
+        if not isinstance(value, bool):
+            parser.error(f"config key {key!r} is a switch: expected true or false, got {value!r}")
+        return value
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+        parser.error(f"config key {key!r}: expected a string, a number or a list of them, got {value!r}")
+    texts = [str(v) for v in items]
+    if isinstance(action, argparse._AppendAction) or action.nargs in ("+", "*"):
+        return texts
+    text = ",".join(texts)
+    if action.choices is not None and text not in action.choices:
+        parser.error(f"argument {action.option_strings[0]}: invalid choice: {text!r}")
+    return text
 
 
 def _require_corpus(args) -> str:

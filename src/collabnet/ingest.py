@@ -8,7 +8,7 @@ country-year statistics and a JSON manifest. A (year, field) slice is a
 edge table, or a pre-aggregated edge CSV, is read into one through
 `CollabNetwork.from_pairs`, and ingest's counting pass builds each one from
 index arrays. A threshold is a mask over a network's node index pairs. A
-corpus spans at most `MAX_YEAR_SPAN` years.
+corpus spans at most `MAX_YEAR_SPAN` years, none outside -`MAX_YEAR`..`MAX_YEAR`.
 
 Every stored CSV table and JSON document is written and read through
 `write_table`/`read_table` and `write_json`/`read_json`.
@@ -24,7 +24,6 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import combinations, compress
 from pathlib import Path
 from typing import NamedTuple
@@ -38,10 +37,11 @@ log = logging.getLogger(__name__)
 
 ALL_FIELDS = "all"
 MAX_YEAR_SPAN = 1000  # the most years a corpus, or a run over one, may span
+MAX_YEAR = 9999  # no year lies outside -MAX_YEAR..MAX_YEAR: each one names stored files
+MAX_SLUG = 200  # the longest field slug a stored file name holds, well inside the usual 255 bytes
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     """One document: its year, field label, and the set of contributing countries."""
 
     year: int
@@ -53,30 +53,16 @@ class PublicationRecord:
         return len(self.countries) >= 2
 
 
-class _CountryYearCounts(NamedTuple):
-    country: str
-    year: int
-    field: str
+class CountryYearStats(NamedTuple):
+    """A country's international and total publication counts in one (year,
+    field) slice. Stored rows are checked where `CorpusStore.read_stats` reads
+    them."""
+
     intl_pubs: int
     total_pubs: int
 
 
-class CountryYearStats(_CountryYearCounts):
-    """Publication counts for one country in one (year, field) slice; an
-    immutable tuple, checked on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, country: str, year: int, field: str, intl_pubs: int, total_pubs: int):
-        if intl_pubs > total_pubs or intl_pubs < 0:
-            raise DataError(
-                f"{country} {year}/{field}: intl_pubs={intl_pubs} inconsistent with total_pubs={total_pubs}"
-            )
-        return tuple.__new__(cls, (country, year, field, intl_pubs, total_pubs))
-
-
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     records: list[PublicationRecord]
     skipped: int
 
@@ -89,6 +75,8 @@ def _clean_countries(raw) -> frozenset[str]:
         if not isinstance(c, str):
             raise ValueError(f"country {c!r} is not a string")
         code = c.strip().upper()
+        if not code.isascii():
+            code.encode("utf-8")  # a lone surrogate cannot be stored: UnicodeEncodeError, a ValueError
         if code:
             cleaned.add(code)
     return frozenset(cleaned)
@@ -105,6 +93,7 @@ def _field(raw) -> str:
     """A JSON string; blank means all fields."""
     if not isinstance(raw, str):
         raise ValueError(f"field {raw!r} is not a string")
+    raw.encode("utf-8")  # as for a country
     return raw.strip() or ALL_FIELDS
 
 
@@ -113,9 +102,9 @@ def parse_publications(lines) -> ParseResult:
 
     Country codes are uppercased and deduplicated; records with no usable
     country are dropped (they also count as skipped). A year that is not an
-    integer or a string of one, or a country or field that is not a string,
-    makes the line malformed; a missing or blank field means all fields. An
-    `id` key is allowed and ignored.
+    integer or a string of one, or a country or field that is not a string
+    UTF-8 can store, makes the line malformed; a missing or blank field
+    means all fields. An `id` key is allowed and ignored.
     """
     records: list[PublicationRecord] = []
     skipped = 0
@@ -142,7 +131,7 @@ def parse_publications(lines) -> ParseResult:
 def parse_publications_file(path: str | Path) -> ParseResult:
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of line 1
             return parse_publications(fh)
     except OSError as exc:
         raise DataError(f"cannot read publication file {path}: {exc}") from exc
@@ -178,7 +167,7 @@ def country_year_stats(records, year: int, fld: str = ALL_FIELDS) -> dict[str, C
             if rec.international:
                 intl[c] += 1
     return {
-        c: CountryYearStats(c, year, fld, intl.get(c, 0), total[c])
+        c: CountryYearStats(intl.get(c, 0), total[c])
         for c in sorted(total)
     }
 
@@ -211,9 +200,13 @@ def filter_countries(net: CollabNetwork, stats: dict[str, CountryYearStats], thr
 
 
 def check_year_span(years) -> None:
-    """DataError if the years run over more than `MAX_YEAR_SPAN` years."""
-    if max(years) - min(years) >= MAX_YEAR_SPAN:
-        raise DataError(f"years {min(years)} to {max(years)} span more than {MAX_YEAR_SPAN} years")
+    """DataError if the years run over more than `MAX_YEAR_SPAN` years, or one
+    of them lies outside -`MAX_YEAR`..`MAX_YEAR`."""
+    lo, hi = min(years), max(years)
+    if hi - lo >= MAX_YEAR_SPAN:
+        raise DataError(f"years {lo} to {hi} span more than {MAX_YEAR_SPAN} years")
+    if max(-lo, hi) > MAX_YEAR:
+        raise DataError(f"year {hi if hi > MAX_YEAR else lo} lies outside -{MAX_YEAR} to {MAX_YEAR}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +339,17 @@ class CorpusStore:
         """Write every (network, stats) slice, the network already thresholded
         at the manifest's `threshold` and stats unfiltered, then the manifest
         with its `years`, `field_slugs` and `edge_counts` filled in; returns
-        the manifest."""
+        the manifest. Two fields whose file names would be one (`field_slug`),
+        or a slug too long for a file name, are a DataError, raised before
+        any file is written."""
+        field_of: dict[str, str] = {}
+        for fld in manifest["fields"]:
+            slug = field_slug(fld)
+            if len(slug) > MAX_SLUG:
+                raise DataError(f"field {fld!r} has a file name slug of {len(slug)} characters, more than {MAX_SLUG}")
+            other = field_of.setdefault(slug, fld)
+            if other != fld:
+                raise DataError(f"fields {other!r} and {fld!r} would share the file name slug {slug!r}")
         years, edge_counts = set(), {}
         for net, stats in slices:
             year, fld = net.slice.year, net.slice.field
@@ -354,7 +357,7 @@ class CorpusStore:
             self.write_edges(net)
             self.write_stats(year, fld, stats)
             edge_counts[f"{year}/{fld}"] = net.m
-        manifest.update(years=sorted(years), field_slugs={f: field_slug(f) for f in manifest["fields"]},
+        manifest.update(years=sorted(years), field_slugs={f: slug for slug, f in field_of.items()},
                         edge_counts=edge_counts)
         write_json(self.root / "manifest.json", manifest)
         return manifest
@@ -364,11 +367,19 @@ class CorpusStore:
             return CollabNetwork.from_pairs(((row[a], row[b], float(row[w])) for row in rows), NetworkSlice(year, fld))
 
     def read_stats(self, year: int, fld: str) -> dict[str, CountryYearStats]:
+        """The slice's stats by country. A row is bad unless it has every
+        column, its year is an integer, 0 <= intl_pubs <= total_pubs, and its
+        country is new."""
         out: dict[str, CountryYearStats] = {}
         names = ("country", "year", "field", "intl_pubs", "total_pubs")
         with read_table(self.stats_path(year, fld), names, "stats") as (rows, (c, y, f, i, t)):
             for row in rows:
-                out[row[c]] = CountryYearStats(row[c], int(row[y]), row[f], int(row[i]), int(row[t]))
+                country, _, _, intl, total = row[c], int(row[y]), row[f], int(row[i]), int(row[t])
+                if not 0 <= intl <= total:
+                    raise ValueError(f"intl_pubs={intl} and total_pubs={total} break 0 <= intl_pubs <= total_pubs")
+                if country in out:
+                    raise ValueError(f"country {country} repeated")
+                out[country] = CountryYearStats(intl, total)
         return out
 
 
@@ -460,7 +471,7 @@ def _record_slices(records, years: list[int], fields: list[str], threshold: int,
             intl = np.bincount(joined(parts, "members"), minlength=n)
             total = np.bincount(joined(parts, "domestic"), minlength=n) + intl
             total_of, intl_of = total.tolist(), intl.tolist()
-            stats = {codes[i]: CountryYearStats(codes[i], year, fld, intl_of[i], total_of[i])
+            stats = {codes[i]: CountryYearStats(intl_of[i], total_of[i])
                      for i in np.flatnonzero(total).tolist()}
             pair, weight = np.unique(joined(parts, "pairs"), return_counts=True)
             ends = np.stack(np.divmod(pair, n), axis=1)
@@ -511,6 +522,6 @@ def _edge_csv_slices(path: Path) -> list[tuple[CollabNetwork, dict[str, CountryY
     for (year, fld), triples in sorted(by_slice.items()):
         net = CollabNetwork.from_pairs(triples, NetworkSlice(year, fld))
         strength = np.bincount(net.ends.ravel(), weights=np.repeat(net.weight, 2), minlength=net.n)  # in edge order
-        stats = {c: CountryYearStats(c, year, fld, int(s), int(s)) for c, s in zip(net.nodes, strength.tolist())}
+        stats = {c: CountryYearStats(int(s), int(s)) for c, s in zip(net.nodes, strength.tolist())}
         slices.append((net, stats))
     return slices

@@ -23,8 +23,8 @@ from . import structure
 from .centrality import CentralityVector, betweenness, centralization, degree_centrality, eigenvector_centrality, normalize_bc
 from .errors import DataError
 from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
-from .ingest import (ALL_FIELDS, CorpusStore, check_year_span, field_slug, finite, participation, read_table,
-                     write_json, write_table)
+from .ingest import (ALL_FIELDS, CorpusStore, check_year_span, field_slug, filter_countries, finite, participation,
+                     read_table, require_stats, write_json, write_table)
 from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
     Forecast,
@@ -179,8 +179,6 @@ def _load_window_network(
     year. The stored edges already hold the corpus's ingest threshold;
     `threshold` is re-applied on top of it, and 0 re-applies none.
     """
-    from .ingest import filter_countries, require_stats  # local import keeps module load cheap
-
     for y in [y for y in slices if y <= year - window]:
         del slices[y]
     for y in range(year - window + 1, year + 1):

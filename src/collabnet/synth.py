@@ -319,7 +319,7 @@ def export_corpus(traj: SynthTrajectory, out_dir: str | Path, years: int = 24) -
 
     def year_slice(year: int, count: int) -> tuple[CollabNetwork, dict[str, CountryYearStats]]:
         g = traj.graph_at(count)
-        stats = {v: CountryYearStats(v, year, ALL_FIELDS, d, d) for v, d in zip(g.nodes, g.degrees.tolist())}
+        stats = {v: CountryYearStats(d, d) for v, d in zip(g.nodes, g.degrees.tolist())}
         return CollabNetwork(g.nodes, g.ends, g.weight, NetworkSlice(year, ALL_FIELDS)), stats
 
     manifest = {

@@ -1,10 +1,14 @@
-"""Stored edge inputs that the program cannot use end as a data error.
+"""Stored inputs that the program cannot use end as a data error.
 
-Hypothesis writes network JSON documents and edge-CSV rows, many of them
-malformed (non-string names, short or long rows, blank cells, fractional,
-negative, NaN, infinite, huge and boolean weights, repeated pairs), and runs
-them through `cli.main` in-process. The exit code is 0 or 2, nothing is
-raised, and a run that exits 2 leaves no output behind.
+Hypothesis writes network JSON documents, edge-CSV rows and JSONL
+publication lines, many of them malformed (non-string names, short or long
+rows, blank cells, fractional, negative, NaN, infinite, huge and boolean
+weights, repeated pairs; float, boolean, huge and non-digit years, nested and
+unstorable countries, fields whose file names collide or run too long, a
+byte-order mark, CRLF), and runs them through `cli.main` in-process. The
+exit code is 0 or 2, nothing is raised, and a run that exits 2 leaves no
+output behind. An ingest that exits 0 counts every non-blank JSONL line as
+a record or as skipped.
 """
 
 import csv
@@ -61,3 +65,39 @@ def test_edge_csv(rows):
         code = cli.main(["ingest", "--pubs", str(edges), "--out", str(corpus), "--threshold", "0"])
         assert code in (0, 2)
         assert corpus.exists() == (code == 0)
+
+
+GOOD_YEAR = st.integers(1990, 1993)
+YEAR = st.one_of(GOOD_YEAR, GOOD_YEAR, GOOD_YEAR, GOOD_YEAR.map(str), st.floats(), st.booleans(), st.none(),
+                 st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).map(str),
+                 st.sampled_from(["", "x", " 1991 ", "1991.0", "1e3", "1" * 5000]))
+CODE = st.sampled_from(["US", "cn", "GB", "", " ", "A,B", "\x00", "\ud800"])
+GOOD_CODES = st.lists(st.sampled_from(["US", "CN", "GB", "DE"]), min_size=1, max_size=4)
+COUNTRIES = st.one_of(GOOD_CODES, GOOD_CODES, GOOD_CODES, st.lists(CODE, max_size=4),
+                      st.lists(st.one_of(CODE, st.integers(), st.none(), st.lists(CODE, max_size=2)), max_size=3),
+                      CODE, st.integers(), st.none())
+GOOD_FIELD = st.sampled_from(["Physics", "Biology", "", " "])
+FIELD = st.one_of(GOOD_FIELD, GOOD_FIELD, GOOD_FIELD, st.sampled_from(["physics", "All", "all", "Phys-ics", "F" * 201]),
+                  st.integers(), st.none(), st.booleans(), st.lists(CODE, max_size=1))
+RECORD = st.fixed_dictionaries({"year": YEAR, "countries": COUNTRIES}, optional={"field": FIELD, "id": st.text(max_size=3)})
+GOOD_RECORD = st.fixed_dictionaries({"year": GOOD_YEAR, "countries": GOOD_CODES, "field": GOOD_FIELD})
+LINE = st.one_of(GOOD_RECORD.map(json.dumps), RECORD.map(json.dumps), RECORD.map(json.dumps),
+                 st.sampled_from(["", " ", "{bad", "null", "[1]", '"x"', "{}", "\x00", "1" * 5000]))
+LINES = st.tuples(st.lists(LINE, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(LINES)
+def test_jsonl_lines(drawn):
+    lines, end, bom, last_end = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        pubs, corpus = Path(tmp, "pubs.jsonl"), Path(tmp, "corpus")
+        text = ("\ufeff" if bom else "") + end.join(lines) + (end if last_end else "")
+        pubs.write_text(text, encoding="utf-8", newline="")
+        code = cli.main(["ingest", "--pubs", str(pubs), "--out", str(corpus), "--threshold", "0"])
+        assert code in (0, 2)
+        assert corpus.exists() == (code == 0)
+        if code == 0:
+            manifest = json.loads(Path(corpus, "manifest.json").read_text(encoding="utf-8"))
+            with pubs.open(encoding="utf-8-sig") as fh:
+                assert manifest["records"] + manifest["skipped"] == sum(1 for line in fh if line.strip())

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -19,6 +20,7 @@ from collabnet.ingest import (
     filter_countries,
     ingest_publications,
     parse_publications,
+    parse_publications_file,
     participation,
 )
 from collabnet.pipeline import read_forecast_csv, read_series_csv
@@ -66,6 +68,9 @@ class TestParsePublications:
         '{"year": 2002.9, "countries": ["US", "CN"]}',
         '{"year": true, "countries": ["US", "CN"]}',
         '{"year": 2002, "countries": ["US", null]}',
+        # a lone surrogate escape parses, but UTF-8 cannot store it in a corpus file
+        '{"year": 2002, "countries": ["US", "\\ud800"]}',
+        '{"year": 2002, "field": "\\udfff", "countries": ["US", "CN"]}',
     ])
     def test_non_integer_year_or_non_string_country_is_malformed(self, line):
         result = parse_publications([line, rec_line(2002, ["US", "CN"])])
@@ -92,6 +97,13 @@ class TestParsePublications:
     def test_international_flag(self):
         result = parse_publications([rec_line(2010, ["US"]), rec_line(2010, ["US", "CN"])])
         assert [r.international for r in result.records] == [False, True]
+
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        path = tmp_path / "pubs.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{rec_line(2002, ['US', 'CN'])}\r\n{rec_line(2003, ['US'])}\r\n".encode())
+        result = parse_publications_file(path)
+        assert [r.year for r in result.records] == [2002, 2003]
+        assert result.skipped == 0
 
     def test_id_key_is_ignored(self):
         with_id, without = parse_publications([rec_line(2010, ["US", "CN"], rid="W1"),
@@ -139,7 +151,7 @@ class TestBuildAnnualEdges:
 
 def stats_for(net: CollabNetwork, intl: dict[str, int], threshold_source=None):
     return {
-        c: CountryYearStats(c, net.slice.year, net.slice.field, intl.get(c, 0), max(intl.get(c, 0), 1))
+        c: CountryYearStats(intl.get(c, 0), max(intl.get(c, 0), 1))
         for c in net.nodes
     }
 
@@ -304,9 +316,12 @@ class TestCorpusStore:
         with pytest.raises(DataError, match="of CN-US in 2001/all must be finite and positive"):
             CorpusStore(tmp_path).read_edges(2001, ALL_FIELDS)
 
-    def test_stats_invariant_rejected(self):
-        with pytest.raises(DataError):
-            CountryYearStats("US", 2001, "all", intl_pubs=5, total_pubs=3)
+    def test_stats_invariant_rejected(self, tmp_path):
+        # a stored row is checked where it is read, naming its file and line
+        path = tmp_path / "stats_2001_all.csv"
+        path.write_text("year,field,country,intl_pubs,total_pubs\n2001,all,CN,1,1\n2001,all,US,5,3\n")
+        with pytest.raises(DataError, match=re.escape(f"bad stats row in {path} at line 3: intl_pubs=5 and total_pubs=3 break")):
+            CorpusStore(tmp_path).read_stats(2001, ALL_FIELDS)
 
     def test_unusable_input_leaves_no_directory(self, tmp_path):
         pubs = tmp_path / "pubs.jsonl"

@@ -345,7 +345,7 @@ class TestWindowLoading:
         # the stored edges already hold the ingest threshold (5); only a higher one filters again
         calls = []
         real = ingest_mod.filter_countries
-        monkeypatch.setattr(ingest_mod, "filter_countries", lambda el, stats, t: calls.append(t) or real(el, stats, t))
+        monkeypatch.setattr("collabnet.pipeline.filter_countries", lambda el, stats, t: calls.append(t) or real(el, stats, t))
         assert cli.main(self.COMMANDS[0]) == 0
         assert calls == []
         assert cli.main([arg if arg != "5" else "6" for arg in self.COMMANDS[0]]) == 0
@@ -488,6 +488,20 @@ class TestYearSpan:
         done = self.cli(tmp_path, *series, "--years", "1:1000000000")
         assert done.returncode == 2 and "span more than 1000 years" in done.stderr, done.stderr
         assert self.cli(tmp_path, *series, "--years", "1001:2000").returncode == 0
+
+    @pytest.mark.parametrize("year", [10_000, -10_000, 10**300])
+    def test_year_beyond_four_digits_exit_2(self, tmp_path, capsys, year):
+        # each year names stored files, so an unbounded one ends in a file name too long to open
+        (tmp_path / "pubs.jsonl").write_text(json.dumps({"year": year, "countries": ["US", "CN"]}) + "\n")
+        argv = ["ingest", "--pubs", str(tmp_path / "pubs.jsonl"), "--out", str(tmp_path / "corpus"), "--threshold", "0"]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "corpus").exists()
+        (tmp_path / "pubs.jsonl").write_text(json.dumps({"year": 2001, "countries": ["US", "CN"]}) + "\n")
+        assert cli.main(argv) == 0
+        series = ["series", "--corpus", str(tmp_path / "corpus"), "--threshold", "0", "--out", str(tmp_path / "series")]
+        assert cli.main([*series, f"--years={year}:{year}"]) == 2
+        assert capsys.readouterr().err.count(f"year {year} lies outside -9999 to 9999") == 2
+        assert not (tmp_path / "series").exists()
 
     @pytest.mark.parametrize("key, value", [("years", []), ("years", None), ("years", "2001"), ("years", [2001, True]),
                                             ("threshold", "0"), ("threshold", None), ("threshold", -1),
@@ -858,6 +872,42 @@ class TestCli:
                         "--out", str(tmp_path / "direct.json")) == 0
         assert (tmp_path / "g.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
+    @pytest.mark.parametrize("command, key, value, flags, code", [
+        ("series", "fields", ["all"], ["--fields", "all"], 0),
+        ("series", "countries", ["US", "CN"], ["--countries", "US,CN"], 0),
+        ("series", "metrics", ["clustering", "modularity"], ["--metrics", "clustering,modularity"], 0),
+        ("series", "metrics", 5, ["--metrics", "5"], 2),
+        ("series", "window", 1, ["--window", "1"], 0),
+        ("series", "window", 2.5, ["--window", "2.5"], 1),
+        ("series", "window", True, ["--window", "true"], 1),
+        ("series", "threshold", 10.5, ["--threshold", "10.5"], 1),
+        ("series", "years", ["2002:2004"], ["--years", "2002:2004"], 0),
+        ("series", "normalize", "bogus", ["--normalize", "bogus"], 1),
+        ("series", "bridge", "CN:US", ["--bridge", "CN:US"], 0),
+        ("series", "bridge", ["CN:US", "GB:US"], ["--bridge", "CN:US", "--bridge", "GB:US"], 0),
+        ("series", "bridge", "C", ["--bridge", "C"], 2),
+        ("series", "countries", [["US"]], None, 1),  # no flag spells a nested list
+        ("synth", "experiment", True, ["--experiment"], 0),
+        ("synth", "experiment", False, [], 0),
+        ("synth", "experiment", 1, ["--experiment", "1"], 1),
+        ("synth", "seed", "x", ["--seed", "x"], 1),
+    ])
+    def test_config_value_reads_as_its_flag(self, corpus, tmp_path, command, key, value, flags, code):
+        # a list is the flag's comma list, or one flag per item; true/false only set a switch
+        base = {"corpus": str(corpus), "years": "2001:2004", "metrics": "clustering",
+                "n": 30, "m": 2, "arrival": 10, "eta": 5, "checkpoints": 5}
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        (tmp_path / "cfg.json").write_text(json.dumps({**base, key: value}))
+        by_file = self.run("--config", str(tmp_path / "cfg.json"), command, "--out", str(tmp_path / "file" / "out"))
+        assert by_file == code
+        if flags is None:
+            return
+        by_flag = self.run("--config", str(tmp_path / "base.json"), command, *flags, "--out", str(tmp_path / "flag" / "out"))
+        assert by_flag == code
+        written = [{p.relative_to(side): p.read_bytes() for p in side.rglob("*") if p.is_file()}
+                   for side in (tmp_path / "file", tmp_path / "flag")]
+        assert written[0] == written[1] and bool(written[0]) == (code == 0)
+
     def test_config_file_not_an_object_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -899,6 +949,38 @@ class TestCli:
         path.write_text(path.read_text() + short + "\n")
         assert self.run("series", "--corpus", str(copy), "--threshold", "5", "--out", str(tmp_path / "series")) == 2
         assert f"{error} in {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, error", [("2002,all,ZZ,5,3", "intl_pubs=5 and total_pubs=3 break"),
+                                            ("2002,all,ZZ,-1,3", "intl_pubs=-1 and total_pubs=3 break"),
+                                            ("2002,all,ZZ,0,-1", "intl_pubs=0 and total_pubs=-1 break"),
+                                            ("2002,all,US,1,2", "country US repeated")])
+    def test_bad_stats_row_exit_2(self, corpus, tmp_path, capsys, row, error):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        path = copy / "stats_2002_all.csv"
+        text = path.read_text()
+        path.write_text(text + row + "\n")
+        assert self.run("series", "--corpus", str(copy), "--threshold", "5", "--out", str(tmp_path / "series")) == 2
+        assert f"bad stats row in {path} at line {len(text.splitlines()) + 1}: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("pubs.jsonl", '{"year": 2001, "field": "Physics", "countries": ["US", "CN"]}\n'
+                       '{"year": 2001, "field": "physics", "countries": ["US", "GB"]}\n',
+         "'Physics' and 'physics' would share the file name slug"),
+        ("pubs.jsonl", '{"year": 2001, "field": "Physics", "countries": ["US", "CN"]}\n'
+                       '{"year": 2001, "field": "All", "countries": ["US", "GB"]}\n',
+         "'all' and 'All' would share the file name slug"),
+        ("edges.csv", "year,field,country_a,country_b,weight\n2001,Physics,US,CN,1\n2001,physics,US,GB,1\n",
+         "'Physics' and 'physics' would share the file name slug"),
+        ("pubs.jsonl", json.dumps({"year": 2001, "field": "F" * 201, "countries": ["US", "CN"]}),
+         "has a file name slug of 201 characters, more than 200"),
+    ])
+    def test_field_that_cannot_name_its_files_exit_2(self, tmp_path, capsys, name, text, error):
+        # one field's slices would overwrite the other's, or open a file name too long
+        (tmp_path / name).write_text(text)
+        assert self.run("ingest", "--pubs", str(tmp_path / name), "--out", str(tmp_path / "corpus"), "--threshold", "0") == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
 
     def test_nan_series_cell_forecast_exit_2(self, tmp_path):
         series = tmp_path / "s.csv"
