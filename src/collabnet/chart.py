@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .errors import DataError
 from .timeseries import MetricSeries
 
 WIDTH, HEIGHT = 800, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 170, 44, 46
+# the entities `xml.sax.saxutils.escape` writes, for text, and with `"` for a double-quoted attribute
+ESCAPE_TEXT = str.maketrans({"&": "&amp;", ">": "&gt;", "<": "&lt;"})
+ESCAPE_ATTR = str.maketrans({"&": "&amp;", ">": "&gt;", "<": "&lt;", '"': "&quot;"})
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 
@@ -85,7 +87,7 @@ def emit_chart(
     def sy(value: float) -> float:
         return MARGIN_T + (hi - value) / (hi - lo) * plot_h
 
-    config_attr = f' data-config="{escape(config_hash)}"' if config_hash else ""
+    config_attr = f' data-config="{config_hash.translate(ESCAPE_TEXT)}"' if config_hash else ""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12"{config_attr}>',
@@ -93,7 +95,7 @@ def emit_chart(
     ]
     if title:
         parts.append(
-            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">{escape(title)}</text>'
+            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title.translate(ESCAPE_TEXT)}</text>'
         )
 
     # axes and ticks
@@ -150,14 +152,14 @@ def emit_chart(
             segments.append(segment)
         for seg in segments:
             parts.append(
-                f'<polyline class="series" data-name="{escape(s.name, {chr(34): "&quot;"})}" '
+                f'<polyline class="series" data-name="{s.name.translate(ESCAPE_ATTR)}" '
                 f'points="{" ".join(seg)}" fill="none" stroke="{color}" stroke-width="1.8"/>'
             )
         if len(segments) == 0:  # single points still get a marker
             for year, value in zip(s.years, s.values):
                 if value is not None:
                     parts.append(
-                        f'<circle class="series" data-name="{escape(s.name, {chr(34): "&quot;"})}" '
+                        f'<circle class="series" data-name="{s.name.translate(ESCAPE_ATTR)}" '
                         f'cx="{_fmt(sx(year))}" cy="{_fmt(sy(value))}" r="2.5" fill="{color}"/>'
                     )
         legend_items.append((s.name, color))
@@ -167,7 +169,7 @@ def emit_chart(
     for i, (name, color) in enumerate(legend_items):
         y = MARGIN_T + 14 + i * 18
         legend_parts.append(f'<rect x="{legend_x}" y="{y - 9}" width="12" height="12" fill="{color}"/>')
-        legend_parts.append(f'<text x="{legend_x + 17}" y="{y + 1}">{escape(name)}</text>')
+        legend_parts.append(f'<text x="{legend_x + 17}" y="{y + 1}">{name.translate(ESCAPE_TEXT)}</text>')
     legend_parts.append("</g>")
     parts.extend(legend_parts)
 

@@ -24,7 +24,7 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -63,7 +63,7 @@ class CountryYearStats(NamedTuple):
 
 
 class ParseResult(NamedTuple):
-    records: list[PublicationRecord]
+    records: list[PublicationRecord] | Tallies  # the kept records, or their tallies
     skipped: int
 
 
@@ -97,7 +97,7 @@ def _field(raw) -> str:
     return raw.strip() or ALL_FIELDS
 
 
-def parse_publications(lines) -> ParseResult:
+def parse_publications(lines, into=None) -> ParseResult:
     """Parse JSON-lines publication records; malformed lines are counted and skipped.
 
     Country codes are uppercased and deduplicated; records with no usable
@@ -105,8 +105,11 @@ def parse_publications(lines) -> ParseResult:
     integer or a string of one, or a country or field that is not a string
     UTF-8 can store, makes the line malformed; a missing or blank field
     means all fields. An `id` key is allowed and ignored.
+
+    Each kept record is appended to `into`: a new list by default, or a
+    `Tallies`, which counts it and keeps no record.
     """
-    records: list[PublicationRecord] = []
+    records = [] if into is None else into
     skipped = 0
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -129,10 +132,11 @@ def parse_publications(lines) -> ParseResult:
 
 
 def parse_publications_file(path: str | Path) -> ParseResult:
+    """The file's records counted into a `Tallies` as each line is read."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of line 1
-            return parse_publications(fh)
+            return parse_publications(fh, Tallies())
     except OSError as exc:
         raise DataError(f"cannot read publication file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -363,24 +367,34 @@ class CorpusStore:
         return manifest
 
     def read_edges(self, year: int, fld: str) -> CollabNetwork:
-        with read_table(self.edge_path(year, fld), ("country_a", "country_b", "weight"), "edge") as (rows, (a, b, w)):
-            return CollabNetwork.from_pairs(((row[a], row[b], float(row[w])) for row in rows), NetworkSlice(year, fld))
+        """The slice's network. A row is bad unless its year and field cells spell the slice's, as text."""
+        names, year_text = ("year", "field", "country_a", "country_b", "weight"), str(year)
+        with read_table(self.edge_path(year, fld), names, "edge") as (rows, (y, f, a, b, w)):
+            return CollabNetwork.from_pairs(((row[a], row[b], float(row[w])) for row in rows
+                                             if row[y] == year_text and row[f] == fld
+                                             or _misplaced(row[y], row[f], year, fld)), NetworkSlice(year, fld))
 
     def read_stats(self, year: int, fld: str) -> dict[str, CountryYearStats]:
         """The slice's stats by country. A row is bad unless it has every
-        column, its year is an integer, 0 <= intl_pubs <= total_pubs, and its
-        country is new."""
+        column, its year and field cells spell the slice's, 0 <= intl_pubs <=
+        total_pubs, and its country is new."""
         out: dict[str, CountryYearStats] = {}
-        names = ("country", "year", "field", "intl_pubs", "total_pubs")
+        names, year_text = ("country", "year", "field", "intl_pubs", "total_pubs"), str(year)
         with read_table(self.stats_path(year, fld), names, "stats") as (rows, (c, y, f, i, t)):
             for row in rows:
-                country, _, _, intl, total = row[c], int(row[y]), row[f], int(row[i]), int(row[t])
+                country, intl, total = row[c], int(row[i]), int(row[t])
+                if row[y] != year_text or row[f] != fld:
+                    _misplaced(row[y], row[f], year, fld)
                 if not 0 <= intl <= total:
                     raise ValueError(f"intl_pubs={intl} and total_pubs={total} break 0 <= intl_pubs <= total_pubs")
                 if country in out:
                     raise ValueError(f"country {country} repeated")
                 out[country] = CountryYearStats(intl, total)
         return out
+
+
+def _misplaced(year_cell: str, field_cell: str, year: int, fld: str):  # a stored row of another slice
+    raise ValueError(f"year {year_cell!r} and field {field_cell!r} are not the file's slice {year}/{fld}")
 
 
 def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: int = 10) -> dict:
@@ -407,62 +421,82 @@ def ingest_publications(pubs_path: str | Path, out_dir: str | Path, threshold: i
         }
         return store.write(((filter_countries(net, stats, threshold), stats) for net, stats in slices), manifest)
 
-    parsed = parse_publications_file(pubs_path)
-    records = parsed.records
-    if not records:
-        raise DataError(f"no usable records in {pubs_path} ({parsed.skipped} skipped)")
+    tallies, skipped = parse_publications_file(pubs_path)
+    if not tallies:
+        raise DataError(f"no usable records in {pubs_path} ({skipped} skipped)")
 
-    years = sorted({r.year for r in records})
+    years = sorted(tallies.by_year)
     check_year_span(years)
-    fields = [ALL_FIELDS] + sorted({r.field for r in records} - {ALL_FIELDS})
+    fields = [ALL_FIELDS] + sorted(set().union(*tallies.by_year.values()) - {ALL_FIELDS})
     slice_counts: dict[str, dict[str, int]] = {}
     manifest = {
         "fields": fields,
-        "records": len(records),
-        "skipped": parsed.skipped,
+        "records": len(tallies),
+        "skipped": skipped,
         "slice_counts": slice_counts,
         "threshold": threshold,
     }
-    return store.write(_record_slices(records, years, fields, threshold, slice_counts), manifest)
+    return store.write(_record_slices(tallies, years, fields, threshold, slice_counts), manifest)
 
 
-def _record_slices(records, years: list[int], fields: list[str], threshold: int, slice_counts: dict):
-    """Yield every year x field slice, empty ones included, as (network
-    thresholded at `threshold`, stats), counted in one pass over the records;
-    fills `slice_counts`. Equal, slice by slice, to `filter_countries` of
-    `build_annual_edges` and `country_year_stats`, its edges in pair order.
+class Tallies:
+    """Publication records counted, as they are appended, into a `_Tally` per
+    (year, field), countries numbered as first seen in the narrowest array
+    type that holds them. No record is kept; `len()` counts those appended."""
 
-    The pass numbers the countries in code order and appends to compact
-    integer arrays of the record's (year, field): a domestic record's
-    country, or an international record's countries and its country pairs
-    (i * n + j for i < j). A year's `all` slice joins the arrays of all its
-    fields. Each slice is then counted with numpy into the network's index
-    pairs and weights, and the pairs of countries below the threshold are
-    masked out; no per-edge Python object is made. Lazy, and a year's
-    arrays go once its slices are out."""
-    codes = sorted({c for rec in records for c in rec.countries})
-    index = {c: i for i, c in enumerate(codes)}
-    n = len(codes)
-    member_type, pair_type = np.min_scalar_type(n - 1).char, np.min_scalar_type(n * n - 1).char
-    tallies: defaultdict[int, dict[str, _Tally]] = defaultdict(dict)  # year -> record field -> tally
-    for rec in records:
-        tally = tallies[rec.year].get(rec.field)
-        if tally is None:
-            tally = tallies[rec.year][rec.field] = _Tally(member_type, pair_type)
-        ids = sorted([index[c] for c in rec.countries])
+    def __init__(self):
+        self.index: dict[str, int] = {}  # country code -> number, in first-seen order
+        self.typecode, self.room = "B", 1 << 8  # the array type, and how many numbers it holds
+        # year -> record field -> tally, made in the array type of the day
+        self.by_year: defaultdict[int, defaultdict[str, _Tally]] = defaultdict(
+            lambda: defaultdict(lambda: _Tally(self.typecode)))
+
+    def __len__(self) -> int:
+        return sum(len(t.domestic) + t.intl_pubs for by_field in self.by_year.values() for t in by_field.values())
+
+    def append(self, rec: PublicationRecord) -> None:
+        index = self.index
+        ids = [index.setdefault(c, len(index)) for c in rec.countries]
+        if len(index) > self.room:  # widen every array to number the newcomers
+            self.typecode = np.min_scalar_type(len(index) - 1).char
+            self.room = np.iinfo(self.typecode).max + 1
+            for t in (t for by_field in self.by_year.values() for t in by_field.values()):
+                t.domestic, t.members, t.pairs = (array(self.typecode, a) for a in (t.domestic, t.members, t.pairs))
+        tally = self.by_year[rec.year][rec.field]
         if len(ids) == 1:
             tally.domestic.append(ids[0])
-            continue
+            return
         tally.members.extend(ids)
-        tally.pairs.extend([i * n + j for i, j in combinations(ids, 2)])
+        tally.pairs.extend(chain.from_iterable(combinations(ids, 2)))
         tally.intl_pubs += 1
+
+
+class _Tally:
+    """One (year, field)'s records as arrays of country numbers: each domestic record's
+    country, and each international record's countries (`members`) and pairs, two numbers each."""
+
+    def __init__(self, typecode: str):
+        self.domestic, self.members, self.pairs = array(typecode), array(typecode), array(typecode)
+        self.intl_pubs = 0
+
+
+def _record_slices(tallies: Tallies, years: list[int], fields: list[str], threshold: int, slice_counts: dict):
+    """Yield every year x field slice of the tallies, empty ones included, as
+    (network thresholded at `threshold`, stats); fills `slice_counts`. Equal,
+    slice by slice, to `filter_countries` of `build_annual_edges` and
+    `country_year_stats` over the records, its edges in pair order. A year's
+    `all` slice joins the arrays of all its fields; each slice is counted
+    with numpy, and no per-edge Python object is made. Lazy."""
+    codes = sorted(tallies.index)
+    n = len(codes)
+    rank = np.argsort([tallies.index[c] for c in codes])  # first-seen number -> number in code order
 
     def joined(parts: list[_Tally], name: str) -> np.ndarray:
         arrays = [getattr(t, name) for t in parts]
-        return np.concatenate([np.frombuffer(a, dtype=a.typecode) for a in arrays] or [np.zeros(0, np.intp)])
+        return rank[np.concatenate([np.frombuffer(a, dtype=a.typecode) for a in arrays] or [np.zeros(0, np.intp)])]
 
     for year in years:
-        by_field = tallies.pop(year, {})
+        by_field = tallies.by_year[year]
         for fld in fields:
             parts = list(by_field.values()) if fld == ALL_FIELDS else [by_field[fld]] if fld in by_field else []
             intl_pubs = sum(t.intl_pubs for t in parts)
@@ -473,24 +507,13 @@ def _record_slices(records, years: list[int], fields: list[str], threshold: int,
             total_of, intl_of = total.tolist(), intl.tolist()
             stats = {codes[i]: CountryYearStats(intl_of[i], total_of[i])
                      for i in np.flatnonzero(total).tolist()}
-            pair, weight = np.unique(joined(parts, "pairs"), return_counts=True)
+            ends = np.sort(joined(parts, "pairs").reshape(-1, 2), axis=1)
+            pair, weight = np.unique(ends[:, 0] * n + ends[:, 1], return_counts=True)
             ends = np.stack(np.divmod(pair, n), axis=1)
             kept = (intl[ends] >= threshold).all(axis=1)
             used = np.bincount(ends[kept].ravel(), minlength=n) > 0  # the kept pairs' countries, renumbered
             yield CollabNetwork(tuple(compress(codes, used.tolist())), (np.cumsum(used) - 1)[ends[kept]], weight[kept],
                                 NetworkSlice(year, fld)), stats
-
-
-class _Tally:
-    """The records of one (year, field) as compact arrays of country numbers."""
-
-    __slots__ = ("domestic", "members", "pairs", "intl_pubs")
-
-    def __init__(self, member_type: str, pair_type: str):
-        self.domestic = array(member_type)  # each domestic record's country
-        self.members = array(member_type)  # each international record's countries
-        self.pairs = array(pair_type)  # each international record's pairs i < j, as i * n + j
-        self.intl_pubs = 0
 
 
 def _edge_csv_slices(path: Path) -> list[tuple[CollabNetwork, dict[str, CountryYearStats]]]:

@@ -14,10 +14,11 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from collabnet import centrality, cli, paths, structure
 from collabnet import ingest as ingest_mod
-from collabnet.chart import emit_chart
+from collabnet.chart import ESCAPE_ATTR, ESCAPE_TEXT, emit_chart
 from collabnet.errors import DataError
 from collabnet.graph import CollabNetwork
 from collabnet.ingest import CorpusStore, ingest_publications
@@ -365,12 +366,14 @@ from pathlib import Path
 
 from collabnet import cli
 
+UNUSED = ("scipy.stats", "ssl", "http.client")  # modules no command needs
+
 def run(*argv):
     assert cli.main(list(argv)) == 0, argv
-    assert "scipy.stats" not in sys.modules, argv
+    assert not [name for name in UNUSED if name in sys.modules], argv
 
 out = Path(sys.argv[1])
-assert "scipy.stats" not in sys.modules
+assert not [name for name in UNUSED if name in sys.modules]
 run("synth", "--experiment", "--n", "60", "--m", "2", "--arrival", "20", "--checkpoints", "20",
     "--seed", "3", "--out", str(out / "exp.json"))
 run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0")
@@ -433,8 +436,9 @@ class TestUnreadableInputs:
 
 class TestColdStart:
     """No command loads scipy.stats, not even granger and forecast, whose tails
-    come from scipy.special. Run in a fresh interpreter, because this test
-    session has imported it already."""
+    come from scipy.special, nor ssl or http.client, which `xml.sax.saxutils`
+    would bring in for the chart's escaping. Run in a fresh interpreter,
+    because this test session has imported them already."""
 
     def test_no_command_loads_scipy_stats(self, tmp_path):
         rng = random.Random(4)
@@ -569,6 +573,13 @@ class TestChart:
         assert len(lines) == 1
         ys = {pt.split(",")[1] for pt in lines[0].get("points").split()}
         assert len(ys) == 1  # horizontal
+
+    @given(st.text(st.sampled_from("&<>\"' ;#a\u00e9")) | st.text())
+    def test_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        assert text.translate(ESCAPE_TEXT) == escape(text)
+        assert text.translate(ESCAPE_ATTR) == escape(text, {'"': "&quot;"})
 
     def test_two_series_two_polylines_and_legend(self):
         svg = emit_chart([self.series([1, 2, 3], "a"), self.series([3, 2, 1], "b")])
@@ -962,6 +973,23 @@ class TestCli:
         path.write_text(text + row + "\n")
         assert self.run("series", "--corpus", str(copy), "--threshold", "5", "--out", str(tmp_path / "series")) == 2
         assert f"bad stats row in {path} at line {len(text.splitlines()) + 1}: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", ["edge", "stats"])
+    @pytest.mark.parametrize("year, field", [("2003", "all"), ("2002", "Physics"), ("02002", "all"), ("2002", "")])
+    def test_row_of_another_slice_exit_2(self, corpus, tmp_path, capsys, table, year, field):
+        # a misplaced or hand-edited table must not feed the slice its file name stands for
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        path = copy / f"{'edges' if table == 'edge' else 'stats'}_2002_all.csv"
+        lines = path.read_text().splitlines(True)
+        assert lines[2].startswith("2002,all,")
+        lines[2] = f"{year},{field}," + lines[2][len("2002,all,"):]
+        path.write_text("".join(lines))
+        assert self.run("series", "--corpus", str(copy), "--threshold", "5", "--out", str(tmp_path / "series")) == 2
+        err = capsys.readouterr().err
+        assert (f"bad {table} row in {path} at line 3: year '{year}' and field '{field}' "
+                "are not the file's slice 2002/all") in err
+        assert not (tmp_path / "series").exists()
 
     @pytest.mark.parametrize("name, text, error", [
         ("pubs.jsonl", '{"year": 2001, "field": "Physics", "countries": ["US", "CN"]}\n'
