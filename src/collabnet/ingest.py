@@ -489,7 +489,7 @@ def _record_slices(tallies: Tallies, years: list[int], fields: list[str], thresh
     with numpy, and no per-edge Python object is made. Lazy."""
     codes = sorted(tallies.index)
     n = len(codes)
-    rank = np.argsort([tallies.index[c] for c in codes])  # first-seen number -> number in code order
+    rank = np.argsort([tallies.index[c] for c in codes]).astype(np.min_scalar_type(n))  # first-seen -> code order
 
     def joined(parts: list[_Tally], name: str) -> np.ndarray:
         arrays = [getattr(t, name) for t in parts]
@@ -507,7 +507,7 @@ def _record_slices(tallies: Tallies, years: list[int], fields: list[str], thresh
             total_of, intl_of = total.tolist(), intl.tolist()
             stats = {codes[i]: CountryYearStats(intl_of[i], total_of[i])
                      for i in np.flatnonzero(total).tolist()}
-            ends = np.sort(joined(parts, "pairs").reshape(-1, 2), axis=1)
+            ends = np.sort(joined(parts, "pairs").reshape(-1, 2), axis=1).astype(np.min_scalar_type(n * n))  # holds lo * n + hi
             pair, weight = np.unique(ends[:, 0] * n + ends[:, 1], return_counts=True)
             ends = np.stack(np.divmod(pair, n), axis=1)
             kept = (intl[ends] >= threshold).all(axis=1)

@@ -505,7 +505,7 @@ class TestOnePassIngest:
 
     def test_memory_peak_on_generated_corpus(self, tmp_path, caplog):
         # ingest over a held list of parsed records peaked at 12.06 MiB here; streaming into tallies
-        # peaks at 1.36-1.37 MiB (over four hash seeds). A parsed record cost about 670 bytes, so holding
+        # peaks at 1.26-1.27 MiB (over four hash seeds). A parsed record cost about 670 bytes, so holding
         # about a thousand of the 20,000 would break the bound
         path = tmp_path / "gen.jsonl"
         pubgen.write_corpus(path, 2, pubgen.RECORDS)
