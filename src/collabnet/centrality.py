@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import paths
 from .errors import ConvergenceError, DataError
@@ -166,6 +165,8 @@ def _principal_eigsh(A) -> tuple[np.ndarray, float, float]:
     """The principal eigenvector of a connected A through ARPACK's Lanczos on
     A + I from a fixed start vector: (x, lambda, max |Ax - lambda x|), x
     positive and L2-normalized. The residual is inf if ARPACK does not converge."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # loaded on first use, with scipy.linalg
+
     n = A.shape[0]
     try:
         _, vecs = eigsh(A + sp.eye_array(n), k=1, which="LA", v0=np.full(n, 1.0 / math.sqrt(n)))

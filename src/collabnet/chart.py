@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .timeseries import MetricSeries
 
 WIDTH, HEIGHT = 800, 480
@@ -17,6 +17,7 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 170, 44, 46
 # the entities `xml.sax.saxutils.escape` writes, for text, and with `"` for a double-quoted attribute
 ESCAPE_TEXT = str.maketrans({"&": "&amp;", ">": "&gt;", "<": "&lt;"})
 ESCAPE_ATTR = str.maketrans({"&": "&amp;", ">": "&gt;", "<": "&lt;", '"': "&quot;"})
+MIN_SPAN = 1e-12  # the narrowest value axis, relative to its values: a tick step stays far above their rounding
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 
@@ -70,10 +71,15 @@ def emit_chart(
         hi = max(hi, max(band["upper"]))
     if not all_years or not math.isfinite(lo):
         raise DataError("no plottable values in the supplied series")
-    if hi == lo:
-        hi, lo = hi + 0.5, lo - 0.5
+    low, high = lo, hi
+    if hi - lo < MIN_SPAN * max(abs(lo), abs(hi), 1e-288):  # flat, or too narrow for a float tick step (subnormal too)
+        mid = lo / 2 + hi / 2
+        half = max(0.5, MIN_SPAN * abs(mid))
+        lo, hi = mid - half, mid + half
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise NumericError(f"values from {low:.6g} to {high:.6g} overflow a float once padded for the axis")
     x_lo, x_hi = min(all_years), max(all_years)
     if x_hi == x_lo:
         x_hi = x_lo + 1
@@ -184,6 +190,6 @@ def write_chart(
     band: dict | None = None,
     config_hash: str = "",
 ) -> None:
-    path = Path(path)
+    svg, path = emit_chart(series_list, title, band, config_hash), Path(path)  # a refused chart leaves no directory
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(emit_chart(series_list, title, band, config_hash), encoding="utf-8")
+    path.write_text(svg, encoding="utf-8")

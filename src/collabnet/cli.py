@@ -19,7 +19,7 @@ from . import structure, synth
 from .centrality import centralization
 from .errors import DataError, NumericError
 from .graph import CollabNetwork
-from .ingest import ALL_FIELDS, ingest_publications, read_json, write_json
+from .ingest import ALL_FIELDS, MAX_YEAR, ingest_publications, read_json, write_json
 from .timeseries import forecast as fit_forecast
 
 
@@ -336,6 +336,8 @@ def _cmd_granger(args) -> int:
 def _cmd_forecast(args) -> int:
     series = pl.read_series_csv(args.series)
     fc = fit_forecast(series, args.horizon, args.level)
+    if fc.years[-1] > MAX_YEAR:  # chart reads the years back, bounded as in a corpus
+        raise DataError(f"forecast year {fc.years[-1]} lies past {MAX_YEAR}")
     pl.write_forecast_csv(fc, args.out)
     print(f"wrote {args.out} (model {fc.model}, horizon {fc.horizon})")
     return 0

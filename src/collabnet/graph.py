@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import DataError
 
@@ -161,6 +160,7 @@ class CollabNetwork:
 
     def connected_components(self) -> list[set[str]]:
         """Node sets of the components, in the order of their first node."""
+        from scipy.sparse import csgraph  # loaded on first use: it brings scipy.sparse.linalg and scipy.linalg
         _, labels = csgraph.connected_components(self.pattern, directed=False)
         comps: dict[int, set[str]] = {}
         for node, label in zip(self.nodes, labels.tolist()):
@@ -231,11 +231,17 @@ def rolling_window(annual: list[CollabNetwork]) -> CollabNetwork:
     fields = {net.slice.field for net in ordered}
     if len(fields) > 1:
         raise DataError(f"window mixes fields: {sorted(fields)}")
+    label = NetworkSlice(years[-1], ordered[0].slice.field, "raw")
+    if len(ordered) == 1:  # a slice whose pairs are distinct and name every node, as each stored one, is its own sum
+        net = ordered[0]
+        key = np.sort(net.ends[:, 0] * net.n + net.ends[:, 1])
+        if (key[1:] > key[:-1]).all() and np.bincount(net.ends.ravel(), minlength=net.n).all():
+            return CollabNetwork(net.nodes, net.ends, net.weight, label)
     nodes = sorted(set().union(*(net.nodes for net in ordered)))
     index = {c: i for i, c in enumerate(nodes)}
     ends = np.concatenate([np.array([index[c] for c in net.nodes], dtype=np.intp)[net.ends] for net in ordered])
     weight = np.concatenate([net.weight for net in ordered])
-    return _summed(nodes, ends, weight, NetworkSlice(years[-1], ordered[0].slice.field, "raw"))
+    return _summed(nodes, ends, weight, label)
 
 
 def _summed(nodes, ends: np.ndarray, weight: np.ndarray, slice: NetworkSlice) -> CollabNetwork:

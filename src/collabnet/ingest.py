@@ -272,6 +272,14 @@ def finite(text: str) -> float:
     return value
 
 
+def year_cell(text: str) -> int:
+    """The year that `text` spells; ValueError unless it lies in -MAX_YEAR..MAX_YEAR."""
+    year = int(text)
+    if abs(year) > MAX_YEAR:
+        raise ValueError(f"year {year} lies outside -{MAX_YEAR} to {MAX_YEAR}")
+    return year
+
+
 def write_json(path: str | Path, payload) -> None:
     """Write a stored JSON document, its parent made if needed."""
     path = Path(path)

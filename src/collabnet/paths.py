@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import DataError
 from .graph import CollabNetwork
@@ -108,6 +107,8 @@ def geodesics(network: CollabNetwork) -> tuple[np.ndarray, tuple[np.ndarray, np.
     slack, the rest covering the prune's own rounding. On unit weights every
     entry is kept; on degenerate weights (1e13 beside 1) every short one is.
     """
+    from scipy.sparse import csgraph  # loaded on first use: it brings scipy.sparse.linalg and scipy.linalg
+
     D = network.distance_csr
     dist = csgraph.dijkstra(D)
     tail, head, length = np.repeat(np.arange(network.n), network.degrees), D.indices, D.data

@@ -24,7 +24,7 @@ from .centrality import CentralityVector, betweenness, centralization, degree_ce
 from .errors import DataError
 from .graph import CollabNetwork, NetworkSlice, normalize_weights, rolling_window
 from .ingest import (ALL_FIELDS, CorpusStore, check_year_span, field_slug, filter_countries, finite, participation,
-                     read_table, require_stats, write_json, write_table)
+                     read_table, require_stats, write_json, write_table, year_cell)
 from .paths import TIE_TOLERANCE, bridging_fraction
 from .timeseries import (
     Forecast,
@@ -160,7 +160,7 @@ def read_series_csv(path: str | Path) -> MetricSeries:
     pairs: list[tuple[int, float | None]] = []
     with read_table(path, ("year", "value"), "series", comments) as (rows, (y, v)):
         for row in rows:
-            pairs.append((int(row[y]), finite(row[v]) if row[v] else None))
+            pairs.append((year_cell(row[y]), finite(row[v]) if row[v] else None))
     if not pairs:
         raise DataError(f"series file {path} has no rows")
     return MetricSeries.from_pairs(comments["name"], pairs, comments["unit"])
@@ -405,7 +405,7 @@ def read_forecast_csv(path: str | Path) -> dict:
     parsed = []
     with read_table(path, ("year", "point", "lower", "upper"), "forecast") as (rows, (y, p, lo, hi)):
         for row in rows:
-            parsed.append((int(row[y]), finite(row[p]), finite(row[lo]), finite(row[hi])))
+            parsed.append((year_cell(row[y]), finite(row[p]), finite(row[lo]), finite(row[hi])))
     if not parsed:
         raise DataError(f"forecast file {path} has no rows")
     years, points, lower, upper = (list(column) for column in zip(*parsed))

@@ -23,6 +23,7 @@ from .errors import DataError
 from .graph import CollabNetwork
 
 DQ_TIE_TOLERANCE = 1e-12
+TRIANGLE_BLOCK = 64  # columns per block of clustering's triangle count: n x 64 float temporaries
 
 
 @dataclass
@@ -69,11 +70,19 @@ class ClusteringResult:
 
 
 def clustering(network: CollabNetwork) -> ClusteringResult:
-    """Local clustering coefficients; nodes of degree < 2 score 0."""
+    """Local clustering coefficients; nodes of degree < 2 score 0.
+
+    A node's closed wedges are its column of (A @ A) * A, counted over
+    blocks of TRIANGLE_BLOCK columns, so the whole A @ A is never built.
+    Every count is an integer-valued float, so the block order moves no bit.
+    """
     if network.n < 1:
         raise DataError("clustering needs at least 1 node")
     A = network.pattern
-    closed = ((A @ A) * A).sum(axis=1)  # counts each triangle at a node twice
+    closed = np.empty(network.n)  # counts each triangle at a node twice
+    for start in range(0, network.n, TRIANGLE_BLOCK):
+        R = A[start:start + TRIANGLE_BLOCK].toarray().T  # the block's columns: A is symmetric
+        closed[start:start + TRIANGLE_BLOCK] = ((A @ R) * R).sum(axis=0)
     d = network.degrees
     coeff = np.divide(closed, d * (d - 1), out=np.zeros(network.n), where=d >= 2)
     per_node = dict(zip(network.nodes, coeff.tolist()))

@@ -236,6 +236,7 @@ class Forecast:
     sigma2: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a fit that overflows is refused as a whole
 def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecast:
     """Fit an AR(p<=3)-with-drift model by AIC and iterate it forward.
 
@@ -294,6 +295,8 @@ def forecast(series: MetricSeries, horizon: int, level: float = 0.95) -> Forecas
     half = z * np.sqrt(sigma2 * cum)
     lower = tuple(float(p - h) for p, h in zip(points, half))
     upper = tuple(float(p + h) for p, h in zip(points, half))
+    if not np.isfinite([sigma2, *points, *lower, *upper]).all():
+        raise NumericError(f"forecast of series {series.name!r} is not finite: its values are too large to fit")
 
     last_year = series.years[-1]
     years = tuple(last_year + h for h in range(1, horizon + 1))

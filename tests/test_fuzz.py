@@ -1,24 +1,29 @@
 """Stored inputs that the program cannot use end as a data error.
 
-Hypothesis writes network JSON documents, edge-CSV rows and JSONL
-publication lines, many of them malformed (non-string names, short or long
-rows, blank cells, fractional, negative, NaN, infinite, huge and boolean
-weights, repeated pairs; float, boolean, huge and non-digit years, nested and
-unstorable countries, fields whose file names collide or run too long, a
-byte-order mark, CRLF), and runs them through `cli.main` in-process. The
-exit code is 0 or 2, nothing is raised, and a run that exits 2 leaves no
-output behind. An ingest that exits 0 counts every non-blank JSONL line as
-a record or as skipped.
+Hypothesis writes network JSON documents, edge-CSV rows, JSONL publication
+lines, and series and forecast CSVs, many of them malformed (non-string
+names, short or long rows, blank cells, fractional, negative, NaN, infinite,
+huge, subnormal and boolean weights or values, repeated pairs or years;
+float, boolean, huge and non-digit years, nested and unstorable countries,
+fields whose file names collide or run too long, odd headers, a byte-order
+mark, CRLF), and runs them through `cli.main` in-process. The exit code is
+0 or 2, or 3 where a forecast's fit or a chart's axis overflows; nothing is
+raised, and a run that does not exit 0 leaves no output behind. An ingest
+that exits 0 counts every non-blank JSONL line as a record or as skipped,
+a forecast that exits 0 writes only finite numbers, and a chart that exits
+0 is XML with no NaN or infinite attribute.
 """
 
 import csv
 import json
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from collabnet import cli
+from collabnet.pipeline import read_forecast_csv
 
 NAME = st.sampled_from(["A", "B", "C", "D"])
 ODD_NAME = st.one_of(st.sampled_from(["", "A,B", "a"]), st.integers(-2, 2), st.none(), st.booleans(),
@@ -101,3 +106,74 @@ def test_jsonl_lines(drawn):
             manifest = json.loads(Path(corpus, "manifest.json").read_text(encoding="utf-8"))
             with pubs.open(encoding="utf-8-sig") as fh:
                 assert manifest["records"] + manifest["skipped"] == sum(1 for line in fh if line.strip())
+
+
+GOOD_VALUE = st.floats(-10.0, 10.0).map(repr)
+VALUE = st.one_of(GOOD_VALUE, st.floats().map(repr), st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                  st.sampled_from(["", "nan", "inf", "-1e308", "1e308", "5e-324", "-0.0", "x", "1e999", "0x10"]))
+ODD_YEAR = st.sampled_from(["", "x", "2001.5", " 2001", "-0", "1" * 30, "1" * 400])
+START = st.one_of(st.integers(1990, 2010), st.integers(1990, 2010), st.integers(-10**30, 10**30))
+NAME_LINE = st.sampled_from(["", "# name=s\n", "# name=a<b&c\"d\n", "# name=ünï\n", "# unit=\n", "# name\n"])
+HEADER = st.sampled_from(["year,value", "year,value", "year,value", "value,year", "year", "year,value,extra", ""])
+
+
+@st.composite
+def series_csv(draw):
+    """A series CSV: mostly consecutive years from one start, with finite small
+    values, huge or odd cells, a short, long or repeated row, or an odd header."""
+    start = draw(START)
+    scale = draw(st.sampled_from([1.0, 1.0, 1e307, 1e-320]))  # finite, yet overflowing or subnormal
+    values = draw(st.one_of(st.lists(st.floats(-10.0, 10.0).map(lambda x: repr(x * scale)), min_size=10, max_size=14),
+                            st.lists(VALUE, max_size=14)))
+    rows = [[str(start + i), v] for i, v in enumerate(values)]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            rows[k] = draw(st.sampled_from([[draw(ODD_YEAR), *rows[k][1:]], rows[k][:1], rows[k] + ["x"], rows[k - 1]]))
+    return draw(NAME_LINE) + draw(HEADER) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def forecast_csv(draw):
+    """A forecast CSV: consecutive years, each row's cells finite and ordered or drawn at will."""
+    start = draw(START)
+    good = st.tuples(GOOD_VALUE, GOOD_VALUE, GOOD_VALUE).map(sorted).map(lambda c: [c[1], c[0], c[2]])
+    cells = draw(st.lists(st.one_of(good, good, st.lists(VALUE, min_size=0, max_size=4)), max_size=6))
+    header = draw(st.sampled_from(["year,point,lower,upper", "year,point,lower,upper", "year,point"]))
+    return "# model=ar1\n" + header + "\n" + "".join(",".join([str(start + i), *c]) + "\n" for i, c in enumerate(cells))
+
+
+def svg_numbers_finite(svg: str) -> bool:
+    root = ET.fromstring(svg)
+    return not any(word in value for el in root.iter() for value in el.attrib.values() for word in ("nan", "inf"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_csv(), st.integers(1, 16), st.sampled_from(["0.95", "0.95", "0.5", "0.999999", "1", "0", "nan"]))
+def test_forecast_series_csv(series, horizon, level):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "s.csv"), Path(tmp, "res", "fc.csv")
+        path.write_text(series, encoding="utf-8")
+        code = cli.main(["forecast", "--series", str(path), "--horizon", str(horizon), "--level", level, "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert Path(tmp, "res").exists() == (code == 0)
+        if code == 0:  # a forecast that succeeds writes only finite numbers, as chart reads them
+            read_forecast_csv(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(series_csv(), min_size=1, max_size=2), st.one_of(st.none(), forecast_csv()))
+def test_chart_series_and_forecast_csv(series, band):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"s{i}.csv") for i in range(len(series))]
+        for path, text in zip(paths, series):
+            path.write_text(text, encoding="utf-8")
+        argv = ["chart", "--series", *map(str, paths), "--out", str(Path(tmp, "res", "c.svg"))]
+        if band is not None:
+            Path(tmp, "fc.csv").write_text(band, encoding="utf-8")
+            argv += ["--forecast", str(Path(tmp, "fc.csv"))]
+        code = cli.main(argv)
+        assert code in (0, 2, 3)
+        assert Path(tmp, "res").exists() == (code == 0)
+        if code == 0:
+            assert svg_numbers_finite(Path(tmp, "res", "c.svg").read_text(encoding="utf-8"))

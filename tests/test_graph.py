@@ -103,6 +103,17 @@ class TestRollingWindow:
         assert net.edges == {("A", "B"): 2.0}
         assert net.slice.year == 2019
 
+    def test_single_year_sums_any_network(self):
+        # a slice whose pairs are distinct and name every node is its own sum; others are still summed
+        stored = CollabNetwork(("A", "B", "C"), [[1, 2], [0, 1]], [2.0, 1.0], NetworkSlice(2019, "Physics", "log"))
+        isolated = CollabNetwork(("A", "B", "C", "D"), [[1, 2], [0, 1]], [2.0, 1.0], NetworkSlice(2019, "Physics"))
+        repeated = CollabNetwork(("A", "B", "C"), [[1, 2], [0, 1], [1, 2]], [2.0, 1.0, 0.5], NetworkSlice(2019, "Physics"))
+        for net, weights in ((stored, [2.0, 1.0]), (isolated, [2.0, 1.0]), (repeated, [2.5, 1.0])):
+            out = rolling_window([net])
+            assert list(out.edges.items()) == list(zip([("B", "C"), ("A", "B")], weights))
+            assert out.nodes == ("A", "B", "C")
+            assert out.slice == NetworkSlice(2019, "Physics", "raw")
+
     def test_weights_summed_across_window(self):
         els = [
             edge_list(2019, [("A", "B", 2)]),

@@ -110,8 +110,8 @@ class TestGeodesics:
             calls.append(kwargs.get("indices"))
             return dijkstra(*args, **kwargs)
 
-        dijkstra = paths.csgraph.dijkstra
-        monkeypatch.setattr(paths.csgraph, "dijkstra", counting_dijkstra)
+        dijkstra = csgraph.dijkstra
+        monkeypatch.setattr(csgraph, "dijkstra", counting_dijkstra)
         rng = random.Random(8)
         nodes, edges = random_connected_graph(rng, 12)
         net = make_net([(a, b, w) for (a, b), w in edges.items()])

@@ -14,9 +14,10 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, strategies as st
 
-from collabnet import centrality, cli, paths, structure
+from collabnet import cli, paths, structure
 from collabnet import ingest as ingest_mod
 from collabnet.chart import ESCAPE_ATTR, ESCAPE_TEXT, emit_chart
 from collabnet.errors import DataError
@@ -365,25 +366,29 @@ import sys
 from pathlib import Path
 
 from collabnet import cli
+from collabnet.pipeline import GLOBAL_METRICS
 
 UNUSED = ("scipy.stats", "ssl", "http.client")  # modules no command needs
+# Dijkstra, components and ARPACK, with scipy.linalg: series, bridge and the weighted or eigenvector metrics load them
+GRAPH = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 
-def run(*argv):
+def run(*argv, unused=UNUSED):
     assert cli.main(list(argv)) == 0, argv
-    assert not [name for name in UNUSED if name in sys.modules], argv
+    loaded = [name for name in unused if name in sys.modules]
+    assert not loaded, (argv, loaded)
 
 out = Path(sys.argv[1])
-assert not [name for name in UNUSED if name in sys.modules]
+assert not [name for name in UNUSED + GRAPH if name in sys.modules]
 run("synth", "--experiment", "--n", "60", "--m", "2", "--arrival", "20", "--checkpoints", "20",
-    "--seed", "3", "--out", str(out / "exp.json"))
-run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0")
+    "--seed", "3", "--out", str(out / "exp.json"), unused=UNUSED + GRAPH)
+run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0", unused=UNUSED + GRAPH)
+run("granger", "--corpus", str(out / "corpus"), "--iv", "CN", "--threshold", "0",
+    "--metrics", ",".join(GLOBAL_METRICS), "--max-lag", "1", "--out", str(out / "granger.csv"), unused=UNUSED + GRAPH)
+run("forecast", "--series", str(out / "s.csv"), "--horizon", "3", "--out", str(out / "fc.csv"), unused=UNUSED + GRAPH)
+run("chart", "--series", str(out / "s.csv"), "--forecast", str(out / "fc.csv"), "--out", str(out / "chart.svg"),
+    unused=UNUSED + GRAPH)
 run("series", "--corpus", str(out / "corpus"), "--out", str(out / "series"), "--threshold", "0",
     "--countries", "US,CN", "--bridge", "CN:US")
-run("granger", "--corpus", str(out / "corpus"), "--iv", "CN", "--threshold", "0",
-    "--metrics", "clustering", "--max-lag", "1", "--out", str(out / "granger.csv"))
-series = str(out / "series" / "series" / "clustering__all.csv")
-run("forecast", "--series", series, "--horizon", "3", "--out", str(out / "fc.csv"))
-run("chart", "--series", series, "--forecast", str(out / "fc.csv"), "--out", str(out / "chart.svg"))
 print("ok")
 """
 
@@ -437,8 +442,10 @@ class TestUnreadableInputs:
 class TestColdStart:
     """No command loads scipy.stats, not even granger and forecast, whose tails
     come from scipy.special, nor ssl or http.client, which `xml.sax.saxutils`
-    would bring in for the chart's escaping. Run in a fresh interpreter,
-    because this test session has imported them already."""
+    would bring in for the chart's escaping. synth, ingest, granger, forecast
+    and chart load no csgraph, ARPACK or scipy.linalg either; series, run
+    last, does. Run in a fresh interpreter, because this test session has
+    imported them already."""
 
     def test_no_command_loads_scipy_stats(self, tmp_path):
         rng = random.Random(4)
@@ -448,6 +455,7 @@ class TestColdStart:
                 if rng.random() < 0.6:
                     rows.append(f"{year},all,{a},{b},{rng.randint(1, 9)}")
         (tmp_path / "edges.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "s.csv").write_text("# name=s\nyear,value\n" + "".join(f"{2001 + i},{i % 4}\n" for i in range(12)))
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
@@ -614,6 +622,31 @@ class TestChart:
         s = [self.series([0.5, 0.25, 0.8], "x")]
         assert emit_chart(s) == emit_chart(s)
 
+    # series CSV rows (";" between rows) and the exit code each must end in
+    EXTREMES = {
+        "2001,1e20;2002,100000000000000016384": 0,  # one float step apart: ticks stepped below it stalled
+        "2001,1e20;2002,1e20": 0,  # flat, and too large for a +/-0.5 axis
+        "2001,0;2002,5e-324": 0,  # a subnormal span
+        "2001,-1e308;2002,1e308": 3,  # the padded axis overflows
+        "100000000000000000,1;100000000000000001,2": 2,  # years no corpus holds; the ticks stalled on them
+    }
+
+    def test_extreme_values_and_years(self, tmp_path):
+        # each case once hung or raised; a fresh interpreter with a timeout, so a regression fails instead of hanging
+        script = (
+            "import sys\nfrom pathlib import Path\nfrom collabnet import cli\nout = Path(sys.argv[1])\n"
+            "for k, rows in enumerate(sys.argv[2:]):\n"
+            "    (out / f's{k}.csv').write_text('year,value\\n' + rows.replace(';', '\\n') + '\\n')\n"
+            "    print('exit', cli.main(['chart', '--series', str(out / f's{k}.csv'), '--out', str(out / f'c{k}' / 'c.svg')]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path), *self.EXTREMES], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        codes = [int(line[5:]) for line in done.stdout.splitlines() if line.startswith("exit ")]
+        assert codes == list(self.EXTREMES.values()), done.stderr
+        assert [(tmp_path / f"c{k}").exists() for k in range(len(codes))] == [code == 0 for code in codes]
+        assert "Traceback" not in done.stderr
+
 
 class TestCli:
     def run(self, *argv):
@@ -628,7 +661,7 @@ class TestCli:
                         "--out", str(tmp_path / "x.json")) == 2
 
     def test_eigenvector_non_convergence_exit_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(centrality, "eigsh", arpack_fails)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_fails)
         net = tmp_path / "path.json"
         make_net([(f"N{i:03d}", f"N{i + 1:03d}", 1.0) for i in range(179)]).save(net)
         assert self.run("metrics", "--net", str(net), "--metric", "ev", "--out", str(tmp_path / "m.csv")) == 3

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -135,6 +136,37 @@ class TestClustering:
             expected = clustering_oracle(nodes, edges)
             assert res.per_node == {v: float(c) for v, c in expected.items()}
             assert res.average == pytest.approx(float(sum(expected.values()) / len(nodes)))
+
+    @pytest.mark.parametrize("n", [structure.TRIANGLE_BLOCK + k for k in (-1, 0, 1, structure.TRIANGLE_BLOCK + 2)])
+    def test_matches_triangle_oracle_at_block_edges(self, n):
+        # one block short of full, exactly full, one column over, and a third block of two columns
+        rng = random.Random(n)
+        nodes = [f"v{i:03d}" for i in range(n)]
+        edges = {pair: 1 for pair in combinations(nodes, 2) if rng.random() < 0.15}
+        net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+        assert clustering(net).per_node == {v: float(c) for v, c in clustering_oracle(nodes, edges).items()}
+
+    def test_matches_triangle_oracle_on_star_heavy_graph(self):
+        # three hubs spanning every block, leaves linked in sparse rings: most wedges are open
+        rng = random.Random(61)
+        hubs, leaves = ["h0", "h1", "h2"], [f"l{i:03d}" for i in range(150)]
+        edges = {(h, leaf): 1 for h in hubs for leaf in leaves if rng.random() < 0.8}
+        edges.update({(a, b): 1 for a, b in zip(leaves, leaves[3:]) if rng.random() < 0.3})
+        edges[("h0", "h1")] = 1
+        nodes = hubs + leaves
+        net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+        assert clustering(net).per_node == {v: float(c) for v, c in clustering_oracle(nodes, edges).items()}
+
+    def test_memory_on_standard_final_graph(self):
+        # 1,000 nodes, ~10.8k edges: a block of columns at a time, never the whole A @ A (about 16 MiB)
+        net = generate_fitness(standard_run_config(1)).final_graph()
+        tracemalloc.start()
+        try:
+            clustering(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
     def test_average_in_unit_interval(self):
         rng = random.Random(53)
