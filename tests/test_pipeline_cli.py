@@ -8,6 +8,7 @@ import shutil
 import string
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from collections import Counter
 from itertools import combinations, product
@@ -372,21 +373,20 @@ UNUSED = ("scipy.stats", "ssl", "http.client")  # modules no command needs
 # Dijkstra, components and ARPACK, with scipy.linalg: series, bridge and the weighted or eigenvector metrics load them
 GRAPH = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 
-def run(*argv, unused=UNUSED):
+def run(*argv):
     assert cli.main(list(argv)) == 0, argv
-    loaded = [name for name in unused if name in sys.modules]
-    assert not loaded, (argv, loaded)
+    assert not [name for name in UNUSED if name in sys.modules], argv
 
 out = Path(sys.argv[1])
 assert not [name for name in UNUSED + GRAPH if name in sys.modules]
 run("synth", "--experiment", "--n", "60", "--m", "2", "--arrival", "20", "--checkpoints", "20",
-    "--seed", "3", "--out", str(out / "exp.json"), unused=UNUSED + GRAPH)
-run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0", unused=UNUSED + GRAPH)
+    "--seed", "3", "--out", str(out / "exp.json"))
+run("ingest", "--pubs", str(out / "edges.csv"), "--out", str(out / "corpus"), "--threshold", "0")
 run("granger", "--corpus", str(out / "corpus"), "--iv", "CN", "--threshold", "0",
-    "--metrics", ",".join(GLOBAL_METRICS), "--max-lag", "1", "--out", str(out / "granger.csv"), unused=UNUSED + GRAPH)
-run("forecast", "--series", str(out / "s.csv"), "--horizon", "3", "--out", str(out / "fc.csv"), unused=UNUSED + GRAPH)
-run("chart", "--series", str(out / "s.csv"), "--forecast", str(out / "fc.csv"), "--out", str(out / "chart.svg"),
-    unused=UNUSED + GRAPH)
+    "--metrics", ",".join(GLOBAL_METRICS), "--max-lag", "1", "--out", str(out / "granger.csv"))
+run("forecast", "--series", str(out / "s.csv"), "--horizon", "3", "--out", str(out / "fc.csv"))
+run("chart", "--series", str(out / "s.csv"), "--forecast", str(out / "fc.csv"), "--out", str(out / "chart.svg"))
+assert not [name for name in GRAPH if name in sys.modules]  # a module once loaded stays: none of the five loaded one
 run("series", "--corpus", str(out / "corpus"), "--out", str(out / "series"), "--threshold", "0",
     "--countries", "US,CN", "--bridge", "CN:US")
 print("ok")
@@ -633,11 +633,15 @@ class TestChart:
 
     def test_extreme_values_and_years(self, tmp_path):
         # each case once hung or raised; a fresh interpreter with a timeout, so a regression fails instead of hanging
-        script = (
-            "import sys\nfrom pathlib import Path\nfrom collabnet import cli\nout = Path(sys.argv[1])\n"
-            "for k, rows in enumerate(sys.argv[2:]):\n"
-            "    (out / f's{k}.csv').write_text('year,value\\n' + rows.replace(';', '\\n') + '\\n')\n"
-            "    print('exit', cli.main(['chart', '--series', str(out / f's{k}.csv'), '--out', str(out / f'c{k}' / 'c.svg')]))\n")
+        script = textwrap.dedent("""
+            import sys
+            from pathlib import Path
+            from collabnet import cli
+            out = Path(sys.argv[1])
+            for k, rows in enumerate(sys.argv[2:]):
+                (out / f"s{k}.csv").write_text("year,value\\n" + rows.replace(";", "\\n") + "\\n")
+                print("exit", cli.main(["chart", "--series", str(out / f"s{k}.csv"), "--out", str(out / f"c{k}" / "c.svg")]))
+            """)
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path), *self.EXTREMES], env=env,
                               capture_output=True, text=True, timeout=60)
