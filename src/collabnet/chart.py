@@ -30,11 +30,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         if span / (step * mult) <= target + 1:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
+    digits = -math.floor(math.log10(step))  # the step's own decimal place, so that ticks stay distinct
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
-        ticks.append(round(t, 10))
+        ticks.append(round(t, digits))
         t += step
     return ticks
 

@@ -8,7 +8,6 @@ synth, chart. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -18,8 +17,8 @@ from . import pipeline as pl
 from . import structure, synth
 from .centrality import centralization
 from .errors import DataError, NumericError
-from .graph import CollabNetwork
-from .ingest import ALL_FIELDS, MAX_YEAR, ingest_publications, read_json, write_json
+from .graph import NORM_SCHEMES, CollabNetwork
+from .ingest import ALL_FIELDS, MAX_YEAR, ingest_publications, read_json, write_json, write_table
 from .timeseries import forecast as fit_forecast
 
 
@@ -68,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--field", default=ALL_FIELDS)
     p.add_argument("--window", type=int, default=3)
-    p.add_argument("--normalize", choices=["raw", "log", "salton", "jaccard"], default="raw")
+    p.add_argument("--normalize", choices=NORM_SCHEMES, default="raw")
     p.add_argument("--threshold", type=int, default=10)
     p.add_argument("--out", required=True)
 
@@ -83,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--years", type=_years_range)
     p.add_argument("--fields", default=ALL_FIELDS, help="comma list or 'all'")
     p.add_argument("--window", type=int, default=3)
-    p.add_argument("--normalize", choices=["raw", "log", "salton", "jaccard"], default="raw")
+    p.add_argument("--normalize", choices=NORM_SCHEMES, default="raw")
     p.add_argument("--threshold", type=int, default=10)
     p.add_argument("--metrics", default=",".join(pl.GLOBAL_METRICS))
     p.add_argument("--countries", default="", help="comma list of focus countries")
@@ -173,12 +172,22 @@ def _config_value(parser: _Parser, action: argparse.Action, key: str, value):
     if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
         parser.error(f"config key {key!r}: expected a string, a number or a list of them, got {value!r}")
     texts = [str(v) for v in items]
+    if not all(map(_argv_text, texts)):
+        parser.error(f"config key {key!r}: {value!r} holds text no command line can carry (a NUL or a lone surrogate)")
     if isinstance(action, argparse._AppendAction) or action.nargs in ("+", "*"):
         return texts
     text = ",".join(texts)
     if action.choices is not None and text not in action.choices:
         parser.error(f"argument {action.option_strings[0]}: invalid choice: {text!r}")
     return text
+
+
+def _argv_text(text: str) -> bool:
+    """Whether a command line can carry `text`: no NUL byte, and no character the file system cannot encode."""
+    try:
+        return b"\0" not in os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
 
 
 def _require_corpus(args) -> str:
@@ -251,17 +260,13 @@ def _cmd_metrics(args) -> int:
             rows.append((metric, country, analysis.ego_q(country)))
         else:
             raise DataError(f"unknown metric {metric!r}")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "node", "value"])
+    with write_table(args.out, ["metric", "node", "value"]) as writer:
         writer.writerows((metric, node, repr(value)) for metric, node, value in rows)
     if communities_out is not None:
-        cpath = out.with_suffix(".communities.json")
+        cpath = Path(args.out).with_suffix(".communities.json")
         write_json(cpath, communities_out)
         print(f"wrote {cpath}")
-    print(f"wrote {out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
@@ -309,13 +314,9 @@ def _cmd_bridge(args) -> int:
         found = found or net is not None
     if not found:
         raise DataError(f"no networks buildable for {args.field}")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "source", "via", "fraction", "targets"])
+    with write_table(args.out, ["year", "source", "via", "fraction", "targets"]) as writer:
         writer.writerows(rows)
-    print(f"wrote {out} ({len(rows)} years)")
+    print(f"wrote {args.out} ({len(rows)} years)")
     return 0
 
 

@@ -2,10 +2,12 @@
 
 One type holds every country-pair set: a stored (year, field) slice, a
 rolling window and a saved network are each a `CollabNetwork` of sorted
-node names, an m x 2 array `ends` of node index pairs (lo < hi) and m
-float64 weights, checked once when built and read-only after; its `edges`
-dict is a view derived from them. Rows of (a, b, weight) become a network
-through `from_pairs`, which sums repeated pairs in input order. Metrics
+distinct node names, an m x 2 array `ends` of node index pairs (lo < hi),
+each pair listed once, and m finite positive float64 weights. The type
+checks this invariant once, when built, and is read-only after, so `m`,
+`edges` (a dict view derived from the arrays) and `adjacency` all read
+the same edges. Rows of (a, b, weight) become a network through
+`from_pairs`, which sums repeated pairs in input order. Metrics
 read the arrays or `adjacency`, the symmetric weighted CSR, with the 0/1
 `pattern` that shares its index arrays and the `degrees` vector. Weighted
 shortest paths walk the inverse weights (`distance_csr`), so heavily
@@ -43,7 +45,7 @@ class NetworkSlice:
 @dataclass(frozen=True, eq=False)
 class CollabNetwork:
     """Weighted undirected country graph for one (year-window, field) slice;
-    edge k joins nodes[ends[k, 0]] < nodes[ends[k, 1]] with weight[k] > 0."""
+    edge k joins nodes[ends[k, 0]] < nodes[ends[k, 1]] with weight[k] > 0, each pair once."""
 
     nodes: tuple[str, ...]
     ends: np.ndarray
@@ -61,6 +63,11 @@ class CollabNetwork:
             a, b = (nodes[i] if 0 <= i < len(nodes) else i for i in ends[k].tolist())
             raise DataError(f"self-loop on {a}" if a == b else
                             f"edge ({a}, {b}) of weight {weight[k]} needs ordered known ends and a finite positive weight")
+        key = np.sort(lo * len(nodes) + hi)
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            a, b = divmod(int(key[repeated.argmax()]), len(nodes))
+            raise DataError(f"edge ({nodes[a]}, {nodes[b]}) is listed twice")
         ends.flags.writeable = weight.flags.writeable = False
         self.__dict__.update(nodes=nodes, ends=ends, weight=weight)  # frozen: no __setattr__
 
@@ -195,8 +202,6 @@ class CollabNetwork:
             if unknown:
                 raise ValueError(f"edges name unknown nodes {sorted(unknown)}")
             ends = np.sort(np.array([(index[a], index[b]) for a, b, _ in rows], dtype=np.intp).reshape(-1, 2), axis=1)
-            if len(np.unique(ends, axis=0)) < len(ends):
-                raise ValueError("a node pair is listed twice")
             weight = [float(w) for _, _, w in rows]
             sl = payload.get("slice", {})
             slc = NetworkSlice(sl.get("year"), sl.get("field", "all"), sl.get("norm", "raw"))
@@ -232,11 +237,9 @@ def rolling_window(annual: list[CollabNetwork]) -> CollabNetwork:
     if len(fields) > 1:
         raise DataError(f"window mixes fields: {sorted(fields)}")
     label = NetworkSlice(years[-1], ordered[0].slice.field, "raw")
-    if len(ordered) == 1:  # a slice whose pairs are distinct and name every node, as each stored one, is its own sum
-        net = ordered[0]
-        key = np.sort(net.ends[:, 0] * net.n + net.ends[:, 1])
-        if (key[1:] > key[:-1]).all() and np.bincount(net.ends.ravel(), minlength=net.n).all():
-            return CollabNetwork(net.nodes, net.ends, net.weight, label)
+    net = ordered[0]  # a lone slice whose pairs name every node, as each stored one's do, is its own sum
+    if len(ordered) == 1 and np.bincount(net.ends.ravel(), minlength=net.n).all():
+        return CollabNetwork(net.nodes, net.ends, net.weight, label)
     nodes = sorted(set().union(*(net.nodes for net in ordered)))
     index = {c: i for i, c in enumerate(nodes)}
     ends = np.concatenate([np.array([index[c] for c in net.nodes], dtype=np.intp)[net.ends] for net in ordered])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -126,19 +126,9 @@ class PipelineConfig:
             raise DataError(f"unknown metric(s) {', '.join(unknown)}; known: {', '.join(GLOBAL_METRICS)}")
 
     def canonical(self) -> dict:
-        # the output directory is excluded: it does not affect computed
-        # content, and the hash asserts content identity
-        return {
-            "corpus": str(self.corpus),
-            "years": list(self.years) if self.years else None,
-            "fields": list(self.fields),
-            "window": self.window,
-            "normalize": self.normalize,
-            "threshold": self.threshold,
-            "metrics": list(self.metrics),
-            "countries": list(self.countries),
-            "bridges": [list(b) for b in self.bridges],
-        }
+        """Every field but `out`: the output directory does not affect
+        computed content, and the hash asserts content identity."""
+        return {name: value for name, value in asdict(self).items() if name != "out"}
 
     def hash(self, **extra) -> str:
         """Hash of the canonical config plus any options a command adds to it (such as Granger's IV)."""

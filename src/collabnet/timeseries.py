@@ -172,9 +172,10 @@ def granger_test(x, y, max_lag: int = 6) -> GrangerTest:
 
     x and y are aligned arrays of annual levels; `contiguous_overlap`
     aligns two MetricSeries. Both are first-differenced (the descriptive
-    rolling window is never applied here). Lags whose effective sample is
-    too small are skipped and reported; the optimal lag minimizes AIC over
-    usable lags.
+    rolling window is never applied here). Lags up to the differenced
+    series' length whose effective sample is too small are skipped and
+    reported (a longer lag has no sample at all); the optimal lag minimizes
+    AIC over usable lags.
     """
     xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if xv.shape != yv.shape:
@@ -190,7 +191,7 @@ def granger_test(x, y, max_lag: int = 6) -> GrangerTest:
     aics: dict[int, float] = {}
     fstats: dict[int, float] = {}
     skipped: list[int] = []
-    for lag in range(1, max_lag + 1):
+    for lag in range(1, min(max_lag, len(yv)) + 1):
         try:
             fit = fit_restricted_unrestricted(yv, xv, lag)
         except (DataError, NumericError):

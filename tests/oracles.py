@@ -4,8 +4,10 @@ Everything here works from first principles on tiny graphs: exhaustive
 path enumeration with exact rational arithmetic, Floyd-Warshall, k-cores
 by repeated deletion, clustering by counting each node's closed neighbor
 pairs, modularity maximization over all set partitions, a
-naive greedy merge that recomputes every gain at every step, and
-participation shares counted from the publication records.
+naive greedy merge that recomputes every gain at every step,
+participation shares counted from the publication records, and the
+Granger regressions' RSS and F and Benjamini-Hochberg adjustment in
+exact fractions.
 None of it shares code with the package implementations, except the
 dense weighted kernel and the edge dict functions at the end: the
 package's former weighted betweenness and its former dict-backed
@@ -248,6 +250,64 @@ def participation_series(records, country: str) -> dict[int, float]:
         if len(rec.countries) >= 2 and country in rec.countries:
             involved[rec.year] = involved.get(rec.year, 0) + 1
     return {year: involved.get(year, 0) / pubs[year] for year in sorted(pubs)}
+
+
+def ols_rss_oracle(design, target) -> Fraction:
+    """Exact residual sum of squares of the least-squares fit of `target` on
+    the columns of `design` (rows of numbers): the normal equations
+    X'X b = X'y, solved by Gauss-Jordan elimination in fractions. A column
+    that is a combination of earlier ones gets no pivot and a zero
+    coefficient, which leaves the fitted values, and so the RSS, as they are."""
+    X = [[Fraction(v) for v in row] for row in design]
+    y = [Fraction(v) for v in target]
+    k = len(X[0])
+    rows = [[sum(r[i] * r[j] for r in X) for j in range(k)] + [sum(r[i] * t for r, t in zip(X, y))] for i in range(k)]
+    pivots: list[int] = []
+    for col in range(k):
+        top = len(pivots)
+        pivot = next((i for i in range(top, k) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [v / rows[top][col] for v in rows[top]]
+        for i in range(k):
+            if i != top and rows[i][col] != 0:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+    beta = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        beta[col] = rows[i][k]
+    return sum((t - sum(b * v for b, v in zip(beta, r))) ** 2 for r, t in zip(X, y))
+
+
+def granger_f_oracle(y, x, lag: int):
+    """Exact (restricted RSS, unrestricted RSS, F) of the Granger regressions
+    of y[t] on an intercept and y[t-1..t-lag] (restricted), plus
+    x[t-1..t-lag] (unrestricted), for t = lag..T-1. F is
+    ((RSS_r - RSS_u) / lag) / (RSS_u / (T - 3 lag - 1)), infinite when the
+    unrestricted fit is perfect and the restricted one is not."""
+    times = range(lag, len(y))
+    restricted = [[1] + [y[t - i] for i in range(1, lag + 1)] for t in times]
+    unrestricted = [row + [x[t - i] for i in range(1, lag + 1)] for row, t in zip(restricted, times)]
+    target = [y[t] for t in times]
+    rss_r, rss_u = ols_rss_oracle(restricted, target), ols_rss_oracle(unrestricted, target)
+    if rss_u == 0:
+        return rss_r, rss_u, math.inf
+    return rss_r, rss_u, (rss_r - rss_u) / lag / (rss_u / (len(y) - 3 * lag - 1))
+
+
+def bh_oracle(pvalues) -> list[Fraction]:
+    """Benjamini-Hochberg adjusted p-values by the definition, in fractions:
+    the i-th smallest of m p-values times m / i, then a running minimum from
+    the largest down, capped at 1; returned in input order."""
+    m = len(pvalues)
+    order = sorted(range(m), key=lambda k: pvalues[k])
+    adjusted = [Fraction(0)] * m
+    running = Fraction(1)
+    for rank in range(m, 0, -1):
+        running = min(running, Fraction(pvalues[order[rank - 1]]) * m / rank)
+        adjusted[order[rank - 1]] = running
+    return adjusted
 
 
 def dense_weighted_paths(network, sources, tolerance: float = 1e-12):

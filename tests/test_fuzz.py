@@ -8,21 +8,29 @@ float, boolean, huge and non-digit years, nested and unstorable countries,
 fields whose file names collide or run too long, odd headers, a byte-order
 mark, CRLF), and runs them through `cli.main` in-process. The exit code is
 0 or 2, or 3 where a forecast's fit or a chart's axis overflows; nothing is
-raised, and a run that does not exit 0 leaves no output behind. An ingest
+raised, and a run that does not exit 0 leaves no output behind. `--config`
+documents (any JSON value; objects of known and unknown keys holding
+plausible values, every JSON type, nested objects and lists) run the
+window, forecast and chart commands, which may also exit 1. An ingest
 that exits 0 counts every non-blank JSONL line as a record or as skipped,
 a forecast that exits 0 writes only finite numbers, and a chart that exits
 0 is XML with no NaN or infinite attribute.
 """
 
+import contextlib
 import csv
+import io
 import json
+import random
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from collabnet import cli
+from collabnet.ingest import ingest_publications
 from collabnet.pipeline import read_forecast_csv
 
 NAME = st.sampled_from(["A", "B", "C", "D"])
@@ -177,3 +185,75 @@ def test_chart_series_and_forecast_csv(series, band):
         assert Path(tmp, "res").exists() == (code == 0)
         if code == 0:
             assert svg_numbers_finite(Path(tmp, "res", "c.svg").read_text(encoding="utf-8"))
+
+
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+# plausible values of each config key, and text no command line can carry (a NUL, a lone surrogate);
+# "@corpus", "@series" and "@missing" stand for paths in the test's directory
+PLAUSIBLE = {
+    "corpus": ["@corpus", "@corpus", "@missing", "c\x00"],
+    "years": ["2001:2010", "2004", 2006, "2008:2003", [2003, 2009]],
+    "fields": ["all", ["all", "Physics"], "Physics,Biology"], "field": ["Physics", "all"], "window": [1, 2, 3, "2"],
+    "normalize": ["log", "salton", "jaccard", "raw"], "threshold": [0, 1, "2", 50],
+    "metrics": ["clustering", ["clustering", "avg_bc"], "efficiency,modularity", "bc"],
+    "countries": [["US", "CN"], "US", ["ZZ"]], "bridge": [["CN:US"], "CN:US", ["CN:US", "GB:US"], "CN"],
+    "mode": ["sigma", "any"], "max-lag": [1, 2, 10**12], "max_lag": [3], "horizon": [1, 3, 99],
+    "level": [0.9, 0.5, 2], "title": ["t<&>", "\ud800"], "forecast": ["@series", "@missing", "f\x00"],
+    "year": [2004, 1990], "iv": ["GB"], "source": ["GB", "ZZ"], "via": ["CN"], "seed": [1], "config": ["@missing"],
+    "command": ["ingest"], "out": ["@missing"], "series": ["@missing"],
+}
+KEY = st.one_of(st.sampled_from(sorted(PLAUSIBLE)), st.sampled_from(["", "unknown", "n", "Window", "help", "--years"]))
+ENTRY = KEY.flatmap(lambda key: st.tuples(st.just(key), st.one_of(st.sampled_from(PLAUSIBLE.get(key, [None])), JSON)))
+CONFIG = st.one_of(st.lists(ENTRY, max_size=5).map(dict), st.lists(ENTRY, max_size=5).map(dict), JSON)
+# each command's required flags; {series} names the shared series file, {out} the output
+CONFIG_COMMANDS = {
+    "series": ["series", "--out", "{out}"],
+    "granger": ["granger", "--iv", "CN", "--out", "{out}/g.csv"],
+    "bridge": ["bridge", "--source", "CN", "--via", "US", "--out", "{out}/b.csv"],
+    "build": ["build", "--year", "2006", "--out", "{out}/net.json"],
+    "forecast": ["forecast", "--series", "{series}", "--out", "{out}/f.csv"],
+    "chart": ["chart", "--series", "{series}", "--out", "{out}/c.svg"],
+}
+
+
+@pytest.fixture(scope="module")
+def config_inputs(tmp_path_factory):
+    """A corpus of five countries in two fields over 2001-2012, most of them
+    above the default threshold each year, and one of its series files."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    rng = random.Random(4)
+    lines = [json.dumps({"year": rng.randint(2001, 2012), "field": rng.choice(["Physics", "Biology"]),
+                         "countries": rng.sample(["US", "CN", "GB", "DE", "FR"], rng.randint(1, 3))})
+             for _ in range(500)]
+    Path(root, "pubs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ingest_publications(root / "pubs.jsonl", root / "corpus", threshold=0)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["series", "--corpus", str(root / "corpus"), "--out", str(root / "res"),
+                         "--metrics", "clustering"]) == 0
+    return {"corpus": root / "corpus", "series": root / "res" / "series" / "clustering__all.csv"}
+
+
+@settings(max_examples=60, deadline=2000)
+@given(st.sampled_from(sorted(CONFIG_COMMANDS)), CONFIG, st.booleans())
+@example("chart", {"forecast": "f\x00"}, False)  # a NUL in a path makes open() raise ValueError
+@example("chart", {"title": "\ud800"}, False)  # a lone surrogate cannot be written as UTF-8
+def test_config_documents(config_inputs, command, document, corpus_flag):
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {"corpus": str(config_inputs["corpus"]), "series": str(config_inputs["series"]),
+                 "missing": str(Path(tmp, "missing")), "out": str(Path(tmp, "res"))}
+        text = json.dumps(document)
+        for name in ("corpus", "series", "missing"):
+            text = text.replace(f'"@{name}"', json.dumps(names[name]))
+        Path(tmp, "cfg.json").write_text(text, encoding="utf-8")
+        argv = [arg.format(**names) for arg in CONFIG_COMMANDS[command]]
+        if corpus_flag and command in ("series", "granger", "bridge", "build"):
+            argv += ["--corpus", names["corpus"]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(Path(tmp, "cfg.json")), *argv])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert Path(tmp, "res").exists() == (code == 0)

@@ -44,6 +44,27 @@ class TestCollabNetwork:
         with pytest.raises(DataError):
             CollabNetwork(nodes, ends, [1.0])
 
+    def test_rejects_repeated_pair(self):
+        # built directly, its `edges` would hold 0.5 for B-C and its `adjacency` the sum 2.5
+        with pytest.raises(DataError, match=r"^edge \(B, C\) is listed twice$"):
+            CollabNetwork(("A", "B", "C"), [[1, 2], [0, 1], [1, 2]], [2.0, 1.0, 0.5])
+        with pytest.raises(DataError, match=r"^edge \(A, B\) is listed twice$"):
+            CollabNetwork.from_json({"nodes": ["A", "B"], "edges": [["A", "B", 1.0], ["B", "A", 2.0]]})
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_names_the_first_repeated_pair_in_node_order(self, seed):
+        rng = random.Random(seed)
+        nodes, edges = random_graph(rng, rng.randint(2, 9))
+        pairs = [(nodes.index(a), nodes.index(b)) for a, b in edges]
+        if not pairs:
+            return
+        repeats = rng.sample(pairs, rng.randint(1, len(pairs)))
+        ends = pairs + repeats
+        rng.shuffle(ends)
+        lo, hi = min(repeats)
+        with pytest.raises(DataError, match=rf"^edge \({nodes[lo]}, {nodes[hi]}\) is listed twice$"):
+            CollabNetwork(tuple(nodes), ends, [1.0] * len(ends))
+
     def test_rejects_ends_that_do_not_pair_the_weights(self):
         with pytest.raises(DataError):
             CollabNetwork(("A", "B", "C"), [[0, 1], [1, 2]], [1.0])
@@ -104,13 +125,12 @@ class TestRollingWindow:
         assert net.slice.year == 2019
 
     def test_single_year_sums_any_network(self):
-        # a slice whose pairs are distinct and name every node is its own sum; others are still summed
+        # a slice whose pairs name every node is its own sum; one with an isolated node is still summed
         stored = CollabNetwork(("A", "B", "C"), [[1, 2], [0, 1]], [2.0, 1.0], NetworkSlice(2019, "Physics", "log"))
         isolated = CollabNetwork(("A", "B", "C", "D"), [[1, 2], [0, 1]], [2.0, 1.0], NetworkSlice(2019, "Physics"))
-        repeated = CollabNetwork(("A", "B", "C"), [[1, 2], [0, 1], [1, 2]], [2.0, 1.0, 0.5], NetworkSlice(2019, "Physics"))
-        for net, weights in ((stored, [2.0, 1.0]), (isolated, [2.0, 1.0]), (repeated, [2.5, 1.0])):
+        for net in (stored, isolated):
             out = rolling_window([net])
-            assert list(out.edges.items()) == list(zip([("B", "C"), ("A", "B")], weights))
+            assert list(out.edges.items()) == [(("B", "C"), 2.0), (("A", "B"), 1.0)]
             assert out.nodes == ("A", "B", "C")
             assert out.slice == NetworkSlice(2019, "Physics", "raw")
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -88,7 +89,7 @@ PARTIAL_STORE_DIGESTS = {
     "modularity__all.csv": "5b06981f6bf96e0c",
     "modularity__physics.csv": "c98d92a606f3cf36",
     "granger.csv": "810172cedea6bb0e",
-    "bridge.csv": "782e58a402ed15ff",
+    "bridge.csv": "195bce34773796e6",  # written by ingest.write_table: CRLF row ends
 }
 
 
@@ -127,6 +128,16 @@ class TestRunPipeline:
         assert files1 == files2
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_config_hash_covers_every_field_but_out(self):
+        # pinned: canonical() keeps its JSON bytes, so that every stored config hash holds
+        full = PipelineConfig(corpus="/x/c", out="y", years=(2001, 2010), fields=("all", "Physics"), window=2,
+                              normalize="salton", threshold=7, metrics=("clustering", "avg_bc"),
+                              countries=("US", "CN"), bridges=(("CN", "US"), ("GB", "US")))
+        assert PipelineConfig(corpus="corpus", out="o").hash() == "b22b509f99160d75"
+        assert full.hash(iv="CN", max_lag=3) == "de59568ca24fbdd7"
+        assert set(full.canonical()) == {f.name for f in dataclasses.fields(PipelineConfig)} - {"out"}
+        assert dataclasses.replace(full, out="elsewhere").hash() == full.hash()
 
     def test_config_hash_embedded(self, corpus, tmp_path):
         config = base_config(corpus, tmp_path / "out")
@@ -622,6 +633,15 @@ class TestChart:
         s = [self.series([0.5, 0.25, 0.8], "x")]
         assert emit_chart(s) == emit_chart(s)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-13 * 3, 1e-300, 1e12])
+    def test_value_ticks_of_a_narrow_span_are_distinct(self, scale):
+        # rounded to a fixed 10 decimals, every tick of a span below about 1e-10 would read 0
+        svg = emit_chart([self.series([scale, 2 * scale, 3 * scale])])
+        ticks = [e for e in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text") if e.get("text-anchor") == "end"]
+        labels, heights = [e.text for e in ticks], [e.get("y") for e in ticks]
+        assert len(labels) >= 3 and len(set(labels)) == len(set(heights)) == len(labels), labels
+        assert float(labels[0]) > 0 and float(labels[-1]) < 3.5 * scale
+
     # series CSV rows (";" between rows) and the exit code each must end in
     EXTREMES = {
         "2001,1e20;2002,100000000000000016384": 0,  # one float step apart: ticks stepped below it stalled
@@ -741,7 +761,8 @@ class TestCli:
         assert rows[0] == ["metric", "node", "value"]
         assert ["bc", "A,B", "0.0"] in rows
         assert all(len(row) == 3 for row in rows)
-        assert b"\r" not in out.read_bytes()
+        data = out.read_bytes()  # ingest.write_table's dialect, as every stored CSV: CRLF row ends
+        assert data.endswith(b"\r\n") and data.count(b"\r\n") == data.count(b"\n") == len(rows)
 
     def test_nan_weight_network_exit_2(self, tmp_path):
         net = tmp_path / "nan.json"

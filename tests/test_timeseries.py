@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from collabnet.timeseries import (
     granger_test,
     trend_diagnostic,
 )
+from oracles import bh_oracle, granger_f_oracle
 
 
 def series(values, start=2000, name="s"):
@@ -100,7 +104,47 @@ class TestFitRestrictedUnrestricted:
             assert ours.p_value == pytest.approx(p_val, rel=1e-8, abs=1e-12)
 
 
+def integer_series(seed: int, length: int = 20) -> list[int]:
+    return np.random.default_rng(seed).integers(0, 10, length).tolist()
+
+
+class TestFitOracleParity:
+    """`fit_restricted_unrestricted` against the exact normal-equation RSS and
+    F of `oracles.granger_f_oracle` on small integer series. Both RSS are
+    within 1e-9 of the target's sum of squares, F within 1e-9 relative where
+    the unrestricted RSS is not zero, and the p-value within 1e-9 of
+    `scipy.stats.f.sf` of the exact F."""
+
+    CASES = ([(f"random{seed}", integer_series(seed), integer_series(100 + seed)) for seed in range(6)]
+             + [("constant_x", integer_series(6), [4] * 20),
+                ("perfect_fit", [0] + integer_series(7)[:-1], integer_series(7))])  # y[t] = x[t - 1]
+
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    @pytest.mark.parametrize("name, y, x", CASES, ids=[case[0] for case in CASES])
+    def test_matches_exact_normal_equations(self, name, y, x, lag):
+        from scipy import stats
+
+        rss_r, rss_u, f = granger_f_oracle(y, x, lag)
+        fit = fit_restricted_unrestricted(np.array(y, dtype=float), np.array(x, dtype=float), lag)
+        scale = sum(v * v for v in y[lag:])
+        assert abs(Fraction(fit.rss_restricted) - rss_r) <= 1e-9 * scale
+        assert abs(Fraction(fit.rss_unrestricted) - rss_u) <= 1e-9 * scale
+        if rss_u:
+            assert fit.f_stat == pytest.approx(float(f), rel=1e-9, abs=1e-9)
+        assert fit.p_value == pytest.approx(stats.f.sf(float(f), lag, len(y) - 3 * lag - 1), rel=0, abs=1e-9)
+        if name == "constant_x":
+            assert rss_u == rss_r and fit.p_value == pytest.approx(1.0, abs=1e-9)
+        if name == "perfect_fit":
+            assert rss_u == 0 and f == math.inf and fit.p_value <= 1e-9
+
+
 class TestGrangerTest:
+    def test_huge_max_lag_stops_at_the_series_length(self):
+        # a lag past the differenced series' length has no sample: the loop stops there
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=30), rng.normal(size=30)
+        assert granger_test(x, y, max_lag=10**15).pvalues == granger_test(x, y, max_lag=29).pvalues
+
     def test_deterministic_causation_tiny_p(self):
         x = np.sin(np.arange(40) * 0.7) + np.arange(40) * 0.01
         y = np.concatenate([[0.0], x[:-1]])
@@ -180,6 +224,19 @@ class TestBhFdr:
         order = np.argsort(pvals, kind="stable")
         sorted_adj = adj[order]
         assert np.all(np.diff(sorted_adj) >= -1e-15)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+    @settings(max_examples=200)
+    def test_matches_exact_definition_with_ties(self, pvals):
+        # p * m / rank rounds twice (relative 2u + u^2, u = 2^-53, plus 2^-1073 where it is subnormal);
+        # the running minimum, the cap and the floor at the raw p-value move no value away from the exact one
+        u = Fraction(1, 2**53)
+        adjusted = bh_fdr(pvals)
+        for got, exact in zip(adjusted.tolist(), bh_oracle(pvals)):
+            assert abs(Fraction(got) - exact) <= (2 * u + u * u) * exact + Fraction(1, 2**1073)
+        for p in set(pvals):
+            assert len({a for a, q in zip(adjusted.tolist(), pvals) if q == p}) == 1  # tied p-values, one adjusted value
 
     def test_matches_statsmodels(self):
         mt = pytest.importorskip("statsmodels.stats.multitest")
