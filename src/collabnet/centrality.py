@@ -90,10 +90,15 @@ def betweenness(network: CollabNetwork, weighted: bool = False) -> CentralityVec
 
 
 def normalize_bc(vector: CentralityVector, n: int) -> CentralityVector:
-    """Divide raw betweenness by its maximum (n-1)(n-2)/2 in an n-node network."""
+    """Divide raw betweenness by its maximum `bc_pairs(n)`."""
+    return CentralityVector(vector.metric + "_norm", vector.nodes, vector.array / bc_pairs(n))
+
+
+def bc_pairs(n: int) -> float:
+    """(n-1)(n-2)/2, the pairs a node can lie between in an n-node network: raw betweenness's maximum."""
     if n < 3:
         raise DataError(f"normalized betweenness undefined for n={n}")
-    return CentralityVector(vector.metric + "_norm", vector.nodes, vector.array / ((n - 1) * (n - 2) / 2.0))
+    return (n - 1) * (n - 2) / 2.0
 
 
 def degree_centrality(network: CollabNetwork) -> CentralityVector:

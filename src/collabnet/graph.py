@@ -54,8 +54,13 @@ class CollabNetwork:
 
     def __post_init__(self):
         nodes, ends, weight = tuple(self.nodes), np.array(self.ends, dtype=np.intp), np.array(self.weight, dtype=float)
-        if ends.shape != (len(weight), 2) or any(a >= b for a, b in zip(nodes, nodes[1:])):
-            raise DataError(f"{ends.shape} edge ends for {weight.shape} weights, or nodes not sorted and distinct")
+        if ends.shape == (0,):  # an empty list of pairs: no edges
+            ends = ends.reshape(0, 2)
+        if ends.shape != (len(weight), 2):
+            raise DataError(f"{ends.shape} edge ends for {weight.shape} weights")
+        unordered = next(((a, b) for a, b in zip(nodes, nodes[1:]) if a >= b), None)
+        if unordered:
+            raise DataError(f"nodes must be sorted and distinct: {unordered[0]!r} before {unordered[1]!r}")
         lo, hi = ends.T
         bad = ~((0 <= lo) & (lo < hi) & (hi < len(nodes)) & (weight > 0) & (weight < np.inf))
         if bad.any():

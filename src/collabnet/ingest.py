@@ -258,10 +258,10 @@ def read_table(path: str | Path, names: tuple[str, ...], what: str, comments: di
             except (IndexError, ValueError, csv.Error) as exc:
                 reason = "short row" if isinstance(exc, IndexError) else str(exc)
                 raise DataError(f"bad {what} row in {path} at line {before + rows.line_num}: {reason}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} file {path} is not UTF-8: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path (the block's own are DataErrors by now)
+        raise DataError(f"cannot read {what} file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def finite(text: str) -> float:
@@ -290,9 +290,11 @@ def write_json(path: str | Path, payload) -> None:
 def read_json(path: str | Path, what: str):
     """The JSON document at `path`; a DataError naming it as `what` if it cannot be read or parsed."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {what}: {exc.strerror or exc}") from exc
+        data = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise DataError(f"cannot read {what}: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
         raise DataError(f"{what} is not UTF-8 JSON: {exc}") from exc
 

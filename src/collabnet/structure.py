@@ -94,7 +94,13 @@ def global_efficiency(network: CollabNetwork) -> float:
     n = network.n
     if n < 2:
         raise DataError(f"global efficiency needs at least 2 nodes, got {n}")
-    vals = network.hop_sweep[1][np.triu(np.ones((n, n), dtype=bool), k=1)]  # upper triangle, row by row
+    return _hop_efficiency(network.hop_sweep[1])
+
+
+def _hop_efficiency(hops: np.ndarray) -> float:
+    """Mean inverse hop distance over the unordered pairs of an n x n hop matrix, 0 where unreachable."""
+    n = len(hops)
+    vals = hops[np.triu(np.ones((n, n), dtype=bool), k=1)]  # upper triangle, row by row
     vals = vals[vals > 0]  # 0: unreachable
     return float((1.0 / vals).sum()) / (n * (n - 1) / 2.0)
 

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import paths, structure
+from .centrality import bc_pairs
 from .errors import DataError
 from .graph import CollabNetwork, NetworkSlice
 from .ingest import ALL_FIELDS, CorpusStore, CountryYearStats
@@ -273,11 +275,12 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
         if not checkpoints:  # the first checkpoint is the entrant's arrival; ties go to the oldest node
             hub = net.nodes[int(np.argmax(net.degrees))]
         a = SliceAnalysis(net)
+        hub_bc, hops = paths.node_betweenness(net, hub)  # the hub's value alone needs no backward pass
         cp = Checkpoint(
             node_count=count,
             communities=len(a.partition),
-            hub_bc_norm=a.bc[hub],
-            global_efficiency=a.global_value("efficiency"),
+            hub_bc_norm=hub_bc / bc_pairs(net.n),
+            global_efficiency=structure._hop_efficiency(hops),
             avg_clustering=a.global_value("clustering"),
             max_k=a.cores.max_k,
         )

@@ -66,8 +66,17 @@ class TestCollabNetwork:
             CollabNetwork(tuple(nodes), ends, [1.0] * len(ends))
 
     def test_rejects_ends_that_do_not_pair_the_weights(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^\(2, 2\) edge ends for \(1,\) weights$"):
             CollabNetwork(("A", "B", "C"), [[0, 1], [1, 2]], [1.0])
+        with pytest.raises(DataError, match=r"^\(2,\) edge ends for \(1,\) weights$"):  # flat, not pairs
+            CollabNetwork(("A", "B"), [0, 1], [1.0])
+
+    def test_empty_ends_are_no_edges(self):
+        for ends in ([], np.zeros((0, 2), dtype=int)):
+            net = CollabNetwork(("A",), ends, [])
+            assert (net.n, net.m, net.ends.shape, net.edges) == (1, 0, (0, 2), {})
+        with pytest.raises(DataError, match=r"^nodes must be sorted and distinct: 'B' before 'A'$"):
+            CollabNetwork(("B", "A"), [], [])
 
     def test_is_immutable(self):
         net = make_net([("A", "B", 2), ("B", "C", 3)])

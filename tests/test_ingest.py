@@ -23,6 +23,7 @@ from collabnet.ingest import (
     parse_publications,
     parse_publications_file,
     participation,
+    read_json,
 )
 from collabnet.pipeline import read_forecast_csv, read_series_csv
 from oracles import participation_series
@@ -415,6 +416,15 @@ class TestStoredTables:
             path.mkdir()
         with pytest.raises(DataError, match=f"cannot read {what} file"):
             STORED_TABLES[what][1](path)
+
+    def test_path_with_a_nul_byte(self, tmp_path, what):
+        with pytest.raises(DataError, match=f"cannot read {what} file .*: embedded null byte"):
+            STORED_TABLES[what][1](tmp_path / "a\0b" / STORED_TABLES[what][0])
+
+
+def test_json_path_with_a_nul_byte(tmp_path):
+    with pytest.raises(DataError, match="^cannot read the manifest: embedded null byte$"):
+        read_json(tmp_path / "manifest\0.json", "the manifest")
 
 
 class TestOnePassIngest:

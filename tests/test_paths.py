@@ -7,11 +7,11 @@ from scipy.sparse import csgraph
 
 from collabnet import paths
 from collabnet.errors import DataError
-from collabnet.paths import bridging_fraction, hop_levels, weighted_paths
+from collabnet.paths import bridging_fraction, hop_levels, node_betweenness, weighted_paths
 from collabnet.pipeline import SliceAnalysis, bridge_value
-from collabnet.synth import checkpoint_counts, generate_fitness, standard_run_config
+from collabnet.synth import SynthConfig, checkpoint_counts, generate_fitness, standard_run_config
 from conftest import make_net
-from oracles import random_connected_graph, random_graph
+from oracles import enum_betweenness, random_connected_graph, random_graph
 
 
 def detour_net():
@@ -42,6 +42,51 @@ class TestHopLevels:
         for count in checkpoint_counts(config):
             net = traj.graph_at(count)
             np.testing.assert_array_equal(hop_levels(net)[1], hop_oracle(net))
+
+
+class TestNodeBetweenness:
+    @pytest.mark.parametrize("block", [2, 16])
+    def test_matches_enumeration_oracle(self, monkeypatch, block):
+        # connected graphs, then isolated nodes, several components and no edges, over one or several blocks
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        rng = random.Random(83)
+        for trial in range(60):
+            if trial < 30:
+                nodes, edges = random_connected_graph(rng, rng.randint(2, 7))
+            else:
+                nodes, edges = random_graph(rng, rng.randint(1, 8))
+            net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+            want = enum_betweenness(nodes, edges, weighted=False)
+            for node in nodes:
+                bc, hops = node_betweenness(net, node)
+                assert math.isclose(bc, float(want[node]), rel_tol=1e-12), (trial, node)
+                np.testing.assert_array_equal(hops, hop_oracle(net))
+
+    def test_hub_matches_hop_levels_on_hole_closure_checkpoints(self):
+        config = SynthConfig(seed=4, n_final=400, m=3, fitness_law="entrant", eta=5.0, entrant_arrival=100,
+                             checkpoint_stride=50, densify_closure=0.01, densify_random=0.005)
+        traj = generate_fitness(config)
+        got, want = [], []
+        for count in checkpoint_counts(config):
+            net = traj.graph_at(count)
+            if not got:  # as `hole_closure_experiment` picks it
+                hub = net.nodes[int(np.argmax(net.degrees))]
+            bc, hops = node_betweenness(net, hub)
+            all_bc, all_hops = hop_levels(net)
+            assert hops.dtype == all_hops.dtype
+            np.testing.assert_array_equal(hops, all_hops)
+            got.append(bc)
+            want.append(all_bc[net.index[hub]])
+        got, want = np.array(got), np.array(want)
+        held = want > 0
+        assert held.any()
+        rel = np.divide(np.abs(got - want), want, out=np.zeros_like(want), where=held)
+        assert rel.max() <= 1e-13
+        np.testing.assert_array_equal(got[~held], want[~held])
+
+    def test_unknown_node(self):
+        with pytest.raises(DataError, match="unknown node X"):
+            node_betweenness(detour_net(), "X")
 
 
 WEIGHT_CLASSES = {

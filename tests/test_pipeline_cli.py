@@ -219,11 +219,21 @@ class TestOneHopSweep:
         assert not summary["missing"]
         assert len(sweeps) == 14
 
-    def test_hole_closure_sweeps_once_per_checkpoint(self, sweeps):
+    def test_hole_closure_sweeps_once_per_checkpoint(self, sweeps, monkeypatch):
+        # a checkpoint reads the hub's betweenness and the hop distances from one forward-only sweep
+        hub_sweeps = []
+        node_betweenness = paths.node_betweenness
+
+        def counting(network, node):
+            hub_sweeps.append(network.n)
+            return node_betweenness(network, node)
+
+        monkeypatch.setattr(paths, "node_betweenness", counting)
         config = SynthConfig(seed=1, n_final=120, m=2, fitness_law="entrant", eta=3.0,
                              entrant_arrival=40, checkpoint_stride=40, densify_closure=0.01)
         run = hole_closure_experiment(config)
-        assert len(sweeps) == len(run.checkpoints) == 3
+        assert len(hub_sweeps) == len(run.checkpoints) == 3
+        assert not sweeps
 
     def test_metrics_sweeps_once(self, tmp_path, sweeps):
         net = tmp_path / "net.json"
@@ -824,7 +834,8 @@ class TestCli:
         assert len(series) == 24  # full synthetic span survives the round trip
 
     def test_simulation_through_the_corpus_pipeline(self, tmp_path):
-        # the exported corpus's last year is the run's final graph, so its hub's BC is the run's, byte for byte
+        # the exported corpus's last year is the run's final graph, so its hub's BC is the run's; `metrics`
+        # reads it from `hop_levels`, the run from `node_betweenness`, so the two agree to rounding
         assert self.run("synth", "--standard", "--seed", "1", "--out", str(tmp_path / "run.json"),
                         "--export-corpus", str(tmp_path / "corpus")) == 0
         assert self.run("build", "--corpus", str(tmp_path / "corpus"), "--year", "2024", "--window", "1",
@@ -835,7 +846,10 @@ class TestCli:
         with (tmp_path / "m.csv").open(newline="") as fh:
             bc = {row["node"]: row["value"] for row in csv.DictReader(fh) if row["metric"] == "bc"}
         assert run["hub"] == "N00002"
-        assert bc["N00002"] == repr(run["checkpoints"][-1]["hub_bc_norm"]) == "0.024576987717965633"
+        synth_bc = run["checkpoints"][-1]["hub_bc_norm"]
+        assert bc["N00002"] == "0.024576987717965633"
+        assert repr(synth_bc) == "0.02457698771796566"
+        assert math.isclose(synth_bc, float(bc["N00002"]), rel_tol=1e-14)
 
     def test_synth_experiment_cli(self, tmp_path, capsys):
         out = tmp_path / "exp.json"
