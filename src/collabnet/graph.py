@@ -143,7 +143,7 @@ class CollabNetwork:
 
     @cached_property
     def hop_sweep(self) -> tuple[np.ndarray, np.ndarray]:
-        """`paths.hop_levels` of this network, (topological betweenness, hop distances), run once and shared."""
+        """`paths.hop_levels` of this network, (topological betweenness, pair counts per hop distance), run once and shared."""
         from . import paths  # paths imports this module
         return paths.hop_levels(self)
 

@@ -5,13 +5,15 @@ Every path metric reads one of two kernels:
 - `_sweep`, the hop kernel, runs a level-synchronous breadth-first search
   from a block of SOURCE_BLOCK sources as sparse-matrix products. The path
   counts live only on each level's frontier, and a block stops once it
-  has reached every node. It has two readers. `hop_levels` adds Brandes'
-  backward pass, dividing only on the frontier, and returns every node's
-  topological betweenness and the hop distances; it runs once per
-  network, cached as `CollabNetwork.hop_sweep`, so topological
-  betweenness and hop efficiency share one pass. `node_betweenness`
-  returns one node's betweenness and the same hop distances from the
-  forward sweeps alone, for callers that need a single node's value.
+  has reached every node. Level d's frontier holds the pairs d hops apart,
+  so the sweep counts them into `pairs[d]`; no n x n hop matrix is kept.
+  It has two readers, each returning the betweenness and those counts.
+  `hop_levels` adds Brandes' backward pass, dividing only on the frontier,
+  for every node's topological betweenness; it runs once per network,
+  cached as `CollabNetwork.hop_sweep`, so topological betweenness and hop
+  efficiency share one pass. `node_betweenness` returns one node's
+  betweenness from the forward sweeps alone, for callers that need a
+  single node's value.
 - `geodesics` runs scipy's Dijkstra once from every source over the
   cached inverse-weight CSR `CollabNetwork.distance_csr`, cached as
   `CollabNetwork.geodesics`: the n x n distance matrix, and the CSR entries
@@ -48,48 +50,50 @@ TIE_TOLERANCE = 1e-12  # relative, on accumulated path distances
 SOURCE_BLOCK = 16  # sources per block; weighted_paths' temporaries are block x kept entries
 
 
-def _sweep(A: sp.csr_array, start: int, stop: int, hops: np.ndarray):
+def _sweep(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray):
     """Level-synchronous breadth-first search from the sources start..stop-1.
 
     Yields each level's (front, frontier), level 0 the sources themselves.
     Arrays are [target, source]: a front holds the shortest-path counts
     sigma on the pairs that many hops apart and 0 elsewhere, so the fronts
-    sum to the full sigma columns. Adds each target's hop distance to
-    `hops`, zeroed [target, source] columns, as the levels that start with it
-    unvisited, 0 where unreachable; the sweep ends once it has reached every
-    target or a level reaches none.
+    sum to the full sigma columns. Adds the size of each level d >= 1's
+    frontier, its (source, target) pairs d hops apart, to pairs[d]; the
+    sweep ends once it has reached every target or a level reaches none.
     """
     front = np.eye(A.shape[0], stop - start, -start)
     unvisited = front == 0.0
     yield front, ~unvisited
+    level = 0
     while unvisited.any():
         contrib = A @ front
         frontier = (contrib > 0.0) & unvisited
-        if not frontier.any():
-            hops[unvisited] = 0  # unreachable, yet counted at every level
+        reached = np.count_nonzero(frontier)
+        if not reached:
             return
-        hops += unvisited
+        level += 1
+        pairs[level] += reached
         unvisited ^= frontier
         front = contrib * frontier
         yield front, frontier
 
 
 def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Topological betweenness and hop distances, one block of sources at a time.
+    """Topological betweenness and pair counts per hop distance, one block of sources at a time.
 
-    Returns (bc, hops): bc is the raw betweenness over unordered pairs, and
-    hops[t, s] the hop distance between t and s, 0 where t == s or t is
-    unreachable. Each block's `_sweep` keeps its fronts for Brandes'
+    Returns (bc, pairs): bc is the raw betweenness over unordered pairs, and
+    pairs[d] the number of ordered (source, target) pairs d >= 1 hops apart,
+    of length n since no hop distance reaches n; pairs[0] and unreachable
+    pairs count nothing. Each block's `_sweep` keeps its fronts for Brandes'
     backward pass, which divides only on each level's frontier.
     """
     n = network.n
     A = network.pattern
     bc = np.zeros(n)
     own = np.zeros(n)  # each source's dependency on itself, never credited
-    hops = np.zeros((n, n), dtype=np.min_scalar_type(n))  # no hop distance reaches n
+    pairs = np.zeros(n, dtype=np.int64)
     for start in range(0, n, SOURCE_BLOCK):
         block = slice(start, min(start + SOURCE_BLOCK, n))
-        fronts, frontiers = zip(*_sweep(A, block.start, block.stop, hops[:, block]))
+        fronts, frontiers = zip(*_sweep(A, block.start, block.stop, pairs))
         delta = np.zeros_like(fronts[0])
         for level in range(len(fronts) - 1, 0, -1):
             coeff = np.divide(1.0 + delta, fronts[level], out=np.zeros_like(delta), where=frontiers[level])
@@ -97,35 +101,48 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
         own[block] = delta[block].diagonal()
         for column in delta.T:  # one source at a time, so bc sums in source order
             bc += column
-    return (bc - own) / 2.0, hops
+    return (bc - own) / 2.0, pairs
+
+
+def _sigma_hops(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The full sigma columns of `_sweep` from start..stop-1, the sum of its fronts, and its hop columns.
+
+    Both are [target, source] arrays, hops 0 where t == s or t is
+    unreachable, in the smallest dtype that holds n - 1.
+    """
+    n = A.shape[0]
+    sigma, hops = 0.0, np.zeros((n, stop - start), dtype=np.min_scalar_type(n))
+    for level, (front, frontier) in enumerate(_sweep(A, start, stop, pairs)):
+        sigma = sigma + front
+        hops += frontier * hops.dtype.type(level)
+    return sigma, hops
 
 
 def node_betweenness(network: CollabNetwork, node: str) -> tuple[float, np.ndarray]:
-    """One node's topological betweenness and the hop distances, from forward sweeps alone.
+    """One node's topological betweenness and the pair counts per hop distance, from forward sweeps alone.
 
-    Returns (bc, hops) with hops as `hop_levels` returns it, and bc the node
-    v's raw betweenness over unordered pairs: the sum of the pair
+    Returns (bc, pairs) with pairs as `hop_levels` returns it, and bc the
+    node v's raw betweenness over unordered pairs: the sum of the pair
     dependencies sigma_sv sigma_vt / sigma_st over the pairs s != t, both
     other than v, with d(s, v) + d(v, t) = d(s, t). One sweep from v gives
     d(v, .) and sigma(v, .); each block of SOURCE_BLOCK sources then needs
-    only its own sigma columns, the sum of its fronts, and no backward pass.
+    only its own sigma and hop columns (`_sigma_hops`), and no backward pass.
     """
     if not network.has_node(node):
         raise DataError(f"unknown node {node}")
     n, v = network.n, network.index[node]
     A = network.pattern
-    hops = np.zeros((n, n), dtype=np.min_scalar_type(n))  # no hop distance reaches n
-    to_v = np.zeros((n, 1), dtype=hops.dtype)
-    sigma_v = sum(front for front, _ in _sweep(A, v, v + 1, to_v))[:, 0]
-    to_v = to_v[:, 0].astype(np.intp)  # hops' small dtype could wrap d(s, v) + d(v, t)
+    pairs = np.zeros(n, dtype=np.int64)
+    sigma_v, to_v = _sigma_hops(A, v, v + 1, np.zeros_like(pairs))  # v's pairs are counted in its own block
+    sigma_v, to_v = sigma_v[:, 0], to_v[:, 0].astype(np.intp)  # the small dtype could wrap d(s, v) + d(v, t)
     to_v[to_v == 0] = 2 * n  # v and the nodes it cannot reach: no sum through them is a distance
     bc = 0.0
     for start in range(0, n, SOURCE_BLOCK):
         block = slice(start, min(start + SOURCE_BLOCK, n))
-        sigma = sum(front for front, _ in _sweep(A, block.start, block.stop, hops[:, block]))
-        through = hops[:, block] == to_v[:, None] + to_v[block]  # never where t == s: hops is 0 there
+        sigma, hops = _sigma_hops(A, block.start, block.stop, pairs)
+        through = hops == to_v[:, None] + to_v[block]  # never where t == s: hops is 0 there
         bc += float(np.divide(np.outer(sigma_v, sigma_v[block]), sigma, out=np.zeros_like(sigma), where=through).sum())
-    return bc / 2.0, hops
+    return bc / 2.0, pairs
 
 
 def geodesics(network: CollabNetwork) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -1,8 +1,9 @@
 """Cohesion and community structure: k-cores, clustering, efficiency, modularity.
 
 Topology-only metrics (k-core, clustering, global efficiency) ignore edge
-weights; global efficiency reads the hop distances of the cached hop pass
-(`CollabNetwork.hop_sweep`). Community detection is greedy modularity
+weights; global efficiency reads the pair counts per hop distance of the
+cached hop pass (`CollabNetwork.hop_sweep`), summed exactly in integers and
+correctly rounded. Community detection is greedy modularity
 maximization in the Clauset-Newman-Moore style, merging whichever pair of
 communities raises Q most and stopping when no merge helps. Merge ties
 within 1e-12 of the best gain are broken by the lexicographically smallest
@@ -14,6 +15,7 @@ only the two merged communities' slots.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -97,12 +99,18 @@ def global_efficiency(network: CollabNetwork) -> float:
     return _hop_efficiency(network.hop_sweep[1])
 
 
-def _hop_efficiency(hops: np.ndarray) -> float:
-    """Mean inverse hop distance over the unordered pairs of an n x n hop matrix, 0 where unreachable."""
-    n = len(hops)
-    vals = hops[np.triu(np.ones((n, n), dtype=bool), k=1)]  # upper triangle, row by row
-    vals = vals[vals > 0]  # 0: unreachable
-    return float((1.0 / vals).sum()) / (n * (n - 1) / 2.0)
+def _hop_efficiency(pairs: np.ndarray) -> float:
+    """Mean inverse hop distance over the n(n - 1) ordered pairs, from the hop kernels' pair counts.
+
+    pairs[d] counts the ordered pairs d >= 1 hops apart, and len(pairs) is n.
+    The sum of pairs[d] / d is exact as an integer over L, the lcm of the
+    distances reached, and Python's int / int division rounds the mean
+    correctly.
+    """
+    n = len(pairs)
+    reached = {d: c for d, c in enumerate(pairs.tolist()) if c}  # pairs[0] is 0
+    L = math.lcm(*reached)
+    return sum(c * (L // d) for d, c in reached.items()) / (n * (n - 1) * L)
 
 
 @dataclass

@@ -56,8 +56,8 @@ class SynthConfig:
             raise DataError(f"m must be >= 1, got {self.m}")
         if self.n_final <= self.m + 1:
             raise DataError(f"n_final must exceed m+1={self.m + 1}, got {self.n_final}")
-        if self.eta <= 0:
-            raise DataError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise DataError(f"eta must be positive and finite, got {self.eta}")
         if self.fitness_law not in FITNESS_LAWS:
             raise DataError(f"unknown fitness law {self.fitness_law!r}")
         if self.fitness_law == "entrant" and self.entrant_arrival is None:
@@ -66,8 +66,8 @@ class SynthConfig:
             raise DataError(f"entrant_arrival {self.entrant_arrival} outside ({self.m + 1}, {self.n_final})")
         if self.checkpoint_stride < 1:
             raise DataError("checkpoint_stride must be >= 1")
-        if self.densify_closure < 0 or self.densify_random < 0:
-            raise DataError("densification rates must be non-negative")
+        if not (0 <= self.densify_closure < np.inf and 0 <= self.densify_random < np.inf):
+            raise DataError("densification rates must be finite and non-negative")
 
 
 def _node_name(i: int) -> str:
@@ -180,15 +180,21 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
             shortcut_carry += config.densify_random * count
             n_closure, closure_carry = int(closure_carry), closure_carry - int(closure_carry)
             n_shortcut, shortcut_carry = int(shortcut_carry), shortcut_carry - int(shortcut_carry)
-            traj.densify_dropped += _densify_step(rng_dense, fitness, weight, adj, count, add_edge, n_closure, n_shortcut)
+            missing = count * (count - 1) // 2 - len(traj.events)  # node pairs not yet linked
+            traj.densify_dropped += _densify_step(rng_dense, fitness, weight, adj, count, add_edge,
+                                                  n_closure, n_shortcut, missing)
 
     return traj
 
 
-def _densify_step(rng, fitness, weight, adj, count, add_edge, n_closure, n_shortcut) -> int:
-    """Add n_closure closure and n_shortcut shortcut edges; returns how many were given up."""
-    dropped = 0
-    for _ in range(n_closure):
+def _densify_step(rng, fitness, weight, adj, count, add_edge, n_closure, n_shortcut, missing) -> int:
+    """Add n_closure closure and n_shortcut shortcut edges; returns how many were given up.
+
+    Each kind asks for at most the `missing` node pairs still unlinked; the
+    rest are given up without a draw, so no rate can outgrow the graph.
+    """
+    dropped = max(n_closure - missing, 0)
+    for _ in range(min(n_closure, missing)):
         # close an open triad: pick a broker by fitness-weighted degree, then
         # two of its neighbors by fitness, and connect them directly
         brokers = _running_sums(weight[:count])  # only an added edge changes the weights
@@ -206,8 +212,10 @@ def _densify_step(rng, fitness, weight, adj, count, add_edge, n_closure, n_short
             break
         else:
             dropped += 1
+    missing -= n_closure - dropped  # the closures added
+    dropped += max(n_shortcut - missing, 0)
     ends = _running_sums(fitness[:count])  # fitness is fixed within a step
-    for _ in range(n_shortcut):
+    for _ in range(min(n_shortcut, missing)):
         for _attempt in range(DENSIFY_ATTEMPTS):
             u = _weighted_pick(rng, ends)
             v = _weighted_pick(rng, ends)
@@ -275,12 +283,12 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
         if not checkpoints:  # the first checkpoint is the entrant's arrival; ties go to the oldest node
             hub = net.nodes[int(np.argmax(net.degrees))]
         a = SliceAnalysis(net)
-        hub_bc, hops = paths.node_betweenness(net, hub)  # the hub's value alone needs no backward pass
+        hub_bc, pairs = paths.node_betweenness(net, hub)  # the hub's value alone needs no backward pass
         cp = Checkpoint(
             node_count=count,
             communities=len(a.partition),
             hub_bc_norm=hub_bc / bc_pairs(net.n),
-            global_efficiency=structure._hop_efficiency(hops),
+            global_efficiency=structure._hop_efficiency(pairs),
             avg_clustering=a.global_value("clustering"),
             max_k=a.cores.max_k,
         )

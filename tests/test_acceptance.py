@@ -81,7 +81,7 @@ class TestCriterion3OracleEquivalence:
                 assert got_u[v] == pytest.approx(float(want_u[v]), abs=1e-9)
                 assert got_w[v] == pytest.approx(float(want_w[v]), abs=1e-9)
 
-            assert global_efficiency(net) == pytest.approx(float(efficiency_oracle(nodes, edges)), abs=1e-9)
+            assert global_efficiency(net) == float(efficiency_oracle(nodes, edges))  # correctly rounded
 
             assert k_core(net).core_number == core_numbers_oracle(nodes, edges)  # integers: exact
 

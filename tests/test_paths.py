@@ -25,6 +25,20 @@ def hop_oracle(net):
     return dist
 
 
+def pairs_oracle(net):
+    """The ordered pairs at each hop distance d >= 1 of `hop_oracle`, as the kernels count them (length n)."""
+    pairs = np.bincount(hop_oracle(net).astype(np.intp).ravel(), minlength=net.n)
+    pairs[0] = 0  # the diagonal and the unreachable pairs
+    return pairs
+
+
+def swept_hops(net):
+    """The hop matrix assembled from the block hop columns `node_betweenness` tests, SOURCE_BLOCK sources at a time."""
+    starts = range(0, net.n, paths.SOURCE_BLOCK)
+    pairs = np.zeros(net.n, dtype=np.int64)
+    return np.hstack([paths._sigma_hops(net.pattern, s, min(s + paths.SOURCE_BLOCK, net.n), pairs)[1] for s in starts])
+
+
 class TestHopLevels:
     @pytest.mark.parametrize("block", [2, 3, 16])
     def test_hops_match_scipy_on_random_graphs(self, monkeypatch, block):
@@ -34,14 +48,18 @@ class TestHopLevels:
         for _ in range(60):
             nodes, edges = random_graph(rng, rng.randint(1, 40))
             net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
-            np.testing.assert_array_equal(hop_levels(net)[1], hop_oracle(net))
+            pairs = hop_levels(net)[1]
+            assert pairs.dtype == np.int64
+            np.testing.assert_array_equal(pairs, pairs_oracle(net))
+            np.testing.assert_array_equal(swept_hops(net), hop_oracle(net))
 
     def test_hops_match_scipy_on_standard_checkpoints(self):
         config = standard_run_config(1)
         traj = generate_fitness(config)
         for count in checkpoint_counts(config):
             net = traj.graph_at(count)
-            np.testing.assert_array_equal(hop_levels(net)[1], hop_oracle(net))
+            np.testing.assert_array_equal(hop_levels(net)[1], pairs_oracle(net))
+            np.testing.assert_array_equal(swept_hops(net), hop_oracle(net))
 
 
 class TestNodeBetweenness:
@@ -57,10 +75,11 @@ class TestNodeBetweenness:
                 nodes, edges = random_graph(rng, rng.randint(1, 8))
             net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
             want = enum_betweenness(nodes, edges, weighted=False)
+            np.testing.assert_array_equal(swept_hops(net), hop_oracle(net))
             for node in nodes:
-                bc, hops = node_betweenness(net, node)
+                bc, pairs = node_betweenness(net, node)
                 assert math.isclose(bc, float(want[node]), rel_tol=1e-12), (trial, node)
-                np.testing.assert_array_equal(hops, hop_oracle(net))
+                np.testing.assert_array_equal(pairs, pairs_oracle(net))
 
     def test_hub_matches_hop_levels_on_hole_closure_checkpoints(self):
         config = SynthConfig(seed=4, n_final=400, m=3, fitness_law="entrant", eta=5.0, entrant_arrival=100,
@@ -71,10 +90,10 @@ class TestNodeBetweenness:
             net = traj.graph_at(count)
             if not got:  # as `hole_closure_experiment` picks it
                 hub = net.nodes[int(np.argmax(net.degrees))]
-            bc, hops = node_betweenness(net, hub)
-            all_bc, all_hops = hop_levels(net)
-            assert hops.dtype == all_hops.dtype
-            np.testing.assert_array_equal(hops, all_hops)
+            bc, pairs = node_betweenness(net, hub)
+            all_bc, all_pairs = hop_levels(net)
+            assert pairs.dtype == all_pairs.dtype
+            np.testing.assert_array_equal(pairs, all_pairs)
             got.append(bc)
             want.append(all_bc[net.index[hub]])
         got, want = np.array(got), np.array(want)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import string
 import subprocess
@@ -861,6 +862,25 @@ class TestCli:
         assert [c["node_count"] for c in payload["checkpoints"]] == [40, 80, 120]
         assert "densify edges dropped" in capsys.readouterr().out
         assert "densify_dropped" not in payload
+
+    def test_densification_beyond_the_missing_pairs_is_dropped_undrawn(self, tmp_path, capsys):
+        # a million shortcuts per node and step on 50 nodes, which hold 1,225 pairs: each step asks
+        # only for the pairs still missing, where every impossible edge used to cost 30 draws
+        args = ("--n", "50", "--m", "2", "--eta", "3", "--arrival", "10", "--densify-random", "1000000",
+                "--checkpoints", "10")
+        assert self.run("synth", "--experiment", *args, "--out", str(tmp_path / "exp.json")) == 0
+        assert self.run("synth", *args, "--out", str(tmp_path / "net.json")) == 0
+        printed = capsys.readouterr().out
+        dropped = [int(n) for n in re.findall(r"(\d+) densify edges dropped", printed)]
+        assert len(dropped) == 2 and dropped[0] == dropped[1] > 0
+        assert CollabNetwork.load(tmp_path / "net.json").m <= 50 * 49 // 2
+
+    @pytest.mark.parametrize("option, value", [("--eta", "inf"), ("--eta", "nan"),
+                                               ("--densify-random", "inf"), ("--densify-closure", "nan")])
+    def test_non_finite_synth_rates_are_data_errors(self, tmp_path, capsys, option, value):
+        assert self.run("synth", "--experiment", "--n", "50", "--m", "2", "--arrival", "10", "--eta", "3",
+                        option, value, "--out", str(tmp_path / "exp.json")) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_series_writes_exactly_the_requested_metrics(self, corpus, tmp_path):
         out = tmp_path / "out"

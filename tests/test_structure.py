@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from collabnet import paths, structure
@@ -194,7 +195,7 @@ class TestGlobalEfficiency:
         for _ in range(20):
             nodes, edges = random_connected_graph(rng, rng.randint(2, 8))
             net = make_net([(a, b, w) for (a, b), w in edges.items()])
-            assert global_efficiency(net) == pytest.approx(float(efficiency_oracle(nodes, edges)), abs=1e-12)
+            assert global_efficiency(net) == float(efficiency_oracle(nodes, edges))  # correctly rounded
 
     @pytest.mark.parametrize("block", [2, 3])
     def test_matches_floyd_warshall_oracle_in_small_blocks(self, monkeypatch, block):
@@ -204,10 +205,10 @@ class TestGlobalEfficiency:
         for _ in range(40):
             nodes, edges = random_graph(rng, rng.randint(2, 9))
             net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
-            assert global_efficiency(net) == pytest.approx(float(efficiency_oracle(nodes, edges)), abs=1e-12)
+            assert global_efficiency(net) == float(efficiency_oracle(nodes, edges))  # correctly rounded
 
     def test_memory_with_betweenness_on_standard_final_graph(self):
-        # 1,000 nodes, ~10.8k edges: the hop pass keeps one block of levels and a compact hop matrix
+        # 1,000 nodes, ~10.8k edges: the hop pass keeps one block of levels and pair counts, no n x n hop matrix
         net = generate_fitness(standard_run_config(1)).final_graph()
         tracemalloc.start()
         try:
@@ -216,7 +217,19 @@ class TestGlobalEfficiency:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert peak <= 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
+
+    def test_memory_with_node_betweenness_on_standard_final_graph(self):
+        # a hole-closure checkpoint's hop work: one block's n x 16 hop columns at a time, never an n x n matrix
+        net = generate_fitness(standard_run_config(1)).final_graph()
+        tracemalloc.start()
+        try:
+            _, pairs = paths.node_betweenness(net, net.nodes[int(np.argmax(net.degrees))])
+            structure._hop_efficiency(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
 
 
 class TestCommunities:
