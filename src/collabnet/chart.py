@@ -10,6 +10,7 @@ import math
 from pathlib import Path
 
 from .errors import DataError, NumericError
+from .ingest import fresh_output
 from .timeseries import MetricSeries
 
 WIDTH, HEIGHT = 800, 480
@@ -190,6 +191,5 @@ def write_chart(
     band: dict | None = None,
     config_hash: str = "",
 ) -> None:
-    svg, path = emit_chart(series_list, title, band, config_hash), Path(path)  # a refused chart leaves no directory
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(svg, encoding="utf-8")
+    svg = emit_chart(series_list, title, band, config_hash)  # a refused chart leaves no directory
+    fresh_output(path).write_text(svg, encoding="utf-8")

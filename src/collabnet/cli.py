@@ -18,7 +18,7 @@ from . import structure, synth
 from .centrality import centralization
 from .errors import DataError, NumericError
 from .graph import NORM_SCHEMES, CollabNetwork
-from .ingest import ALL_FIELDS, MAX_YEAR, ingest_publications, read_json, write_json, write_table
+from .ingest import ALL_FIELDS, MAX_YEAR, fresh_output, ingest_publications, read_json, write_json, write_table
 from .timeseries import forecast as fit_forecast
 
 
@@ -363,7 +363,7 @@ def _cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.experiment or args.standard:
         run = synth.hole_closure_experiment(config)
-        out.write_text(run.to_json() + "\n", encoding="utf-8")
+        fresh_output(out).write_text(run.to_json() + "\n", encoding="utf-8")
         print(f"wrote {out} ({len(run.checkpoints)} checkpoints, hub {run.hub}, {run.densify_dropped} densify edges dropped)")
         traj = None
     else:

@@ -142,8 +142,9 @@ class CollabNetwork:
         return sp.csr_array((1.0 / A.data, A.indices, A.indptr), shape=A.shape)
 
     @cached_property
-    def hop_sweep(self) -> tuple[np.ndarray, np.ndarray]:
-        """`paths.hop_levels` of this network, (topological betweenness, pair counts per hop distance), run once and shared."""
+    def hop_sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`paths.hop_levels` of this network, (topological betweenness, pair counts per hop distance,
+        closed wedges), run once and shared."""
         from . import paths  # paths imports this module
         return paths.hop_levels(self)
 
@@ -215,9 +216,8 @@ class CollabNetwork:
         return cls(nodes, ends, weight, slc)
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
+        from .ingest import fresh_output  # ingest imports this module
+        fresh_output(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CollabNetwork":

@@ -11,7 +11,9 @@ index arrays. A threshold is a mask over a network's node index pairs. A
 corpus spans at most `MAX_YEAR_SPAN` years, none outside -`MAX_YEAR`..`MAX_YEAR`.
 
 Every stored CSV table and JSON document is written and read through
-`write_table`/`read_table` and `write_json`/`read_json`.
+`write_table`/`read_table` and `write_json`/`read_json`. Every output file,
+these and the saved networks, runs and charts, is written to a path made
+ready by `fresh_output`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import csv
 import json
 import logging
 import math
+import os
 import re
+import stat
 from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager
@@ -217,13 +221,27 @@ def check_year_span(years) -> None:
 # Stored tables and documents
 
 
-@contextmanager
-def write_table(path: str | Path, header: list[str], comments=()):
-    """Write a stored CSV table, its parent made if needed: a `# key=value`
-    line per item of `comments`, the header, then the yielded writer's rows."""
+def fresh_output(path: str | Path) -> Path:
+    """`path` made ready for a new output file: its parent made if needed,
+    and a regular file already there removed, so that the output is created
+    anew instead of rewriting the old file's blocks, which on a filesystem
+    mounted with online discard can stall each write for tens of
+    milliseconds. A symlink is kept, and written through."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return path
+
+
+@contextmanager
+def write_table(path: str | Path, header: list[str], comments=()):
+    """Write a stored CSV table through `fresh_output`: a `# key=value`
+    line per item of `comments`, the header, then the yielded writer's rows."""
+    with fresh_output(path).open("w", encoding="utf-8", newline="") as fh:
         fh.writelines(f"# {key}={value}\n" for key, value in dict(comments).items())
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -281,10 +299,8 @@ def year_cell(text: str) -> int:
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Write a stored JSON document, its parent made if needed."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write a stored JSON document through `fresh_output`."""
+    fresh_output(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path, what: str):

@@ -7,13 +7,15 @@ Every path metric reads one of two kernels:
   counts live only on each level's frontier, and a block stops once it
   has reached every node. Level d's frontier holds the pairs d hops apart,
   so the sweep counts them into `pairs[d]`; no n x n hop matrix is kept.
-  It has two readers, each returning the betweenness and those counts.
-  `hop_levels` adds Brandes' backward pass, dividing only on the frontier,
-  for every node's topological betweenness; it runs once per network,
-  cached as `CollabNetwork.hop_sweep`, so topological betweenness and hop
-  efficiency share one pass. `node_betweenness` returns one node's
-  betweenness from the forward sweeps alone, for callers that need a
-  single node's value.
+  Level 1's front is the sources' neighbour columns, so level 2's product
+  also counts each source's closed wedges (`closed`), which clustering
+  reads. It has two readers, each returning the betweenness and those
+  counts. `hop_levels` adds Brandes' backward pass, dividing only on the
+  frontier, for every node's topological betweenness; it runs once per
+  network, cached as `CollabNetwork.hop_sweep`, so topological
+  betweenness, clustering and hop efficiency share one pass.
+  `node_betweenness` returns one node's betweenness from the forward
+  sweeps alone, for callers that need a single node's value.
 - `geodesics` runs scipy's Dijkstra once from every source over the
   cached inverse-weight CSR `CollabNetwork.distance_csr`, cached as
   `CollabNetwork.geodesics`: the n x n distance matrix, and the CSR entries
@@ -50,7 +52,7 @@ TIE_TOLERANCE = 1e-12  # relative, on accumulated path distances
 SOURCE_BLOCK = 16  # sources per block; weighted_paths' temporaries are block x kept entries
 
 
-def _sweep(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray):
+def _sweep(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray, closed: np.ndarray):
     """Level-synchronous breadth-first search from the sources start..stop-1.
 
     Yields each level's (front, frontier), level 0 the sources themselves.
@@ -59,13 +61,19 @@ def _sweep(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray):
     sum to the full sigma columns. Adds the size of each level d >= 1's
     frontier, its (source, target) pairs d hops apart, to pairs[d]; the
     sweep ends once it has reached every target or a level reaches none.
+    Level 1's front is the sources' 0/1 neighbour columns R, so level 2's
+    product A @ R also gives each source's closed wedges, ((A @ R) * R)
+    summed over targets, into closed[start:stop] (twice its triangles);
+    that product runs even when level 1 has reached every target.
     """
     front = np.eye(A.shape[0], stop - start, -start)
     unvisited = front == 0.0
     yield front, ~unvisited
     level = 0
-    while unvisited.any():
+    while unvisited.any() or level == 1:
         contrib = A @ front
+        if level == 1:
+            closed[start:stop] = (contrib * front).sum(axis=0)
         frontier = (contrib > 0.0) & unvisited
         reached = np.count_nonzero(frontier)
         if not reached:
@@ -77,23 +85,25 @@ def _sweep(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray):
         yield front, frontier
 
 
-def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Topological betweenness and pair counts per hop distance, one block of sources at a time.
+def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Topological betweenness, pair counts per hop distance and closed wedges, one block of sources at a time.
 
-    Returns (bc, pairs): bc is the raw betweenness over unordered pairs, and
-    pairs[d] the number of ordered (source, target) pairs d >= 1 hops apart,
-    of length n since no hop distance reaches n; pairs[0] and unreachable
-    pairs count nothing. Each block's `_sweep` keeps its fronts for Brandes'
-    backward pass, which divides only on each level's frontier.
+    Returns (bc, pairs, closed): bc is the raw betweenness over unordered
+    pairs, pairs[d] the number of ordered (source, target) pairs d >= 1 hops
+    apart, of length n since no hop distance reaches n (pairs[0] and
+    unreachable pairs count nothing), and closed[v] the number of ordered
+    pairs of v's neighbours that are linked, twice v's triangles, as
+    integer-valued floats. Each block's `_sweep` keeps its fronts for
+    Brandes' backward pass, which divides only on each level's frontier.
     """
     n = network.n
     A = network.pattern
     bc = np.zeros(n)
     own = np.zeros(n)  # each source's dependency on itself, never credited
-    pairs = np.zeros(n, dtype=np.int64)
+    pairs, closed = np.zeros(n, dtype=np.int64), np.zeros(n)
     for start in range(0, n, SOURCE_BLOCK):
         block = slice(start, min(start + SOURCE_BLOCK, n))
-        fronts, frontiers = zip(*_sweep(A, block.start, block.stop, pairs))
+        fronts, frontiers = zip(*_sweep(A, block.start, block.stop, pairs, closed))
         delta = np.zeros_like(fronts[0])
         for level in range(len(fronts) - 1, 0, -1):
             coeff = np.divide(1.0 + delta, fronts[level], out=np.zeros_like(delta), where=frontiers[level])
@@ -101,48 +111,51 @@ def hop_levels(network: CollabNetwork) -> tuple[np.ndarray, np.ndarray]:
         own[block] = delta[block].diagonal()
         for column in delta.T:  # one source at a time, so bc sums in source order
             bc += column
-    return (bc - own) / 2.0, pairs
+    return (bc - own) / 2.0, pairs, closed
 
 
-def _sigma_hops(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sigma_hops(A: sp.csr_array, start: int, stop: int, pairs: np.ndarray,
+                closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The full sigma columns of `_sweep` from start..stop-1, the sum of its fronts, and its hop columns.
 
-    Both are [target, source] arrays, hops 0 where t == s or t is
-    unreachable, in the smallest dtype that holds n - 1.
+    The sweep adds to pairs and fills closed[start:stop]. Both returned
+    arrays are [target, source], hops 0 where t == s or t is unreachable,
+    in the smallest dtype that holds n - 1.
     """
     n = A.shape[0]
     sigma, hops = 0.0, np.zeros((n, stop - start), dtype=np.min_scalar_type(n))
-    for level, (front, frontier) in enumerate(_sweep(A, start, stop, pairs)):
+    for level, (front, frontier) in enumerate(_sweep(A, start, stop, pairs, closed)):
         sigma = sigma + front
         hops += frontier * hops.dtype.type(level)
     return sigma, hops
 
 
-def node_betweenness(network: CollabNetwork, node: str) -> tuple[float, np.ndarray]:
-    """One node's topological betweenness and the pair counts per hop distance, from forward sweeps alone.
+def node_betweenness(network: CollabNetwork, node: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """One node's topological betweenness, pair counts per hop distance and closed wedges, from forward sweeps alone.
 
-    Returns (bc, pairs) with pairs as `hop_levels` returns it, and bc the
-    node v's raw betweenness over unordered pairs: the sum of the pair
-    dependencies sigma_sv sigma_vt / sigma_st over the pairs s != t, both
-    other than v, with d(s, v) + d(v, t) = d(s, t). One sweep from v gives
-    d(v, .) and sigma(v, .); each block of SOURCE_BLOCK sources then needs
-    only its own sigma and hop columns (`_sigma_hops`), and no backward pass.
+    Returns (bc, pairs, closed) with pairs and closed as `hop_levels`
+    returns them, and bc the node v's raw betweenness over unordered
+    pairs: the sum of the pair dependencies sigma_sv sigma_vt / sigma_st
+    over the pairs s != t, both other than v, with d(s, v) + d(v, t) =
+    d(s, t). One sweep from v gives d(v, .) and sigma(v, .); each block of
+    SOURCE_BLOCK sources then needs only its own sigma and hop columns
+    (`_sigma_hops`), and no backward pass.
     """
     if not network.has_node(node):
         raise DataError(f"unknown node {node}")
     n, v = network.n, network.index[node]
     A = network.pattern
-    pairs = np.zeros(n, dtype=np.int64)
-    sigma_v, to_v = _sigma_hops(A, v, v + 1, np.zeros_like(pairs))  # v's pairs are counted in its own block
+    pairs, closed = np.zeros(n, dtype=np.int64), np.zeros(n)
+    sigma_v, to_v = _sigma_hops(A, v, v + 1, np.zeros_like(pairs), np.zeros_like(closed))  # both counted in v's block
     sigma_v, to_v = sigma_v[:, 0], to_v[:, 0].astype(np.intp)  # the small dtype could wrap d(s, v) + d(v, t)
     to_v[to_v == 0] = 2 * n  # v and the nodes it cannot reach: no sum through them is a distance
     bc = 0.0
     for start in range(0, n, SOURCE_BLOCK):
         block = slice(start, min(start + SOURCE_BLOCK, n))
-        sigma, hops = _sigma_hops(A, block.start, block.stop, pairs)
+        sigma, hops = _sigma_hops(A, block.start, block.stop, pairs, closed)
         through = hops == to_v[:, None] + to_v[block]  # never where t == s: hops is 0 there
         bc += float(np.divide(np.outer(sigma_v, sigma_v[block]), sigma, out=np.zeros_like(sigma), where=through).sum())
-    return bc / 2.0, pairs
+    return bc / 2.0, pairs, closed
 
 
 def geodesics(network: CollabNetwork) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -1,8 +1,9 @@
 """Cohesion and community structure: k-cores, clustering, efficiency, modularity.
 
 Topology-only metrics (k-core, clustering, global efficiency) ignore edge
-weights; global efficiency reads the pair counts per hop distance of the
-cached hop pass (`CollabNetwork.hop_sweep`), summed exactly in integers and
+weights. Clustering and global efficiency read the cached hop pass
+(`CollabNetwork.hop_sweep`): clustering its closed-wedge counts, global
+efficiency its pair counts per hop distance, summed exactly in integers and
 correctly rounded. Community detection is greedy modularity
 maximization in the Clauset-Newman-Moore style, merging whichever pair of
 communities raises Q most and stopping when no merge helps. Merge ties
@@ -25,7 +26,6 @@ from .errors import DataError
 from .graph import CollabNetwork
 
 DQ_TIE_TOLERANCE = 1e-12
-TRIANGLE_BLOCK = 64  # columns per block of clustering's triangle count: n x 64 float temporaries
 
 
 @dataclass
@@ -74,17 +74,16 @@ class ClusteringResult:
 def clustering(network: CollabNetwork) -> ClusteringResult:
     """Local clustering coefficients; nodes of degree < 2 score 0.
 
-    A node's closed wedges are its column of (A @ A) * A, counted over
-    blocks of TRIANGLE_BLOCK columns, so the whole A @ A is never built.
-    Every count is an integer-valued float, so the block order moves no bit.
+    A node's closed wedges are its column of (A @ A) * A, counted by the
+    cached hop pass (`CollabNetwork.hop_sweep`) at its second level.
     """
     if network.n < 1:
         raise DataError("clustering needs at least 1 node")
-    A = network.pattern
-    closed = np.empty(network.n)  # counts each triangle at a node twice
-    for start in range(0, network.n, TRIANGLE_BLOCK):
-        R = A[start:start + TRIANGLE_BLOCK].toarray().T  # the block's columns: A is symmetric
-        closed[start:start + TRIANGLE_BLOCK] = ((A @ R) * R).sum(axis=0)
+    return _wedge_clustering(network, network.hop_sweep[2])
+
+
+def _wedge_clustering(network: CollabNetwork, closed: np.ndarray) -> ClusteringResult:
+    """Clustering from the hop kernels' closed-wedge counts, twice each node's triangles."""
     d = network.degrees
     coeff = np.divide(closed, d * (d - 1), out=np.zeros(network.n), where=d >= 2)
     per_node = dict(zip(network.nodes, coeff.tolist()))

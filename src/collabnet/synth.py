@@ -12,7 +12,11 @@ fitness-weighted shortcuts between random pairs.
 Randomness comes from PCG64 generators seeded as SeedSequence((seed, phase))
 with phase 0 for growth and phase 1 for densification, so toggling
 densification or the entrant fitness never perturbs the growth draws of a
-paired seed.
+paired seed. Each draw table, the running sums of its weights with the
+total as the last one, is built once per change of its weights, and both
+ends of a densification edge come from one rng.random(2), the stream of two
+scalar draws. The hole-closure checkpoints read the hub's betweenness, the
+hop efficiency and the clustering from one `paths.node_betweenness` pass.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +84,8 @@ class SynthTrajectory:
     """Edge-creation log: each entry is (node count when added, endpoint ids).
 
     densify_dropped counts the densification edges given up after
-    DENSIFY_ATTEMPTS draws found no new pair.
+    DENSIFY_ATTEMPTS draws found no new pair. `graph_at` reads the log as
+    one integer array, converted on its first call, once growth has ended.
     """
 
     config: SynthConfig
@@ -92,17 +98,22 @@ class SynthTrajectory:
             raise DataError(f"count {count} outside trajectory range")
         names = [_node_name(i) for i in range(count)]
         rank = np.argsort(sorted(range(count), key=names.__getitem__))  # node id -> place among the sorted names
-        events = np.array(self.events, dtype=np.intp).reshape(-1, 3)
+        events = self._event_array
         ends = np.sort(rank[events[:np.searchsorted(events[:, 0], count, side="right"), 1:]], axis=1)
         return CollabNetwork(tuple(sorted(names)), ends, np.ones(len(ends)), NetworkSlice(None, "synth", "raw"))
+
+    @cached_property
+    def _event_array(self) -> np.ndarray:
+        return np.array(self.events, dtype=np.intp).reshape(-1, 3)
 
     def final_graph(self) -> CollabNetwork:
         return self.graph_at(self.config.n_final)
 
 
 def _running_sums(weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """What _weighted_pick draws from: the weights' total and their running sums."""
-    return weights.sum(), weights.cumsum()
+    """What _weighted_pick draws from: the weights' total, read as their last running sum, and the running sums."""
+    cum = weights.cumsum()
+    return cum[-1], cum
 
 
 def _weighted_pick(rng: np.random.Generator, sums: tuple[float, np.ndarray]) -> int:
@@ -110,6 +121,15 @@ def _weighted_pick(rng: np.random.Generator, sums: tuple[float, np.ndarray]) -> 
     if total <= 0:
         return int(rng.integers(0, len(cum)))
     return int(cum.searchsorted(rng.random() * total, side="right"))
+
+
+def _weighted_pair(rng: np.random.Generator, sums: tuple[float, np.ndarray]) -> tuple[int, int]:
+    """Two successive _weighted_picks, from one rng.random(2): the same stream as two scalar draws."""
+    total, cum = sums
+    if total <= 0:
+        return _weighted_pick(rng, sums), _weighted_pick(rng, sums)
+    u, v = cum.searchsorted(rng.random(2) * total, side="right").tolist()
+    return u, v
 
 
 def _pick_excluding(rng: np.random.Generator, weights: np.ndarray, chosen: list[int]) -> int:
@@ -131,11 +151,14 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
         fitness[:n0] = rng_grow.random(n0)
     weight = np.zeros(config.n_final)  # fitness x degree, the attachment weight
     adj: list[set[int]] = [set() for _ in range(config.n_final)]
+    tables: dict[int, tuple] = {}  # broker -> its sorted neighbours and their fitness running sums
 
     def add_edge(count: int, i: int, j: int) -> None:
         key = (i, j) if i < j else (j, i)
         adj[i].add(j)
         adj[j].add(i)
+        tables.pop(i, None)
+        tables.pop(j, None)
         weight[i] = fitness[i] * len(adj[i])
         weight[j] = fitness[j] * len(adj[j])
         traj.events.append((count, key[0], key[1]))
@@ -181,34 +204,42 @@ def _grow(config: SynthConfig) -> SynthTrajectory:
             n_closure, closure_carry = int(closure_carry), closure_carry - int(closure_carry)
             n_shortcut, shortcut_carry = int(shortcut_carry), shortcut_carry - int(shortcut_carry)
             missing = count * (count - 1) // 2 - len(traj.events)  # node pairs not yet linked
-            traj.densify_dropped += _densify_step(rng_dense, fitness, weight, adj, count, add_edge,
+            traj.densify_dropped += _densify_step(rng_dense, fitness, weight, adj, tables, count, add_edge,
                                                   n_closure, n_shortcut, missing)
 
     return traj
 
 
-def _densify_step(rng, fitness, weight, adj, count, add_edge, n_closure, n_shortcut, missing) -> int:
+def _densify_step(rng, fitness, weight, adj, tables, count, add_edge, n_closure, n_shortcut, missing) -> int:
     """Add n_closure closure and n_shortcut shortcut edges; returns how many were given up.
 
     Each kind asks for at most the `missing` node pairs still unlinked; the
     rest are given up without a draw, so no rate can outgrow the graph.
+    Draw tables are built once per change of their weights: the brokers'
+    after each added edge, a broker's neighbour table (kept in `tables`,
+    which add_edge clears for both ends) after the broker gains an edge.
     """
     dropped = max(n_closure - missing, 0)
+    brokers = None
     for _ in range(min(n_closure, missing)):
         # close an open triad: pick a broker by fitness-weighted degree, then
         # two of its neighbors by fitness, and connect them directly
-        brokers = _running_sums(weight[:count])  # only an added edge changes the weights
+        if brokers is None:
+            brokers = _running_sums(weight[:count])  # only an added edge changes the weights
         for _attempt in range(DENSIFY_ATTEMPTS):
             broker = _weighted_pick(rng, brokers)
-            nbrs = sorted(adj[broker])
-            if len(nbrs) < 2:
+            if len(adj[broker]) < 2:
                 continue
-            w = _running_sums(fitness[nbrs])
-            u = nbrs[_weighted_pick(rng, w)]
-            v = nbrs[_weighted_pick(rng, w)]
+            if broker not in tables:
+                nbrs = sorted(adj[broker])
+                tables[broker] = nbrs, _running_sums(fitness[nbrs])
+            nbrs, w = tables[broker]
+            u, v = _weighted_pair(rng, w)
+            u, v = nbrs[u], nbrs[v]
             if u == v or v in adj[u]:
                 continue
             add_edge(count, u, v)
+            brokers = None
             break
         else:
             dropped += 1
@@ -217,8 +248,7 @@ def _densify_step(rng, fitness, weight, adj, count, add_edge, n_closure, n_short
     ends = _running_sums(fitness[:count])  # fitness is fixed within a step
     for _ in range(min(n_shortcut, missing)):
         for _attempt in range(DENSIFY_ATTEMPTS):
-            u = _weighted_pick(rng, ends)
-            v = _weighted_pick(rng, ends)
+            u, v = _weighted_pair(rng, ends)
             if u == v or v in adj[u]:
                 continue
             add_edge(count, u, v)
@@ -283,13 +313,13 @@ def hole_closure_experiment(config: SynthConfig) -> SynthRun:
         if not checkpoints:  # the first checkpoint is the entrant's arrival; ties go to the oldest node
             hub = net.nodes[int(np.argmax(net.degrees))]
         a = SliceAnalysis(net)
-        hub_bc, pairs = paths.node_betweenness(net, hub)  # the hub's value alone needs no backward pass
+        hub_bc, pairs, closed = paths.node_betweenness(net, hub)  # the hub's value alone needs no backward pass
         cp = Checkpoint(
             node_count=count,
             communities=len(a.partition),
             hub_bc_norm=hub_bc / bc_pairs(net.n),
             global_efficiency=structure._hop_efficiency(pairs),
-            avg_clustering=a.global_value("clustering"),
+            avg_clustering=structure._wedge_clustering(net, closed).average,
             max_k=a.cores.max_k,
         )
         checkpoints.append(cp)

@@ -2,8 +2,8 @@
 
 Everything here works from first principles on tiny graphs: exhaustive
 path enumeration with exact rational arithmetic, Floyd-Warshall, k-cores
-by repeated deletion, clustering by counting each node's closed neighbor
-pairs, modularity maximization over all set partitions, a
+by repeated deletion, triangles and clustering by counting each node's
+closed neighbor pairs, modularity maximization over all set partitions, a
 naive greedy merge that recomputes every gain at every step,
 participation shares counted from the publication records, and the
 Granger regressions' RSS and F and Benjamini-Hochberg adjustment in
@@ -149,6 +149,15 @@ def core_numbers_oracle(nodes, edges) -> dict[str, int]:
         for v in alive:
             core[v] = k
     return core
+
+
+def triangles_oracle(nodes, edges) -> dict[str, int]:
+    """Each node's triangles: the adjacent pairs among its neighbors."""
+    adj = {v: set() for v in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {v: sum(1 for x, y in combinations(sorted(adj[v]), 2) if y in adj[x]) for v in nodes}
 
 
 def clustering_oracle(nodes, edges) -> dict[str, Fraction]:

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import random
 import re
 import sys
@@ -24,6 +25,8 @@ from collabnet.ingest import (
     parse_publications_file,
     participation,
     read_json,
+    write_json,
+    write_table,
 )
 from collabnet.pipeline import read_forecast_csv, read_series_csv
 from oracles import participation_series
@@ -425,6 +428,56 @@ class TestStoredTables:
 def test_json_path_with_a_nul_byte(tmp_path):
     with pytest.raises(DataError, match="^cannot read the manifest: embedded null byte$"):
         read_json(tmp_path / "manifest\0.json", "the manifest")
+
+
+def write_table_rows(path):
+    with write_table(path, ["a", "b"], {"k": "v"}) as writer:
+        writer.writerow([1, 2.5])
+
+
+WRITERS = {
+    "table": write_table_rows,
+    "json": lambda path: write_json(path, {"years": [2001], "threshold": 0}),
+    "network": lambda path: CollabNetwork.from_pairs([("A", "B", 1.0)], NetworkSlice(2001)).save(path),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+class TestRewrittenOutputs:
+    """A writer removes a regular file already at its path and creates the output anew; a symlink is written through."""
+
+    def fresh_bytes(self, tmp_path, writer) -> bytes:
+        WRITERS[writer](tmp_path / "fresh" / "out")
+        return (tmp_path / "fresh" / "out").read_bytes()
+
+    def test_over_a_longer_file(self, tmp_path, writer):
+        path, old = tmp_path / "out", tmp_path / "old"
+        path.write_text("x" * 10_000)
+        os.link(path, old)
+        WRITERS[writer](path)
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, writer)
+        assert old.read_text() == "x" * 10_000  # removed and created anew, not rewritten in place
+
+    def test_through_a_symlink(self, tmp_path, writer):
+        path, target = tmp_path / "out", tmp_path / "target"
+        target.write_text("x" * 10_000)
+        path.symlink_to(target)
+        WRITERS[writer](path)
+        assert path.is_symlink()
+        assert target.read_bytes() == self.fresh_bytes(tmp_path, writer)
+
+
+def test_second_ingest_into_the_same_out_is_byte_identical(tmp_path):
+    pubs, out = tmp_path / "pubs.jsonl", tmp_path / "corpus"
+    pubgen.write_corpus(pubs, 5, 4000)
+
+    def tree():
+        return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))}
+
+    first = ingest_publications(pubs, out, threshold=3)
+    written = tree()
+    assert ingest_publications(pubs, out, threshold=3) == first
+    assert tree() == written
 
 
 class TestOnePassIngest:

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from collabnet.paths import bridging_fraction, hop_levels, node_betweenness, wei
 from collabnet.pipeline import SliceAnalysis, bridge_value
 from collabnet.synth import SynthConfig, checkpoint_counts, generate_fitness, standard_run_config
 from conftest import make_net
-from oracles import enum_betweenness, random_connected_graph, random_graph
+from oracles import enum_betweenness, random_connected_graph, random_graph, triangles_oracle
 
 
 def detour_net():
@@ -35,8 +36,9 @@ def pairs_oracle(net):
 def swept_hops(net):
     """The hop matrix assembled from the block hop columns `node_betweenness` tests, SOURCE_BLOCK sources at a time."""
     starts = range(0, net.n, paths.SOURCE_BLOCK)
-    pairs = np.zeros(net.n, dtype=np.int64)
-    return np.hstack([paths._sigma_hops(net.pattern, s, min(s + paths.SOURCE_BLOCK, net.n), pairs)[1] for s in starts])
+    pairs, closed = np.zeros(net.n, dtype=np.int64), np.zeros(net.n)
+    return np.hstack([paths._sigma_hops(net.pattern, s, min(s + paths.SOURCE_BLOCK, net.n), pairs, closed)[1]
+                      for s in starts])
 
 
 class TestHopLevels:
@@ -77,7 +79,7 @@ class TestNodeBetweenness:
             want = enum_betweenness(nodes, edges, weighted=False)
             np.testing.assert_array_equal(swept_hops(net), hop_oracle(net))
             for node in nodes:
-                bc, pairs = node_betweenness(net, node)
+                bc, pairs, _ = node_betweenness(net, node)
                 assert math.isclose(bc, float(want[node]), rel_tol=1e-12), (trial, node)
                 np.testing.assert_array_equal(pairs, pairs_oracle(net))
 
@@ -90,10 +92,11 @@ class TestNodeBetweenness:
             net = traj.graph_at(count)
             if not got:  # as `hole_closure_experiment` picks it
                 hub = net.nodes[int(np.argmax(net.degrees))]
-            bc, pairs = node_betweenness(net, hub)
-            all_bc, all_pairs = hop_levels(net)
+            bc, pairs, closed = node_betweenness(net, hub)
+            all_bc, all_pairs, all_closed = hop_levels(net)
             assert pairs.dtype == all_pairs.dtype
             np.testing.assert_array_equal(pairs, all_pairs)
+            np.testing.assert_array_equal(closed, all_closed)
             got.append(bc)
             want.append(all_bc[net.index[hub]])
         got, want = np.array(got), np.array(want)
@@ -106,6 +109,37 @@ class TestNodeBetweenness:
     def test_unknown_node(self):
         with pytest.raises(DataError, match="unknown node X"):
             node_betweenness(detour_net(), "X")
+
+
+class TestClosedWedges:
+    """Both hop kernels count each node's closed wedges, twice its triangles, from the sweep's level 2."""
+
+    @staticmethod
+    def check(nodes, edges):
+        net = make_net([(a, b, w) for (a, b), w in edges.items()], nodes=nodes)
+        triangles = triangles_oracle(nodes, edges)
+        want = np.array([2.0 * triangles[v] for v in net.nodes])
+        closed = hop_levels(net)[2]
+        assert closed.dtype == np.float64
+        np.testing.assert_array_equal(closed, want)
+        for node in {net.nodes[0], net.nodes[-1]}:
+            np.testing.assert_array_equal(node_betweenness(net, node)[2], want)
+
+    @pytest.mark.parametrize("block", [2, 16])
+    def test_match_triangle_oracle_on_complete_graphs(self, monkeypatch, block):
+        # level 1 reaches every target, and level 2's product must still run
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        for n in range(1, 41):
+            nodes = [f"v{i:02d}" for i in range(n)]
+            self.check(nodes, {pair: 1 for pair in combinations(nodes, 2)})
+
+    @pytest.mark.parametrize("block", [2, 16])
+    def test_match_triangle_oracle_on_random_graphs(self, monkeypatch, block):
+        # isolated nodes, several components and no edges, over one or several blocks
+        monkeypatch.setattr(paths, "SOURCE_BLOCK", block)
+        rng = random.Random(71)
+        for _ in range(60):
+            self.check(*random_graph(rng, rng.randint(1, 40)))
 
 
 WEIGHT_CLASSES = {

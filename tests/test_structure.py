@@ -138,9 +138,10 @@ class TestClustering:
             assert res.per_node == {v: float(c) for v, c in expected.items()}
             assert res.average == pytest.approx(float(sum(expected.values()) / len(nodes)))
 
-    @pytest.mark.parametrize("n", [structure.TRIANGLE_BLOCK + k for k in (-1, 0, 1, structure.TRIANGLE_BLOCK + 2)])
+    @pytest.mark.parametrize("n", [4 * paths.SOURCE_BLOCK + k for k in (-1, 0, 1)] + [8 * paths.SOURCE_BLOCK + 2])
     def test_matches_triangle_oracle_at_block_edges(self, n):
-        # one block short of full, exactly full, one column over, and a third block of two columns
+        # the hop pass's source blocks: one short of four full blocks, exactly four, one column over,
+        # and a ninth block of two columns
         rng = random.Random(n)
         nodes = [f"v{i:03d}" for i in range(n)]
         edges = {pair: 1 for pair in combinations(nodes, 2) if rng.random() < 0.15}
@@ -159,7 +160,7 @@ class TestClustering:
         assert clustering(net).per_node == {v: float(c) for v, c in clustering_oracle(nodes, edges).items()}
 
     def test_memory_on_standard_final_graph(self):
-        # 1,000 nodes, ~10.8k edges: a block of columns at a time, never the whole A @ A (about 16 MiB)
+        # 1,000 nodes, ~10.8k edges: the hop pass's blocks of columns, never the whole A @ A (about 16 MiB)
         net = generate_fitness(standard_run_config(1)).final_graph()
         tracemalloc.start()
         try:
@@ -224,8 +225,9 @@ class TestGlobalEfficiency:
         net = generate_fitness(standard_run_config(1)).final_graph()
         tracemalloc.start()
         try:
-            _, pairs = paths.node_betweenness(net, net.nodes[int(np.argmax(net.degrees))])
+            _, pairs, closed = paths.node_betweenness(net, net.nodes[int(np.argmax(net.degrees))])
             structure._hop_efficiency(pairs)
+            structure._wedge_clustering(net, closed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

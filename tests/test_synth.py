@@ -131,6 +131,27 @@ class TestGenerators:
         assert g50.n == 50
 
 
+class TestDrawStream:
+    """Densification draws both ends of an edge from one rng.random(2), the stream of two scalar draws."""
+
+    @staticmethod
+    def twins():
+        return [np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, 1)))) for _ in range(2)]
+
+    def test_two_at_once_are_two_scalar_draws(self):
+        one, two = self.twins()
+        for _ in range(1000):
+            assert one.random(2).tolist() == [two.random(), two.random()]
+
+    @pytest.mark.parametrize("weights", [[0.3, 1.7, 0.0, 2.9, 0.1], [1.0, 1.0], [0.0, 0.0, 0.0]],
+                             ids=["fractional", "equal", "zero"])
+    def test_weighted_pair_is_two_weighted_picks(self, weights):
+        one, two = self.twins()
+        sums = synth._running_sums(np.array(weights))
+        for _ in range(500):
+            assert synth._weighted_pair(one, sums) == (synth._weighted_pick(two, sums), synth._weighted_pick(two, sums))
+
+
 class TestHoleClosure:
     def small_config(self, seed=1):
         return SynthConfig(
